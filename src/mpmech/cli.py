@@ -73,8 +73,9 @@ def load_hamiltonian(name_or_path: str, n: int, m: int) -> HamiltonianSpec:
         raise InputError(f"cannot read Hamiltonian {name_or_path}: {exc}") from exc
     if not isinstance(doc, dict) or "Q" not in doc:
         raise InputError("Hamiltonian file must be an object with a 'Q' matrix")
-    spec = HamiltonianSpec.quadratic(np.asarray(doc["Q"], dtype=float),
-                                     doc.get("b"))
+    b = doc.get("b")
+    spec = HamiltonianSpec.quadratic(formats.float_array(doc["Q"], "Q"),
+                                     None if b is None else formats.float_array(b, "b"))
     if spec.dim != n + m:
         raise InputError(
             f"Hamiltonian dimension {spec.dim} does not match the pair ({n + m})"
@@ -89,6 +90,8 @@ def parse_initial(text: str, dim: int) -> np.ndarray:
         raise InputError(f"cannot parse initial state {text!r}: {exc}") from exc
     if len(values) != dim:
         raise InputError(f"initial state has {len(values)} components, expected {dim}")
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"initial state {text!r} has non-finite components")
     return np.array(values)
 
 
@@ -155,7 +158,10 @@ def cmd_simulate(args) -> int:
         Q = spec.Q
         if np.abs(Q[:n, n:]).max() > 0:
             raise InputError("ep mode needs a block-diagonal quadratic form")
-        lagrangian = LagrangianSpec(np.linalg.inv(Q[:n, :n]), np.linalg.inv(Q[n:, n:]))
+        try:
+            lagrangian = LagrangianSpec(np.linalg.inv(Q[:n, :n]), np.linalg.inv(Q[n:, n:]))
+        except np.linalg.LinAlgError as exc:
+            raise InputError(f"ep mode needs nonsingular diagonal blocks: {exc}") from exc
         record = integrate_ep(mp, lagrangian, z0, args.dt, args.t_end, invariants)
     wall = time.perf_counter() - start
 
@@ -165,7 +171,8 @@ def cmd_simulate(args) -> int:
     summary = formats.summary_dict(
         record, wall,
         pair=args.pair, hamiltonian=args.hamiltonian, mode=args.mode,
-        convention=args.convention, dt=args.dt, t_end=args.t_end,
+        convention=args.convention if args.mode == "lp" else "left",
+        dt=args.dt, t_end=args.t_end,
         seed=args.seed,
     )
     with open(summary_path, "w", encoding="utf-8") as fh:

@@ -8,7 +8,7 @@ pure truncation error.  Invariants are monitored at every accepted step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -21,12 +21,11 @@ from .errors import (
 )
 from .matched_pair import (
     DoubleAlgebra,
-    DualPoint,
     MatchedPair,
+    _as_pair,
     _require_validated,
-    _rhs_raw,
     as_dual_point,
-    euler_poincare_rhs,
+    build_double,
 )
 
 FD_STEP = 1e-6  # central-difference step, scaled per component by 1 + |z_i|
@@ -62,6 +61,8 @@ class HamiltonianSpec:
         b = np.asarray(b, dtype=float)
         if b.shape != (dim,):
             raise DimensionMismatch(f"linear term has shape {b.shape}, expected ({dim},)")
+        if not (np.isfinite(Q).all() and np.isfinite(b).all()):
+            raise InputError("quadratic Hamiltonian has non-finite entries")
         Q.setflags(write=False)
         b.flags.writeable = False
         return cls(dim, Q, b, None)
@@ -185,11 +186,11 @@ def _drift(series: np.ndarray) -> float:
 
 
 def _grid(dt: float, t_end: float) -> tuple[int, np.ndarray]:
-    if not (dt > 0):
-        raise InputError(f"dt must be positive, got {dt}")
-    if t_end < dt:
-        raise InputError(f"t_end must be at least dt, got t_end={t_end}, dt={dt}")
+    if not (0 < dt <= t_end < np.inf):
+        raise InputError(f"need 0 < dt <= t_end < inf, got dt={dt}, t_end={t_end}")
     steps = int(round(t_end / dt))
+    if abs(t_end / dt - steps) > 1e-9 * steps:
+        raise InputError(f"t_end={t_end} is not a whole number of steps of dt={dt}")
     return steps, dt * np.arange(steps + 1)
 
 
@@ -206,7 +207,7 @@ def _run_rk4(f, z0: np.ndarray, dt: float, steps: int) -> np.ndarray:
             k3 = f(z + half * k2)
             k4 = f(z + dt * k3)
             z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 raise IntegrationError(
                     f"state became non-finite at t={(step + 1) * dt:g}",
                     last_good_time=step * dt,
@@ -217,9 +218,14 @@ def _run_rk4(f, z0: np.ndarray, dt: float, steps: int) -> np.ndarray:
 
 def _monitor(states: np.ndarray, split: tuple[int, int], spec: HamiltonianSpec,
              invariants: InvariantMap | None):
+    """Invariant series and drifts: a quadratic "H" over all rows at once, a
+    black-box H and the user invariants (callables of (mu, nu)) row by row."""
     n, _ = split
     series: dict[str, np.ndarray] = {}
-    series["H"] = np.array([spec.value(z) for z in states])
+    if spec.is_quadratic:
+        series["H"] = 0.5 * np.einsum("ij,ij->i", states @ spec.Q, states) + states @ spec.b
+    else:
+        series["H"] = np.array([spec.value(z) for z in states])
     for name, fn in (invariants or {}).items():
         if name == "H":
             raise InputError("invariant name 'H' is reserved for the Hamiltonian")
@@ -234,26 +240,28 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
     """Integrate the Lie-Poisson flow of ``spec`` on the dual of ``double``.
 
     Fixed-step RK4 on ``p_dot = M(p) grad H(p)`` (negated in the left
-    convention).  The Hamiltonian series is always recorded under the name
-    "H"; additional invariants are callables of (mu, nu).
+    convention).  Each stage is one flat kernel: ``M(z) = (z @ Cf).reshape(d, d)``
+    with the constants flattened to ``Cf`` of shape (d, d*d) once per run, and
+    ``grad H = Q z + b`` for quadratic specs (central differences for black
+    boxes).  The Hamiltonian series is always recorded under the name "H";
+    additional invariants are callables of (mu, nu).
     """
     _require_validated(double)
     if convention not in ("right", "left"):
         raise InputError(f"unknown convention {convention!r}, expected 'right' or 'left'")
-    p0 = as_dual_point(p0, double.split)
-    z0 = p0.concat()
+    z0 = as_dual_point(p0, double.split).concat()
     if spec.dim != z0.size:
         raise DimensionMismatch(
             f"Hamiltonian dimension {spec.dim} does not match the double ({z0.size})"
         )
     steps, times = _grid(dt, t_end)
-    sign = 1.0 if convention == "right" else -1.0
-
-    def f(z):
-        return sign * _rhs_raw(double, DualPoint.from_concat(z, double.split),
-                               gradient(spec, z))
-
-    states = _run_rk4(f, z0, dt, steps)
+    d = double.dim
+    Cf = (1.0 if convention == "right" else -1.0) * double.algebra.C.reshape(d, d * d)
+    if spec.is_quadratic:
+        Q, b = spec.Q, spec.b
+        states = _run_rk4(lambda z: (z @ Cf).reshape(d, d) @ (Q @ z + b), z0, dt, steps)
+    else:
+        states = _run_rk4(lambda z: (z @ Cf).reshape(d, d) @ gradient(spec, z), z0, dt, steps)
     series, drift = _monitor(states, double.split, spec, invariants)
     return TrajectoryRecord(times, states, double.split, series, drift)
 
@@ -262,31 +270,18 @@ def integrate_ep(mp: MatchedPair, lagrangian: LagrangianSpec, state0, dt: float,
                  t_end: float, invariants: InvariantMap | None = None) -> TrajectoryRecord:
     """Integrate the Euler-Poincare flow of a quadratic Lagrangian.
 
-    The step runs in momentum coordinates; velocities are recovered through
-    the inverse metric at every stage and stored alongside the momenta.  The
-    "H" series holds the total (kinetic) energy.
+    The Euler-Poincare equations are the left Lie-Poisson equations of the
+    Legendre Hamiltonian, so this runs :func:`integrate` in the left
+    convention on the double of ``mp``, from the momenta
+    ``(M_g xi0, M_h eta0)``.  Velocities, the gradient of that Hamiltonian,
+    are stored alongside the momenta; "H" holds the kinetic energy.
     """
-    from .matched_pair import _as_pair  # local import to keep module surface small
-
-    split = (mp.g.dim, mp.h.dim)
-    xi0, eta0 = _as_pair(state0, split, "initial velocities")
+    xi0, eta0 = _as_pair(state0, (mp.g.dim, mp.h.dim), "initial velocities")
     if not mp.validated:
         mp.validate()
-    inv_g = np.linalg.inv(lagrangian.metric_g)
-    inv_h = np.linalg.inv(lagrangian.metric_h)
-    if inv_g.shape[0] != mp.g.dim or inv_h.shape[0] != mp.h.dim:
+    if lagrangian.metric_g.shape[0] != mp.g.dim or lagrangian.metric_h.shape[0] != mp.h.dim:
         raise DimensionMismatch("Lagrangian metric blocks do not match the pair")
     z0 = np.concatenate([lagrangian.metric_g @ xi0, lagrangian.metric_h @ eta0])
-    steps, times = _grid(dt, t_end)
-    n = mp.g.dim
-
-    def f(z):
-        vel = (inv_g @ z[:n], inv_h @ z[n:])
-        p_dot, _ = euler_poincare_rhs(mp, vel, lagrangian)
-        return p_dot.concat()
-
-    states = _run_rk4(f, z0, dt, steps)
     energy = legendre(lagrangian)
-    series, drift = _monitor(states, split, energy, invariants)
-    velocities = np.column_stack([states[:, :n] @ inv_g.T, states[:, n:] @ inv_h.T])
-    return TrajectoryRecord(times, states, split, series, drift, velocities)
+    record = integrate(build_double(mp), energy, z0, dt, t_end, "left", invariants)
+    return replace(record, velocities=record.states @ energy.Q)

@@ -13,7 +13,6 @@ rows are printed with 17 significant digits so values round-trip exactly.
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 import numpy as np
 
@@ -32,11 +31,19 @@ def _require(doc: dict, key: str, kind: type, where: str):
     return value
 
 
+def float_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array; ragged or non-numeric nesting is an InputError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} is not a numeric array: {exc}") from exc
+
+
 def algebra_from_dict(doc: dict, where: str = "algebra") -> LieAlgebra:
     if not isinstance(doc, dict):
         raise InputError(f"{where} must be an object")
     dim = _require(doc, "dim", int, where)
-    constants = np.asarray(_require(doc, "C", list, where), dtype=float)
+    constants = float_array(_require(doc, "C", list, where), f"{where}['C']")
     if constants.shape != (dim, dim, dim):
         raise InputError(
             f"{where}: tensor shape {constants.shape} does not match dim {dim}"
@@ -58,8 +65,8 @@ def pair_from_dict(doc: dict) -> MatchedPair:
         raise InputError("tensor document must be a JSON object")
     g = algebra_from_dict(_require(doc, "g", dict, "document"), "g")
     h = algebra_from_dict(_require(doc, "h", dict, "document"), "h")
-    rho = np.asarray(_require(doc, "rho", list, "document"), dtype=float)
-    sigma = np.asarray(_require(doc, "sigma", list, "document"), dtype=float)
+    rho = float_array(_require(doc, "rho", list, "document"), "rho")
+    sigma = float_array(_require(doc, "sigma", list, "document"), "sigma")
     return MatchedPair(g, h, rho, sigma, validate=False)
 
 
@@ -115,31 +122,28 @@ def matrix_to_json(M: np.ndarray) -> list:
 
 # -- trajectory CSV -----------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+CSV_BLOCK_ROWS = 256  # rows per "%"-format call; bounds the text held at once
 
 
 def trajectory_to_csv(record: TrajectoryRecord, path: str) -> None:
-    """Columns: t, mu_1..mu_n, nu_1..nu_m, H, then extra invariants."""
+    """Columns: t, mu_1..mu_n, nu_1..nu_m, H, then extra invariants.  Cells
+    are "%.17g", the same text as f"{x:.17g}"."""
     n, m = record.split
     extras = [name for name in record.invariants if name != "H"]
     header = (["t"]
               + [f"mu_{i + 1}" for i in range(n)]
               + [f"nu_{j + 1}" for j in range(m)]
               + ["H"] + extras)
+    columns = [record.times[:, None], record.states]
+    columns += [record.invariants[name][:, None] for name in ["H"] + extras]
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row, t in enumerate(record.times):
-            cells = [_fmt(t)]
-            cells += [_fmt(v) for v in record.states[row]]
-            cells.append(_fmt(record.invariants["H"][row]))
-            cells += [_fmt(record.invariants[name][row]) for name in extras]
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, len(record.times), CSV_BLOCK_ROWS):
+            block = np.hstack([col[start:start + CSV_BLOCK_ROWS] for col in columns])
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def summary_dict(record: TrajectoryRecord, wall_time_s: float, **meta) -> dict:
-    out = dict(meta)
-    out["steps"] = int(len(record.times) - 1)
-    out["drift"] = {name: record.drift[name] for name in record.drift}
-    out["wall_time_s"] = wall_time_s
-    return out
+    return {**meta, "steps": len(record.times) - 1, "drift": dict(record.drift),
+            "wall_time_s": wall_time_s}

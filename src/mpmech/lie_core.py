@@ -23,11 +23,19 @@ ABS_FLOOR = 1e-12
 
 
 def tolerance_scale() -> float:
-    """Global multiplier for validation tolerances (MPM_TOLERANCE_SCALE)."""
+    """Global multiplier for validation tolerances (MPM_TOLERANCE_SCALE).
+
+    It must be finite and positive: a NaN scale would make every
+    ``defect > bound`` test false and so accept any input.
+    """
+    text = os.environ.get("MPM_TOLERANCE_SCALE", "1")
     try:
-        return float(os.environ.get("MPM_TOLERANCE_SCALE", "1"))
+        scale = float(text)
     except ValueError as exc:
         raise InputError(f"MPM_TOLERANCE_SCALE is not a number: {exc}") from exc
+    if not 0 < scale < np.inf:
+        raise InputError(f"MPM_TOLERANCE_SCALE must be finite and positive, got {text!r}")
+    return scale
 
 
 def _as_vector(v, dim: int, what: str) -> np.ndarray:

@@ -102,3 +102,17 @@ def k_ad_star(y, psi):
     """Closed form (k . y) psi - (psi . y) k for the triangular factor."""
     k = np.array([0.0, 0.0, 1.0])
     return (k @ y) * psi - (psi @ y) * k
+
+
+def csv_reference(record):
+    """Trajectory CSV written cell by cell with f"{x:.17g}"."""
+    n, m = record.split
+    extras = [name for name in record.invariants if name != "H"]
+    header = (["t"] + [f"mu_{i + 1}" for i in range(n)]
+              + [f"nu_{j + 1}" for j in range(m)] + ["H"] + extras)
+    lines = [",".join(header)]
+    for row in range(len(record.times)):
+        cells = [record.times[row], *record.states[row], record.invariants["H"][row]]
+        cells += [record.invariants[name][row] for name in extras]
+        lines.append(",".join(f"{x:.17g}" for x in cells))
+    return "".join(line + "\n" for line in lines)
