@@ -23,8 +23,7 @@ import numpy as np
 from . import formats, sl2c
 from .dynamics import HamiltonianSpec, LagrangianSpec, integrate, integrate_ep
 from .errors import InputError, IntegrationError, ValidationError
-from .lie_core import jacobi_defect, tolerance_scale
-from .matched_pair import MatchedPair, audit_formulas, build_double, compat_defect
+from .matched_pair import MatchedPair, audit_formulas, build_double, validation_report
 
 BUILTIN_INVARIANTS = {
     "mu_norm2": lambda mu, nu: float(mu @ mu),
@@ -34,9 +33,8 @@ BUILTIN_INVARIANTS = {
 
 
 def load_pair(name_or_path: str) -> MatchedPair:
-    builtins = sl2c.builtin_pairs()
-    if name_or_path in builtins:
-        return builtins[name_or_path]
+    if name_or_path in sl2c.BUILTIN_PAIRS:
+        return sl2c.builtin_pairs()[name_or_path]
     return formats.load_pair_document(name_or_path)
 
 
@@ -98,35 +96,14 @@ def parse_initial(text: str, dim: int) -> np.ndarray:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    mp = load_pair(args.pair)
-    env = tolerance_scale()
-    failed = False
-
-    def report(label: str, value: float, bound: float, witness: str = ""):
-        nonlocal failed
-        ok = value <= bound
-        failed = failed or not ok
-        tail = f"  witness {witness}" if (witness and not ok) else ""
-        print(f"{'PASS' if ok else 'FAIL'}  {label}: {value:.3e} "
-              f"(tolerance {bound:.3e}){tail}")
-
-    for label, alg in (("g", mp.g), ("h", mp.h)):
-        bound = 1e-10 * (1.0 + float(np.abs(alg.C).max())) ** 3 * env
-        report(f"jacobi defect ({label})", jacobi_defect(alg), bound)
-
-    defect = compat_defect(mp)
-    bound = 1e-10 * mp.scale() * env
-    report("compatibility condition 1", defect.d1, bound,
-           f"({', '.join(defect.witness1)})")
-    report("compatibility condition 2", defect.d2, bound,
-           f"({', '.join(defect.witness2)})")
-
-    double = build_double(mp)
-    dbound = 1e-10 * (1.0 + float(np.abs(double.algebra.C).max())) ** 3 * env
-    report("jacobi defect (double)", jacobi_defect(double.algebra), dbound)
-
-    print("pair FAILED validation" if failed else "pair is a valid matched pair")
-    return 1 if failed else 0
+    checks = validation_report(load_pair(args.pair))
+    for check in checks:
+        tail = "" if check.ok else f"  witness {check.witness}"
+        print(f"{'PASS' if check.ok else 'FAIL'}  {check.name}: {check.value:.3e} "
+              f"(tolerance {check.bound:.3e}){tail}")
+    valid = all(check.ok for check in checks)
+    print("pair is a valid matched pair" if valid else "pair FAILED validation")
+    return 0 if valid else 1
 
 
 def cmd_simulate(args) -> int:

@@ -19,6 +19,7 @@ from .errors import (
     InputError,
     IntegrationError,
 )
+from .lie_core import convention_sign
 from .matched_pair import (
     DoubleAlgebra,
     MatchedPair,
@@ -247,8 +248,7 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
     additional invariants are callables of (mu, nu).
     """
     _require_validated(double)
-    if convention not in ("right", "left"):
-        raise InputError(f"unknown convention {convention!r}, expected 'right' or 'left'")
+    sign = convention_sign(convention)
     z0 = as_dual_point(p0, double.split).concat()
     if spec.dim != z0.size:
         raise DimensionMismatch(
@@ -256,7 +256,7 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
         )
     steps, times = _grid(dt, t_end)
     d = double.dim
-    Cf = (1.0 if convention == "right" else -1.0) * double.algebra.C.reshape(d, d * d)
+    Cf = sign * double.algebra.C.reshape(d, d * d)
     if spec.is_quadratic:
         Q, b = spec.Q, spec.b
         states = _run_rk4(lambda z: (z @ Cf).reshape(d, d) @ (Q @ z + b), z0, dt, steps)
@@ -277,8 +277,7 @@ def integrate_ep(mp: MatchedPair, lagrangian: LagrangianSpec, state0, dt: float,
     are stored alongside the momenta; "H" holds the kinetic energy.
     """
     xi0, eta0 = _as_pair(state0, (mp.g.dim, mp.h.dim), "initial velocities")
-    if not mp.validated:
-        mp.validate()
+    mp.validate()
     if lagrangian.metric_g.shape[0] != mp.g.dim or lagrangian.metric_h.shape[0] != mp.h.dim:
         raise DimensionMismatch("Lagrangian metric blocks do not match the pair")
     z0 = np.concatenate([lagrangian.metric_g @ xi0, lagrangian.metric_h @ eta0])

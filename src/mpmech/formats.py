@@ -26,7 +26,7 @@ def _require(doc: dict, key: str, kind: type, where: str):
     if key not in doc:
         raise InputError(f"{where} is missing the key {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise InputError(f"{where}[{key!r}] must be {kind.__name__}")
     return value
 
@@ -48,7 +48,7 @@ def algebra_from_dict(doc: dict, where: str = "algebra") -> LieAlgebra:
         raise InputError(
             f"{where}: tensor shape {constants.shape} does not match dim {dim}"
         )
-    names = doc.get("names")
+    names = _require(doc, "names", list, where) if doc.get("names") is not None else None
     return LieAlgebra(constants, names, validate=False)
 
 
@@ -107,7 +107,8 @@ def matrix_from_json(entries) -> np.ndarray:
             cell = entries[i][j]
             if isinstance(cell, (int, float)):
                 out[i, j] = float(cell)
-            elif isinstance(cell, (list, tuple)) and len(cell) == 2:
+            elif (isinstance(cell, (list, tuple)) and len(cell) == 2
+                  and isinstance(cell[0], (int, float)) and isinstance(cell[1], (int, float))):
                 out[i, j] = float(cell[0]) + 1j * float(cell[1])
             else:
                 raise InputError(f"matrix entry {cell!r} is not a number or [re, im]")

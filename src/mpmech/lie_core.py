@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch, InputError, ValidationError
 
 ABS_FLOOR = 1e-12
+DEFECT_TOLERANCE = 0.5e-10
 
 
 def tolerance_scale() -> float:
@@ -36,6 +38,39 @@ def tolerance_scale() -> float:
     if not 0 < scale < np.inf:
         raise InputError(f"MPM_TOLERANCE_SCALE must be finite and positive, got {text!r}")
     return scale
+
+
+def defect_bound(*tensors) -> float:
+    """Bound on a defect bilinear in ``tensors`` (the Jacobiator, both
+    compatibility conditions): ``0.5e-10 * s**2 * tolerance_scale()`` with
+    ``s = 1 + max |entry|``, and ``inf``, which no check accepts, past the
+    float range."""
+    s = 1.0 + max(float(np.abs(t).max()) for t in tensors)
+    return DEFECT_TOLERANCE * s * s * tolerance_scale()
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named defect with the bound it must not exceed and the basis labels
+    of its largest entry."""
+
+    name: str
+    value: float
+    bound: float
+    witness: str
+
+    @property
+    def ok(self) -> bool:
+        """Within the bound; a NaN or infinite value or bound never passes."""
+        return self.value <= self.bound < np.inf
+
+
+def require(checks: Sequence[Check]) -> None:
+    """Raise ValidationError naming every failed check."""
+    failed = [c for c in checks if not c.ok]
+    if failed:
+        raise ValidationError("; ".join(
+            f"{c.name} {c.value:.3e} exceeds {c.bound:.3e} at {c.witness}" for c in failed))
 
 
 def _as_vector(v, dim: int, what: str) -> np.ndarray:
@@ -55,7 +90,8 @@ class LieAlgebra:
     input otherwise.  The Jacobi identity is checked when ``validate=True``
     (the default); pass ``validate=False`` to build deliberately broken
     algebras for negative tests and re-run the check later with
-    :meth:`validate`.
+    :meth:`validate`.  The Jacobi defect is computed at most once per
+    algebra (see :meth:`jacobi_check`).
     """
 
     def __init__(self, constants, names: Sequence[str] | None = None, *,
@@ -88,6 +124,7 @@ class LieAlgebra:
                 )
         self.names = names
         self._validated = False
+        self._jacobi: tuple[float, str] | None = None
         if validate:
             self.validate()
 
@@ -95,16 +132,21 @@ class LieAlgebra:
     def validated(self) -> bool:
         return self._validated
 
+    def jacobi_check(self, name: str) -> Check:
+        """The Jacobi identity as a :class:`Check` against :func:`defect_bound`,
+        witnessed by the basis triple of the largest Jacobiator entry."""
+        if self._jacobi is None:
+            J = np.abs(_jacobiator(self.C))
+            _, i, j, l = np.unravel_index(int(J.argmax()), J.shape)
+            self._jacobi = (float(J.max()),
+                            f"({self.name_of(i)}, {self.name_of(j)}, {self.name_of(l)})")
+        defect, witness = self._jacobi
+        return Check(name, defect, defect_bound(self.C), witness)
+
     def validate(self) -> "LieAlgebra":
         """Check the Jacobi identity; caches the result on success."""
         if not self._validated:
-            defect = jacobi_defect(self)
-            bound = 1e-10 * (1.0 + float(np.abs(self.C).max())) ** 3
-            bound *= tolerance_scale()
-            if defect > bound:
-                raise ValidationError(
-                    f"Jacobi identity fails: defect {defect:.3e} exceeds {bound:.3e}"
-                )
+            require([self.jacobi_check("jacobi defect")])
             self._validated = True
         return self
 
@@ -143,28 +185,46 @@ def ad_star(alg: LieAlgebra, xi, mu) -> np.ndarray:
     return -np.einsum("kij,i,k->j", alg.C, xi, mu)
 
 
+def _jacobiator(C: np.ndarray) -> np.ndarray:
+    # overflow shows as an inf or NaN defect, which fails its check
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            np.einsum("mik,kjl->mijl", C, C)
+            + np.einsum("mjk,kli->mijl", C, C)
+            + np.einsum("mlk,kij->mijl", C, C)
+        )
+
+
 def jacobi_defect(alg: LieAlgebra) -> float:
     """Max-norm of the Jacobiator over all basis triples.
 
     Zero (up to rounding) iff the structure constants define a Lie algebra.
     """
-    C = alg.C
-    J = (
-        np.einsum("mik,kjl->mijl", C, C)
-        + np.einsum("mjk,kli->mijl", C, C)
-        + np.einsum("mlk,kij->mijl", C, C)
-    )
-    return float(np.abs(J).max())
+    return float(np.abs(_jacobiator(alg.C)).max())
 
 
 def lie_poisson_bracket(alg: LieAlgebra, mu, grad_h, grad_f) -> float:
     """Linear Poisson bracket on the dual: <mu, [grad_h, grad_f]>.
 
-    Antisymmetric in floating point (through :func:`bracket`): swapping the
-    gradients negates the value exactly, and equal gradients give ``0.0``.
+    The same contraction is the coadjoint-orbit (KKS) two-form at mu on the
+    generators grad_h, grad_f, exported as :func:`kks_eval`.  Antisymmetric
+    in floating point (through :func:`bracket`): swapping the gradients
+    negates the value exactly, and equal gradients give ``0.0``.
     """
     mu = _as_vector(mu, alg.dim, "dual point")
     return float(mu @ bracket(alg, grad_h, grad_f))
+
+
+kks_eval = lie_poisson_bracket
+
+
+def convention_sign(convention: str) -> float:
+    """+1.0 for the "right" Lie-Poisson convention, -1.0 for "left"."""
+    if convention == "right":
+        return 1.0
+    if convention == "left":
+        return -1.0
+    raise InputError(f"unknown convention {convention!r}, expected 'right' or 'left'")
 
 
 def lie_poisson_rhs(alg: LieAlgebra, mu, grad_h, convention: str = "right") -> np.ndarray:
@@ -174,22 +234,7 @@ def lie_poisson_rhs(alg: LieAlgebra, mu, grad_h, convention: str = "right") -> n
     satisfy ``dF/dt = {F, H}`` with :func:`lie_poisson_bracket`; "left" is the
     pointwise negation.
     """
-    rhs = ad_star(alg, grad_h, mu)
-    if convention == "right":
-        return rhs
-    if convention == "left":
-        return -rhs
-    raise InputError(f"unknown convention {convention!r}, expected 'right' or 'left'")
-
-
-def kks_eval(alg: LieAlgebra, mu, xi1, xi2) -> float:
-    """Coadjoint-orbit two-form evaluated on the generators xi1, xi2 at mu.
-
-    Antisymmetric in floating point (through :func:`bracket`): swapping the
-    generators negates the value exactly, and equal generators give ``0.0``.
-    """
-    mu = _as_vector(mu, alg.dim, "dual point")
-    return float(mu @ bracket(alg, xi1, xi2))
+    return convention_sign(convention) * ad_star(alg, grad_h, mu)
 
 
 def trivialized_forms_eval(alg: LieAlgebra, m, v1, v2) -> tuple[float, float]:

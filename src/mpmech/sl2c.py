@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import EmbeddingError, InputError, ValidationError
 from .lie_core import LieAlgebra, abelian, tolerance_scale
-from .matched_pair import ClosedFormActions, DualPoint, MatchedPair
+from .matched_pair import ClosedFormActions, MatchedPair
 
 KHAT = np.array([0.0, 0.0, 1.0])
 KHAT.setflags(write=False)
@@ -74,15 +74,17 @@ def k_basis() -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class KElement:
-    """A point (a, b, c) of the triangular factor; requires c > -1."""
+    """A point (a, b, c) of the triangular factor; requires finite a, b, c
+    and c > -1."""
 
     a: float
     b: float
     c: float
 
     def __post_init__(self):
-        if not (self.c > -1.0):
-            raise InputError(f"K element needs c > -1, got c={self.c}")
+        if not (abs(self.a) < np.inf and abs(self.b) < np.inf and -1.0 < self.c < np.inf):
+            raise InputError(f"K element needs finite a, b and c > -1, got "
+                             f"({self.a}, {self.b}, {self.c})")
 
 
 K_IDENTITY = KElement(0.0, 0.0, 0.0)
@@ -99,9 +101,9 @@ class SU2Element:
         if M.shape != (2, 2):
             raise InputError(f"SU(2) element must be 2x2, got {M.shape}")
         tol = 1e-12 * tolerance_scale()
-        if np.abs(M.conj().T @ M - np.eye(2)).max() > tol:
+        if not np.abs(M.conj().T @ M - np.eye(2)).max() <= tol:
             raise ValidationError("matrix is not unitary")
-        if abs(np.linalg.det(M) - 1.0) > tol:
+        if not abs(np.linalg.det(M) - 1.0) <= tol:
             raise ValidationError("matrix does not have unit determinant")
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
@@ -120,9 +122,7 @@ def k_multiply(k1: KElement, k2: KElement) -> KElement:
     k_to_matrix(k2).  The result keeps 1+c = (1+c1)(1+c2) > 0.
     """
     w = 1.0 + k2.c
-    out = KElement(k1.a * w + k2.a, k1.b * w + k2.b, k1.c * w + k2.c)
-    assert 1.0 + out.c > 0.0
-    return out
+    return KElement(k1.a * w + k2.a, k1.b * w + k2.b, k1.c * w + k2.c)
 
 
 def k_inverse(k: KElement) -> KElement:
@@ -142,7 +142,8 @@ def iwasawa_factor(M) -> tuple[SU2Element, KElement]:
     The triangular factor is read off the positive-definite product
     P = M^dagger M: c = 1/P22 - 1 and a + ib = P21/P22, which avoids
     Gram-Schmidt cancellation for near-identity input; the unitary factor is
-    then M times the inverse triangular matrix.
+    then M times the inverse triangular matrix.  A matrix whose P22 leaves
+    the float range (entries far apart in magnitude) is an InputError.
     """
     M = np.asarray(M, dtype=complex)
     if M.shape != (2, 2):
@@ -150,11 +151,13 @@ def iwasawa_factor(M) -> tuple[SU2Element, KElement]:
     if not np.all(np.isfinite(M)):
         raise InputError("matrix has non-finite entries")
     det = np.linalg.det(M)
-    if abs(det - 1.0) > 1e-10 * tolerance_scale():
+    if not abs(det - 1.0) <= 1e-10 * tolerance_scale():
         raise InputError(f"matrix determinant {det} is not 1")
-    P = M.conj().T @ M
+    with np.errstate(over="ignore", invalid="ignore"):  # only P21 and P22 are used
+        P = M.conj().T @ M
     p22 = float(P[1, 1].real)
-    assert p22 > 0.0
+    if not 0.0 < p22 < np.inf:
+        raise InputError(f"matrix cannot be factored in double precision (P22 = {p22})")
     ab = P[1, 0] / p22
     b_factor = KElement(float(ab.real), float(ab.imag), 1.0 / p22 - 1.0)
     a_factor = SU2Element(M @ _k_matrix_inverse(b_factor))
@@ -281,8 +284,11 @@ def _printed_tensors() -> tuple[np.ndarray, np.ndarray]:
     return rho, sigma
 
 
+BUILTIN_PAIRS = ("sl2c_derived", "sl2c_printed", "e3_heavytop")
+
+
 def builtin_pairs() -> dict[str, MatchedPair]:
-    """The shipped example pairs.
+    """The shipped example pairs, keyed by the names in ``BUILTIN_PAIRS``.
 
     * ``sl2c_derived`` -- actions derived from 2x2 matrix commutators; the
       package default, fully validated.
@@ -305,8 +311,7 @@ def builtin_pairs() -> dict[str, MatchedPair]:
     heavytop = MatchedPair(su2_algebra(),
                            abelian(3, ("f1", "f2", "f3")),
                            np.zeros((3, 3, 3)), sigma_e3)
-    return {"sl2c_derived": derived, "sl2c_printed": printed,
-            "e3_heavytop": heavytop}
+    return dict(zip(BUILTIN_PAIRS, (derived, printed, heavytop)))
 
 
 def sl2c_closed_forms() -> ClosedFormActions:
@@ -314,7 +319,9 @@ def sl2c_closed_forms() -> ClosedFormActions:
 
     These are the expressions the audit reconciles: the duals are checked
     against the pairing identities of the printed tensors, the vector field
-    against the canonical coadjoint assembly on the derived pair.
+    against the canonical coadjoint assembly on the derived pair.  Every
+    expression broadcasts over leading axes, so it takes one vector or a
+    stack of rows (one sample per row) alike.
     """
 
     def co_left(mu, eta):
@@ -327,16 +334,14 @@ def sl2c_closed_forms() -> ClosedFormActions:
         return np.cross(eta, nu)
 
     def b_star_cf(xi, mu):
-        return float(mu @ KHAT) * xi - float(mu @ xi) * KHAT
+        return mu[..., 2:] * xi - (mu * xi).sum(-1, keepdims=True) * KHAT
 
-    def lp_rhs(p: DualPoint, grad):
-        x, y = grad
-        mu, nu = p.mu, p.nu
+    def lp_rhs(mu, nu, x, y):
         mu_dot = np.cross(x + np.cross(y, KHAT), mu) + np.cross(y, nu)
-        nu_dot = (float(KHAT @ y) * nu
-                  - (float(nu @ y) + float(mu @ x)) * KHAT
+        nu_dot = (y[..., 2:] * nu
+                  - (nu * y + mu * x).sum(-1, keepdims=True) * KHAT
                   + np.cross(nu, x)
-                  + float(mu @ KHAT) * x)
+                  + mu[..., 2:] * x)
         return mu_dot, nu_dot
 
     return ClosedFormActions(co_left, co_right, a_star_cf, b_star_cf, lp_rhs)

@@ -1,0 +1,398 @@
+"""The validation report behind ``MatchedPair.validate`` and ``mpmech check``,
+its bilinear tolerance rule, the batched formula audit against a per-sample
+reference, and the CLI exit contract under mutated inputs."""
+
+import ast
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mpmech import formats, lie_core, matched_pair
+from mpmech.cli import main
+from mpmech.errors import InputError, ValidationError
+from mpmech.lie_core import Check, LieAlgebra, ad_star, defect_bound
+from mpmech.matched_pair import (
+    ClosedFormActions,
+    MatchedPair,
+    a_star,
+    audit_formulas,
+    b_star,
+    build_double,
+    co_left_act,
+    co_right_act,
+    cobracket_eval,
+    left_act,
+    matched_lp_rhs,
+    right_act,
+    validation_report,
+)
+from mpmech.sl2c import KElement, builtin_pairs, iwasawa_factor, sl2c_closed_forms
+
+from test_cli import simulate_args
+from test_lie_core import corrupted_su2
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mpmech"
+REPORT_NAMES = [
+    "jacobi defect (g)",
+    "jacobi defect (h)",
+    "compatibility condition 1",
+    "compatibility condition 2",
+    "jacobi defect (double)",
+]
+
+
+def scaled_document(mp, factor):
+    """Tensor document of ``mp`` with every tensor multiplied by ``factor``."""
+    doc = formats.pair_to_dict(mp)
+    for alg in ("g", "h"):
+        doc[alg]["C"] = (np.array(doc[alg]["C"]) * factor).tolist()
+    for key in ("rho", "sigma"):
+        doc[key] = (np.array(doc[key]) * factor).tolist()
+    return doc
+
+
+def write_json(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestReport:
+    @pytest.mark.parametrize("name", ["sl2c_derived", "sl2c_printed", "e3_heavytop"])
+    def test_five_named_checks(self, pairs, name):
+        checks = validation_report(pairs[name])
+        assert [c.name for c in checks] == REPORT_NAMES
+        assert all(c.witness.startswith("(") for c in checks)
+
+    @pytest.mark.parametrize("name", ["sl2c_derived", "sl2c_printed", "e3_heavytop"])
+    def test_validate_raises_exactly_when_a_check_fails(self, pairs, name):
+        mp = pairs[name]
+        fresh = MatchedPair(mp.g, mp.h, mp.rho, mp.sigma, validate=False)
+        if all(c.ok for c in validation_report(fresh)):
+            assert fresh.validate().validated
+        else:
+            with pytest.raises(ValidationError, match="compatibility condition 1"):
+                fresh.validate()
+            assert not fresh.validated
+
+    def test_check_prints_the_report(self, capsys, sl2c_printed):
+        assert main(["check", "sl2c_printed"]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        expected = []
+        for c in validation_report(sl2c_printed):
+            tail = "" if c.ok else f"  witness {c.witness}"
+            expected.append(f"{'PASS' if c.ok else 'FAIL'}  {c.name}: {c.value:.3e} "
+                            f"(tolerance {c.bound:.3e}){tail}")
+        assert printed == expected + ["pair FAILED validation"]
+
+    def test_check_computes_each_defect_once(self, monkeypatch, tmp_path, pairs):
+        path = write_json(tmp_path, "pair.json", formats.pair_to_dict(pairs["sl2c_derived"]))
+        jacobi = count_calls(monkeypatch, lie_core, "_jacobiator")
+        compat = count_calls(monkeypatch, matched_pair, "_condition_tensors")
+        assert main(["check", path]) == 0
+        assert len(jacobi) == 3   # g, h and the double
+        assert len(compat) == 1
+
+    def test_validate_reuses_validated_algebras(self, monkeypatch, sl2c_derived):
+        g, h = sl2c_derived.g, sl2c_derived.h
+        assert g.validated and h.validated
+        jacobi = count_calls(monkeypatch, lie_core, "_jacobiator")
+        MatchedPair(g, h, sl2c_derived.rho, sl2c_derived.sigma)
+        assert len(jacobi) == 1   # the new double only
+
+    @pytest.mark.parametrize("largest,bound", [(0.0, 0.5e-10), (1.0, 2e-10), (1e6 - 1.0, 50.0)])
+    def test_bound_grows_as_the_square_of_the_scale(self, largest, bound):
+        assert defect_bound(np.array([largest]), np.zeros(3)) == pytest.approx(bound, rel=1e-15)
+
+    def test_bound_past_the_float_range_is_infinite(self):
+        assert defect_bound(np.array([1e200])) == np.inf
+
+    @pytest.mark.parametrize("value,bound,ok", [
+        (1.0, 1.0, True), (0.0, 1e-10, True), (2.0, 1.0, False),
+        (np.nan, 1.0, False), (0.0, np.nan, False), (np.inf, 1.0, False),
+        (0.0, np.inf, False), (np.inf, np.inf, False),
+    ])
+    def test_check_passes_only_finite_values_within_bound(self, value, bound, ok):
+        assert Check("defect", value, bound, "(e1)").ok is ok
+
+
+class TestToleranceRegressions:
+    def test_scaled_corrupted_algebra_is_rejected(self, tmp_path, sl2c_derived):
+        # defect ~5e19 against the old s**3 bound ~1e20; the s**2 bound is ~5e9
+        with pytest.raises(ValidationError):
+            LieAlgebra(corrupted_su2() * 1e10)
+        doc = formats.pair_to_dict(sl2c_derived)
+        doc["g"]["C"] = (corrupted_su2() * 1e10).tolist()
+        assert main(["check", write_json(tmp_path, "pair.json", doc)]) == 1
+
+    def test_scaled_valid_pair_validates(self, sl2c_derived):
+        mp = sl2c_derived
+        scaled = MatchedPair(LieAlgebra(mp.g.C * 1e6), LieAlgebra(mp.h.C * 1e6),
+                             mp.rho * 1e6, mp.sigma * 1e6)
+        assert scaled.validated
+
+    @pytest.mark.parametrize("name,factor,rc", [
+        ("sl2c_derived", 1e6, 0),      # compatibility 8.5e-4 > 1e-4 under the old bound
+        ("sl2c_derived", 1e110, 0),    # the old bound raised OverflowError
+        ("sl2c_printed", 1e110, 1),
+        ("sl2c_derived", 1e200, 1),    # defects overflow: a non-finite defect fails
+    ])
+    def test_check_of_scaled_documents(self, tmp_path, pairs, name, factor, rc):
+        path = write_json(tmp_path, "pair.json", scaled_document(pairs[name], factor))
+        assert main(["check", path]) == rc
+
+    @pytest.mark.parametrize("name,factor", [("sl2c_printed", 1e110), ("sl2c_derived", 1e200)])
+    def test_simulate_of_huge_invalid_documents_fails(self, tmp_path, pairs, name, factor):
+        path = write_json(tmp_path, "pair.json", scaled_document(pairs[name], factor))
+        assert main(simulate_args(str(tmp_path / "r"), **{"--pair": path})) == 1
+
+
+class TestInputContract:
+    def test_wide_range_factor_matrix(self, tmp_path):
+        M = [[1e200, 0.0], [0.0, 1e-200]]   # determinant 1, P22 underflows to 0
+        with pytest.raises(InputError):
+            iwasawa_factor(np.array(M))
+        assert main(["factor", write_json(tmp_path, "m.json", M)]) == 2
+
+    @pytest.mark.parametrize("abc", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, np.inf)])
+    def test_k_element_needs_finite_coordinates(self, abc):
+        with pytest.raises(InputError):
+            KElement(*abc)
+
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_audit_needs_a_positive_sample_count(self, samples, pairs):
+        assert main(["audit", "sl2c", "--samples", samples]) == 2
+        with pytest.raises(InputError):
+            audit_formulas(pairs["sl2c_derived"], pairs["sl2c_derived"], samples=int(samples))
+
+    def test_boolean_dimension_rejected(self, tmp_path):
+        alg = {"dim": True, "C": [[[0.0]]]}
+        doc = {"g": alg, "h": alg, "rho": [[[0.0]]], "sigma": [[[0.0]]]}
+        assert main(["check", write_json(tmp_path, "pair.json", doc)]) == 2
+
+    def test_no_assert_in_the_package(self):
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+
+
+# -- batched audit against a per-sample reference -----------------------------
+
+def reference_deviations(de, pr, samples, seed, cf):
+    """Largest deviation of every audit row, one sample at a time through the
+    public per-sample maps, matched_lp_rhs and the component-form plus-sign
+    field."""
+    n, m = de.g.dim, de.h.dim
+    rng = np.random.default_rng(seed)
+    etas, xis, mus, nus = (rng.standard_normal((samples, k)) for k in (m, n, n, m))
+    out = {}
+
+    def worst(name, pairs):
+        out[name] = max(float(np.abs(np.asarray(a) - np.asarray(b)).max()) for a, b in pairs)
+
+    worst("action |>", [(left_act(pr, e, x), left_act(de, e, x)) for e, x in zip(etas, xis)])
+    worst("action <|", [(right_act(pr, e, x), right_act(de, e, x)) for e, x in zip(etas, xis)])
+    duals = [("dual *<|", co_left_act, mus, etas, cf and cf.co_left),
+             ("dual *|>", co_right_act, xis, nus, cf and cf.co_right),
+             ("dual a*", a_star, etas, nus, cf and cf.a_star),
+             ("dual b*", b_star, xis, mus, cf and cf.b_star)]
+    for name, canonical, us, vs, closed in duals:
+        worst(name, [(closed(u, v) if closed else canonical(de, u, v), canonical(pr, u, v))
+                     for u, v in zip(us, vs)])
+
+    double = build_double(de)
+    rows = list(zip(mus, nus, xis, etas))
+    fields = [matched_lp_rhs(double, (mu, nu), (x, y)).concat() for mu, nu, x, y in rows]
+    if cf:
+        closed = [np.concatenate(cf.lp_rhs(mu, nu, x, y)) for mu, nu, x, y in rows]
+        worst("closed-form rhs (mu)", [(c[:n], f[:n]) for c, f in zip(closed, fields)])
+        worst("closed-form rhs (nu)", [(c[n:], f[n:]) for c, f in zip(closed, fields)])
+    else:
+        printed = build_double(pr)
+        worst("canonical rhs (tensor sets)",
+              [(cobracket_eval(printed, (mu, nu)) @ np.concatenate([x, y]), f)
+               for (mu, nu, x, y), f in zip(rows, fields)])
+    worst("canonical rhs energy rate",
+          [(f[:n] @ x + f[n:] @ y, 0.0) for (_, _, x, y), f in zip(rows, fields)])
+    if cf:
+        plus = [np.concatenate([
+            ad_star(de.g, x, mu) + co_left_act(de, mu, y) + a_star(de, y, nu),
+            ad_star(de.h, y, nu) + co_right_act(de, x, nu) + b_star(de, x, mu)])
+            for mu, nu, x, y in rows]
+        worst("plus-sign rhs vs canonical", zip(plus, fields))
+        worst("plus-sign rhs energy rate",
+              [(p[:n] @ x + p[n:] @ y, 0.0) for (_, _, x, y), p in zip(rows, plus)])
+    return out
+
+
+class TestBatchedAudit:
+    @pytest.mark.parametrize("printed,closed", [
+        ("sl2c_printed", True), ("sl2c_printed", False), ("sl2c_derived", False),
+    ])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_per_sample_reference(self, pairs, printed, closed, seed):
+        cf = sl2c_closed_forms() if closed else None
+        de, pr = pairs["sl2c_derived"], pairs[printed]
+        report = audit_formulas(de, pr, samples=200, seed=seed, closed_forms=cf)
+        ref = reference_deviations(de, pr, 200, seed, cf)
+        assert [line.name for line in report.lines] == list(ref)
+        for line in report.lines:
+            expected = ref[line.name]
+            assert line.max_deviation == pytest.approx(expected, rel=1e-12, abs=1e-14), line.name
+            assert line.status == ("MATCH" if expected <= report.tolerance else "MISMATCH")
+
+    def test_exact_closed_forms_all_match(self, pairs):
+        # the canonical transposes of the printed tensors, written as closed forms
+        pr = pairs["sl2c_printed"]
+        double = build_double(pairs["sl2c_derived"])
+        exact = ClosedFormActions(
+            co_left=lambda mu, eta: np.einsum("kai,sa,sk->si", pr.rho, eta, mu),
+            co_right=lambda xi, nu: np.einsum("bai,si,sb->sa", pr.sigma, xi, nu),
+            a_star=lambda eta, nu: np.einsum("bai,sa,sb->si", pr.sigma, eta, nu),
+            b_star=lambda xi, mu: np.einsum("kai,si,sk->sa", pr.rho, xi, mu),
+            lp_rhs=lambda mu, nu, x, y: np.split(
+                np.einsum("kij,sk,sj->si", double.algebra.C, np.hstack([mu, nu]),
+                          np.hstack([x, y])), [3], axis=1))
+        report = audit_formulas(pairs["sl2c_derived"], pr, samples=100, closed_forms=exact)
+        statuses = {line.name: line.status for line in report.lines}
+        assert statuses["closed-form rhs (mu)"] == statuses["closed-form rhs (nu)"] == "MATCH"
+        assert all(statuses[name] == "MATCH" for name in
+                   ("dual *<|", "dual *|>", "dual a*", "dual b*"))
+
+    def test_closed_forms_on_stacked_rows_match_their_formulas(self, rng):
+        # the printed closed forms, written out for one vector at a time
+        k = np.array([0.0, 0.0, 1.0])
+        cf = sl2c_closed_forms()
+        mu, nu, x, y = rng.standard_normal((4, 20, 3))
+        mu_dot, nu_dot = cf.lp_rhs(mu, nu, x, y)
+        stacked = (cf.co_left(mu, y), cf.co_right(x, nu), cf.a_star(y, nu), cf.b_star(x, mu))
+        for s in range(20):
+            m_, n_, x_, y_ = mu[s], nu[s], x[s], y[s]
+            expected = [
+                np.cross(x_ + np.cross(y_, k), m_) + np.cross(y_, n_),
+                (k @ y_) * n_ - (n_ @ y_ + m_ @ x_) * k + np.cross(n_, x_) + (m_ @ k) * x_,
+                np.cross(m_, np.cross(k, y_)),
+                np.cross(n_, x_),
+                np.cross(y_, n_),
+                (m_ @ k) * x_ - (m_ @ x_) * k,
+            ]
+            got = [mu_dot[s], nu_dot[s]] + [rows[s] for rows in stacked]
+            for a, b in zip(got, expected):
+                assert np.allclose(a, b, rtol=0, atol=1e-13)
+
+
+# -- the exit contract under mutated inputs -------------------------------------
+
+BASE_DOC = formats.pair_to_dict(builtin_pairs()["sl2c_derived"])
+ODD_VALUES = [None, True, False, "x", "1.5", [], [1.0], {}, 0, -1, 2.5,
+              float("nan"), float("inf"), -float("inf"), 1e308, -1e308]
+PROPERTY_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+def run_main(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+def _scale_leaves(node, factor):
+    if isinstance(node, list):
+        return [_scale_leaves(v, factor) for v in node]
+    if isinstance(node, float) or (isinstance(node, int) and not isinstance(node, bool)):
+        return node * factor
+    return node
+
+
+@st.composite
+def tensor_documents(draw):
+    doc = json.loads(json.dumps(BASE_DOC))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(["g", "h", "rho", "sigma"]))
+        kind = draw(st.sampled_from(["scale", "leaf", "ragged", "dim", "names", "drop", "replace"]))
+        holder, field = (doc[key], "C") if key in ("g", "h") and isinstance(doc[key], dict) \
+            else (doc, key)
+        if field not in holder:
+            continue
+        if kind == "scale":
+            holder[field] = _scale_leaves(holder[field], 10.0 ** draw(st.integers(-320, 300)))
+        elif kind in ("leaf", "ragged"):
+            node = holder[field]
+            while isinstance(node, list) and node and isinstance(node[0], list):
+                node = node[draw(st.integers(0, len(node) - 1))]
+            if isinstance(node, list) and node:
+                if kind == "ragged":
+                    node.pop()
+                else:
+                    node[draw(st.integers(0, len(node) - 1))] = draw(st.sampled_from(ODD_VALUES))
+        elif kind in ("dim", "names") and holder is not doc:
+            holder[kind] = draw(st.sampled_from(ODD_VALUES + [3, ["a", "b", "c"], "abc"]))
+        elif kind == "drop":
+            del holder[field]
+        elif kind == "replace":
+            holder[field] = draw(st.sampled_from(ODD_VALUES))
+    return doc
+
+
+finite = st.floats(min_value=-1e300, max_value=1e300).filter(lambda v: abs(v) > 1e-300)
+number = st.one_of(st.floats(allow_nan=True, allow_infinity=True), finite)
+cell = st.one_of(number, st.lists(number, min_size=2, max_size=2),
+                 st.sampled_from(["x", None, True, [1.0], [1.0, "x"], [[1.0], 2.0]]))
+unimodular = st.one_of(
+    st.integers(-308, 308).map(lambda k: [[10.0 ** k, 0.0], [0.0, 10.0 ** -k]]),
+    st.tuples(finite, finite, finite).map(
+        lambda abc: [[abc[0], abc[1]], [abc[2], (1.0 + abc[1] * abc[2]) / abc[0]]]),
+)
+matrices = st.one_of(unimodular, st.lists(st.lists(cell, min_size=1, max_size=3),
+                                          min_size=1, max_size=3))
+
+
+class TestExitContract:
+    @PROPERTY_SETTINGS
+    @given(doc=tensor_documents())
+    def test_mutated_tensor_documents(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(pathlib.Path(tmp) / "pair.json")
+            pathlib.Path(path).write_text(json.dumps(doc))
+            assert run_main(["check", path])[0] in (0, 1, 2)
+            argv = simulate_args(str(pathlib.Path(tmp) / "r"),
+                                 **{"--pair": path, "--dt": "0.05", "--t-end": "0.2"})
+            assert run_main(argv)[0] in (0, 1, 2)
+
+    @PROPERTY_SETTINGS
+    @given(matrix=matrices)
+    def test_factor_matrices(self, matrix):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "m.json"
+            path.write_text(json.dumps(matrix))
+            rc, out = run_main(["factor", str(path)])
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            doc = json.loads(out)
+            assert np.all(np.isfinite(np.array(doc["su2"], dtype=float)))
+            assert np.all(np.isfinite(doc["k"]))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(samples=st.one_of(st.integers(-5, 12), st.sampled_from(["abc", "1.5", "", "-0", "1e3"])))
+    def test_audit_sample_counts(self, samples):
+        rc = run_main(["audit", "sl2c", "--samples", str(samples)])[0]
+        expected_ok = isinstance(samples, int) and samples > 0
+        assert rc == (0 if expected_ok else 2)
