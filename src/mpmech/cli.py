@@ -25,10 +25,20 @@ from .dynamics import HamiltonianSpec, LagrangianSpec, integrate, integrate_ep
 from .errors import InputError, IntegrationError, ValidationError
 from .matched_pair import MatchedPair, audit_formulas, build_double, validation_report
 
+
+def _pairing(n: int, m: int, first: str, second: str) -> HamiltonianSpec:
+    """The pairing of two blocks of z = (mu, nu) as 0.5 z^T Q z."""
+    A, B = ({"mu": np.eye(n + m)[:n], "nu": np.eye(n + m)[n:]}[k] for k in (first, second))
+    if len(A) != len(B):
+        raise InputError(f"invariant mu_dot_nu needs dim g == dim h, got {n} and {m}")
+    return HamiltonianSpec.quadratic(A.T @ B + B.T @ A)
+
+
+# name -> (dim g, dim h) -> quadratic spec
 BUILTIN_INVARIANTS = {
-    "mu_norm2": lambda mu, nu: float(mu @ mu),
-    "nu_norm2": lambda mu, nu: float(nu @ nu),
-    "mu_dot_nu": lambda mu, nu: float(mu @ nu),
+    "mu_norm2": lambda n, m: _pairing(n, m, "mu", "mu"),
+    "nu_norm2": lambda n, m: _pairing(n, m, "nu", "nu"),
+    "mu_dot_nu": lambda n, m: _pairing(n, m, "mu", "nu"),
 }
 
 
@@ -113,17 +123,11 @@ def cmd_simulate(args) -> int:
     spec = load_hamiltonian(args.hamiltonian, n, m)
     z0 = parse_initial(args.initial, n + m)
     invariants = {}
-    if args.invariants:
-        for name in args.invariants.split(","):
-            name = name.strip()
-            if not name:
-                continue
-            if name not in BUILTIN_INVARIANTS:
-                raise InputError(
-                    f"unknown invariant {name!r}; built-ins are "
-                    f"{', '.join(sorted(BUILTIN_INVARIANTS))}"
-                )
-            invariants[name] = BUILTIN_INVARIANTS[name]
+    for name in filter(None, map(str.strip, args.invariants.split(","))):
+        if name not in BUILTIN_INVARIANTS:
+            raise InputError(f"unknown invariant {name!r}; built-ins are "
+                             f"{', '.join(sorted(BUILTIN_INVARIANTS))}")
+        invariants[name] = BUILTIN_INVARIANTS[name](n, m)
 
     start = time.perf_counter()
     if args.mode == "lp":

@@ -179,7 +179,9 @@ class TrajectoryRecord:
         return self.states[:, self.split[0]:]
 
 
-InvariantMap = Mapping[str, Callable[[np.ndarray, np.ndarray], float]]
+InvariantMap = Mapping[str, HamiltonianSpec | Callable[[np.ndarray, np.ndarray], float]]
+"""Extra invariants by name: a :class:`HamiltonianSpec` on (mu, nu), or a
+callable of (mu, nu) returning a float, which is run as a black-box spec."""
 
 
 def _drift(series: np.ndarray) -> float:
@@ -200,14 +202,16 @@ def _run_rk4(f, z0: np.ndarray, dt: float, steps: int) -> np.ndarray:
     states[0] = z0
     z = z0
     half = 0.5 * dt
+    K = np.empty((4, z0.size))
+    w = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
     # overflow is detected by the finiteness guard, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            k1 = f(z)
-            k2 = f(z + half * k1)
-            k3 = f(z + half * k2)
-            k4 = f(z + dt * k3)
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            K[0] = f(z)
+            K[1] = f(z + half * K[0])
+            K[2] = f(z + half * K[1])
+            K[3] = f(z + dt * K[2])
+            z = z + np.dot(w, K)
             if not np.isfinite(z).all():
                 raise IntegrationError(
                     f"state became non-finite at t={(step + 1) * dt:g}",
@@ -219,18 +223,19 @@ def _run_rk4(f, z0: np.ndarray, dt: float, steps: int) -> np.ndarray:
 
 def _monitor(states: np.ndarray, split: tuple[int, int], spec: HamiltonianSpec,
              invariants: InvariantMap | None):
-    """Invariant series and drifts: a quadratic "H" over all rows at once, a
-    black-box H and the user invariants (callables of (mu, nu)) row by row."""
-    n, _ = split
-    series: dict[str, np.ndarray] = {}
-    if spec.is_quadratic:
-        series["H"] = 0.5 * np.einsum("ij,ij->i", states @ spec.Q, states) + states @ spec.b
-    else:
-        series["H"] = np.array([spec.value(z) for z in states])
-    for name, fn in (invariants or {}).items():
-        if name == "H":
-            raise InputError("invariant name 'H' is reserved for the Hamiltonian")
-        series[name] = np.array([float(fn(z[:n], z[n:])) for z in states])
+    """Series and drifts of "H" and the invariants, all as specs: a quadratic
+    one over all rows in one einsum, any other row by row."""
+    n, m = split
+    if "H" in (invariants or {}):
+        raise InputError("invariant name 'H' is reserved for the Hamiltonian")
+    series = {}
+    for name, s in {"H": spec, **(invariants or {})}.items():
+        if not isinstance(s, HamiltonianSpec):
+            s = HamiltonianSpec.blackbox(lambda z, fn=s: fn(z[:n], z[n:]), n + m)
+        elif s.dim != n + m:
+            raise DimensionMismatch(f"invariant {name!r} has dimension {s.dim}, not {n + m}")
+        series[name] = (0.5 * np.einsum("ij,ij->i", states @ s.Q, states) + states @ s.b
+                        if s.is_quadratic else np.array([s.value(z) for z in states]))
     drift = {name: _drift(vals) for name, vals in series.items()}
     return series, drift
 
@@ -241,11 +246,12 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
     """Integrate the Lie-Poisson flow of ``spec`` on the dual of ``double``.
 
     Fixed-step RK4 on ``p_dot = M(p) grad H(p)`` (negated in the left
-    convention).  Each stage is one flat kernel: ``M(z) = (z @ Cf).reshape(d, d)``
-    with the constants flattened to ``Cf`` of shape (d, d*d) once per run, and
-    ``grad H = Q z + b`` for quadratic specs (central differences for black
-    boxes).  The Hamiltonian series is always recorded under the name "H";
-    additional invariants are callables of (mu, nu).
+    convention), ``M(z)[i, j] = sum_k C[k, i, j] z_k``.  A quadratic spec is
+    folded once per run into ``G`` (D, D, D) on ``y = (z, 1)``, ``D = d + 1``:
+    ``G[k, i, :d] = sign (C Q)[k, i]``, ``G[k, i, d] = sign (C b)[k, i]``, 0
+    elsewhere; a stage ``(y @ G.reshape(D, D*D)).reshape(D, D) @ y`` has last
+    component 0.  A black box keeps ``(z @ Cf).reshape(d, d)`` times its
+    central-difference gradient.  "H" is the Hamiltonian; see :data:`InvariantMap`.
     """
     _require_validated(double)
     sign = convention_sign(convention)
@@ -256,11 +262,16 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
         )
     steps, times = _grid(dt, t_end)
     d = double.dim
-    Cf = sign * double.algebra.C.reshape(d, d * d)
+    C = sign * double.algebra.C
     if spec.is_quadratic:
-        Q, b = spec.Q, spec.b
-        states = _run_rk4(lambda z: (z @ Cf).reshape(d, d) @ (Q @ z + b), z0, dt, steps)
+        D = d + 1
+        G = np.zeros((D, D, D))
+        G[:d, :d, :d], G[:d, :d, d] = C @ spec.Q, C @ spec.b
+        Gf = G.reshape(D, D * D)  # np.dot below: less call overhead than @ here
+        states = _run_rk4(lambda y: np.dot(np.dot(y, Gf).reshape(D, D), y),
+                          np.append(z0, 1.0), dt, steps)[:, :d]
     else:
+        Cf = C.reshape(d, d * d)
         states = _run_rk4(lambda z: (z @ Cf).reshape(d, d) @ gradient(spec, z), z0, dt, steps)
     series, drift = _monitor(states, double.split, spec, invariants)
     return TrajectoryRecord(times, states, double.split, series, drift)

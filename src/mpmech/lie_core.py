@@ -112,7 +112,7 @@ class LieAlgebra:
                 f"structure constants are not antisymmetric in the last two "
                 f"indices (defect {asym:.3e})"
             )
-        C = 0.5 * (C - C.transpose(0, 2, 1))
+        C = 0.5 * C - 0.5 * C.transpose(0, 2, 1)  # halve first: no overflow near 1e308
         C.setflags(write=False)
         self.C = C
         self.dim = int(C.shape[0])

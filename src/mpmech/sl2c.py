@@ -20,6 +20,7 @@ compatibility conditions and ships only as an audit target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -288,7 +289,7 @@ BUILTIN_PAIRS = ("sl2c_derived", "sl2c_printed", "e3_heavytop")
 
 
 def builtin_pairs() -> dict[str, MatchedPair]:
-    """The shipped example pairs, keyed by the names in ``BUILTIN_PAIRS``.
+    """The shipped example pairs in a fresh dict, keyed by ``BUILTIN_PAIRS``.
 
     * ``sl2c_derived`` -- actions derived from 2x2 matrix commutators; the
       package default, fully validated.
@@ -298,7 +299,15 @@ def builtin_pairs() -> dict[str, MatchedPair]:
       to reproduce the formula audit.
     * ``e3_heavytop`` -- the Euclidean algebra e(3) as a matched pair with a
       trivial left action (a semidirect product), for heavy-top dynamics.
+
+    The immutable pairs are built once per tolerance scale, read on each call
+    (so a bad ``MPM_TOLERANCE_SCALE`` is still an InputError).
     """
+    return dict(zip(BUILTIN_PAIRS, _build_pairs(tolerance_scale())))
+
+
+@lru_cache(maxsize=1)
+def _build_pairs(scale: float) -> tuple[MatchedPair, ...]:
     derived = derive_actions_from_embedding(standard_basis())
     rho_p, sigma_p = _printed_tensors()
     printed = MatchedPair(su2_algebra(), k_algebra(), rho_p, sigma_p,
@@ -311,7 +320,7 @@ def builtin_pairs() -> dict[str, MatchedPair]:
     heavytop = MatchedPair(su2_algebra(),
                            abelian(3, ("f1", "f2", "f3")),
                            np.zeros((3, 3, 3)), sigma_e3)
-    return dict(zip(BUILTIN_PAIRS, (derived, printed, heavytop)))
+    return derived, printed, heavytop
 
 
 def sl2c_closed_forms() -> ClosedFormActions:

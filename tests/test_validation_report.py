@@ -35,6 +35,7 @@ from mpmech.matched_pair import (
 from mpmech.sl2c import KElement, builtin_pairs, iwasawa_factor, sl2c_closed_forms
 
 from test_cli import simulate_args
+from test_homogeneous_kernel import UNEQUAL_DOC
 from test_lie_core import corrupted_su2
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mpmech"
@@ -365,6 +366,39 @@ matrices = st.one_of(unimodular, st.lists(st.lists(cell, min_size=1, max_size=3)
                                           min_size=1, max_size=3))
 
 
+@st.composite
+def hamiltonian_documents(draw):
+    """A quadratic Hamiltonian file, mutated: ragged, odd or non-finite
+    cells, the wrong size, an asymmetric Q, a missing or replaced field."""
+    size = draw(st.sampled_from([6, 6, 6, 3, 0, 5, 7]))
+    doc = {"Q": np.eye(size).tolist(), "b": [0.0] * size}
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(["Q", "b"]))
+        kind = draw(st.sampled_from(["ragged", "leaf", "asymmetric", "drop", "replace"]))
+        node = doc.get(key)
+        if kind == "drop":
+            doc.pop(key, None)
+        elif kind == "replace":
+            doc[key] = draw(st.sampled_from(ODD_VALUES))
+        elif isinstance(node, list) and node:
+            row = node[draw(st.integers(0, len(node) - 1))] if key == "Q" else node
+            if not (isinstance(row, list) and row):
+                continue
+            i = draw(st.integers(0, len(row) - 1))
+            if kind == "ragged":
+                row.pop()
+            elif kind == "leaf":
+                row[i] = draw(st.sampled_from(ODD_VALUES))
+            elif isinstance(row[i], float):
+                row[i] += draw(st.sampled_from([1e-3, 1.0, 1e300]))
+    return doc
+
+
+invariant_lists = st.lists(
+    st.sampled_from(["mu_norm2", "nu_norm2", "mu_dot_nu", "", " ", "H", "bogus", "MU_NORM2"]),
+    max_size=5).map(",".join)
+
+
 class TestExitContract:
     @PROPERTY_SETTINGS
     @given(doc=tensor_documents())
@@ -376,6 +410,32 @@ class TestExitContract:
             argv = simulate_args(str(pathlib.Path(tmp) / "r"),
                                  **{"--pair": path, "--dt": "0.05", "--t-end": "0.2"})
             assert run_main(argv)[0] in (0, 1, 2)
+
+    @PROPERTY_SETTINGS
+    @given(ham=st.one_of(hamiltonian_documents(),
+                         st.sampled_from(["quadratic_identity", "heavy_top", "rigid_body_123"])),
+           invariants=invariant_lists, unequal=st.booleans(),
+           mode=st.sampled_from(["lp", "ep"]), convention=st.sampled_from(["right", "left"]))
+    def test_mutated_hamiltonians_and_invariants(self, ham, invariants, unequal, mode,
+                                                 convention):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            if isinstance(ham, dict):
+                (tmp / "h.json").write_text(json.dumps(ham))
+                ham = str(tmp / "h.json")
+            flags = {"--hamiltonian": ham, "--invariants": invariants, "--mode": mode,
+                     "--convention": convention, "--dt": "0.05", "--t-end": "0.2"}
+            if unequal:
+                (tmp / "pair.json").write_text(json.dumps(UNEQUAL_DOC))
+                flags.update({"--pair": str(tmp / "pair.json"), "--initial": "1,2,3"})
+            prefix = str(tmp / "r")
+            rc = run_main(simulate_args(prefix, **flags))[0]
+            assert rc in (0, 1, 2)
+            if rc == 0:
+                names = list(dict.fromkeys(n.strip() for n in invariants.split(",")
+                                           if n.strip()))
+                header = pathlib.Path(prefix + ".csv").read_text().splitlines()[0].split(",")
+                assert header[len(header) - len(names):] == names
 
     @PROPERTY_SETTINGS
     @given(matrix=matrices)
