@@ -6,14 +6,17 @@ summary JSON), ``audit`` (reconcile the closed-form action set against the
 derived one), ``derive`` (tensor document from a matrix basis), ``factor``
 (factor one determinant-1 matrix).
 
-Exit codes: 0 success, 1 validation or run failure, 2 malformed input.  The
-environment variable MPM_TOLERANCE_SCALE multiplies every validation
-tolerance (default 1).
+Exit codes: 0 success, 1 validation or run failure, 2 malformed input, which
+covers unreadable, non-UTF-8 or too deeply nested input files and output
+paths that cannot be written.  The environment variable MPM_TOLERANCE_SCALE
+multiplies every validation tolerance (default 1).  ``main`` may be called
+repeatedly in one process; every call reuses one parser, built on the first.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -74,11 +77,7 @@ def builtin_hamiltonian(name: str, n: int, m: int) -> HamiltonianSpec:
 def load_hamiltonian(name_or_path: str, n: int, m: int) -> HamiltonianSpec:
     if name_or_path in ("quadratic_identity", "heavy_top", "rigid_body_123"):
         return builtin_hamiltonian(name_or_path, n, m)
-    try:
-        with open(name_or_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read Hamiltonian {name_or_path}: {exc}") from exc
+    doc = formats.read_json(name_or_path, "Hamiltonian")
     if not isinstance(doc, dict) or "Q" not in doc:
         raise InputError("Hamiltonian file must be an object with a 'Q' matrix")
     b = doc.get("b")
@@ -156,9 +155,7 @@ def cmd_simulate(args) -> int:
         dt=args.dt, t_end=args.t_end,
         seed=args.seed,
     )
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    formats.write_json(summary, summary_path)
     print(f"wrote {csv_path} and {summary_path}")
     return 0
 
@@ -172,9 +169,7 @@ def cmd_audit(args) -> int:
                             closed_forms=sl2c.sl2c_closed_forms())
     print(report.to_text())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        formats.write_json(report.to_json_dict(), args.json)
         print(f"wrote {args.json}")
     return 0
 
@@ -185,11 +180,7 @@ def cmd_derive(args) -> int:
             raise InputError(f"unknown built-in basis {args.builtin!r}; available: sl2c")
         basis = sl2c.standard_basis()
     else:
-        try:
-            with open(args.basis, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read basis file {args.basis}: {exc}") from exc
+        doc = formats.read_json(args.basis, "basis file")
         if not isinstance(doc, dict) or "g" not in doc or "h" not in doc:
             raise InputError("basis file must be an object with 'g' and 'h' matrix lists")
         basis = sl2c.EmbeddedBasis(
@@ -205,14 +196,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    try:
-        if args.matrix == "-":
-            doc = json.load(sys.stdin)
-        else:
-            with open(args.matrix, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read matrix: {exc}") from exc
+    doc = formats.read_json(sys.stdin if args.matrix == "-" else args.matrix, "matrix")
     M = formats.matrix_from_json(doc)
     unitary, triangular = sl2c.iwasawa_factor(M)
     out = {
@@ -273,10 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on first use: parsing never changes it, and argparse
+# looks up sys.stderr and the terminal width only when it prints.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

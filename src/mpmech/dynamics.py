@@ -55,7 +55,7 @@ class HamiltonianSpec:
         scale = 1.0 + float(np.abs(Q).max())
         if float(np.abs(Q - Q.T).max()) > 1e-12 * scale:
             raise InputError("quadratic form is not symmetric")
-        Q = 0.5 * (Q + Q.T)
+        Q = 0.5 * Q + 0.5 * Q.T
         dim = Q.shape[0]
         if b is None:
             b = np.zeros(dim)
@@ -124,7 +124,7 @@ class LagrangianSpec:
         scale = 1.0 + float(np.abs(M).max())
         if float(np.abs(M - M.T).max()) > 1e-12 * scale:
             raise DegenerateMetricError(f"{what} is not symmetric")
-        M = 0.5 * (M + M.T)
+        M = 0.5 * M + 0.5 * M.T
         try:
             np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
@@ -143,8 +143,8 @@ def legendre(lagrangian: LagrangianSpec) -> HamiltonianSpec:
     inv_h = np.linalg.inv(lagrangian.metric_h)
     n, m = inv_g.shape[0], inv_h.shape[0]
     Q = np.zeros((n + m, n + m))
-    Q[:n, :n] = 0.5 * (inv_g + inv_g.T)
-    Q[n:, n:] = 0.5 * (inv_h + inv_h.T)
+    Q[:n, :n] = 0.5 * inv_g + 0.5 * inv_g.T
+    Q[n:, n:] = 0.5 * inv_h + 0.5 * inv_h.T
     return HamiltonianSpec.quadratic(Q)
 
 
@@ -191,8 +191,11 @@ def _drift(series: np.ndarray) -> float:
 def _grid(dt: float, t_end: float) -> tuple[int, np.ndarray]:
     if not (0 < dt <= t_end < np.inf):
         raise InputError(f"need 0 < dt <= t_end < inf, got dt={dt}, t_end={t_end}")
-    steps = int(round(t_end / dt))
-    if abs(t_end / dt - steps) > 1e-9 * steps:
+    ratio = t_end / dt
+    if not ratio <= 2.0 ** 53:  # inf, or so large that every float is whole
+        raise InputError(f"t_end={t_end} is too many steps of dt={dt}")
+    steps = int(round(ratio))
+    if abs(ratio - steps) > 1e-9 * steps:
         raise InputError(f"t_end={t_end} is not a whole number of steps of dt={dt}")
     return steps, dt * np.arange(steps + 1)
 

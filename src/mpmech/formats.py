@@ -12,6 +12,7 @@ rows are printed with 17 significant digits so values round-trip exactly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import numpy as np
@@ -20,6 +21,35 @@ from .dynamics import TrajectoryRecord
 from .errors import InputError
 from .lie_core import LieAlgebra
 from .matched_pair import MatchedPair
+
+
+def read_json(source, what: str):
+    """The JSON document in ``source``, a path or a text stream; an unreadable,
+    non-UTF-8, malformed or too deeply nested document is an InputError."""
+    try:
+        if not isinstance(source, str):
+            return json.load(source)
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        name = getattr(source, "name", source)
+        raise InputError(f"cannot read {what} {name}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _output(path: str):
+    """``path`` opened for writing UTF-8 text; any OSError is an InputError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(doc, path: str) -> None:
+    with _output(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _require(doc: dict, key: str, kind: type, where: str):
@@ -80,18 +110,11 @@ def pair_to_dict(mp: MatchedPair) -> dict:
 
 
 def load_pair_document(path: str) -> MatchedPair:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read tensor document {path}: {exc}") from exc
-    return pair_from_dict(doc)
+    return pair_from_dict(read_json(path, "tensor document"))
 
 
 def dump_pair_document(mp: MatchedPair, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pair_to_dict(mp), fh, indent=2)
-        fh.write("\n")
+    write_json(pair_to_dict(mp), path)
 
 
 # -- 2x2 complex matrices ------------------------------------------------------
@@ -138,7 +161,7 @@ def trajectory_to_csv(record: TrajectoryRecord, path: str) -> None:
     columns = [record.times[:, None], record.states]
     columns += [record.invariants[name][:, None] for name in ["H"] + extras]
     row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(record.times), CSV_BLOCK_ROWS):
             block = np.hstack([col[start:start + CSV_BLOCK_ROWS] for col in columns])

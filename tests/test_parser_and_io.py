@@ -1,0 +1,180 @@
+"""Repeated ``cli.main`` calls in one process, and the exit contract for
+file I/O, step counts and overflow-free symmetrization."""
+
+import argparse
+import contextlib
+import io
+import json
+import warnings
+
+import numpy as np
+import pytest
+
+from mpmech import cli
+from mpmech.cli import build_parser, main
+from mpmech.dynamics import HamiltonianSpec, LagrangianSpec, _grid, legendre
+from mpmech.errors import InputError
+
+from test_cli import simulate_args
+
+IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def identity_matrix(tmp_path):
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(IDENTITY))
+    return str(path)
+
+
+class TestParserReuse:
+    def test_usage_error_then_valid_factor(self, identity_matrix):
+        assert run(["factor"])[0] == 2
+        rc, out, _ = run(["factor", identity_matrix])
+        assert rc == 0
+        assert json.loads(out)["su2"] == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+    def test_convention_does_not_carry_over(self, tmp_path):
+        flags = {"--dt": "0.1", "--t-end": "1"}
+        left = simulate_args(str(tmp_path / "left"), **flags, **{"--convention": "left"})
+        right = simulate_args(str(tmp_path / "right"), **flags)
+        assert "--convention" not in right
+        assert run(left)[0] == 0
+        assert run(right)[0] == 0
+        summary = json.loads((tmp_path / "right.summary.json").read_text())
+        assert summary["convention"] == "right"
+        summary = json.loads((tmp_path / "left.summary.json").read_text())
+        assert summary["convention"] == "left"
+
+    def test_help_then_valid_call(self, identity_matrix):
+        rc, out, _ = run(["--help"])
+        assert rc == 0
+        assert out.startswith("usage: mpmech")
+        assert run(["factor", identity_matrix])[0] == 0
+
+    def test_usage_error_goes_to_the_current_stderr(self, capsys):
+        first = io.StringIO()
+        with contextlib.redirect_stderr(first):
+            assert main(["factor"]) == 2
+        assert "usage: mpmech factor" in first.getvalue()
+        seen = first.getvalue()
+        assert main(["no-such-command"]) == 2
+        assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
+        assert first.getvalue() == seen
+
+    def test_second_call_builds_no_parser(self, monkeypatch, identity_matrix):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        assert run(["factor", identity_matrix])[0] == 0
+        assert built and built[0] == "mpmech"
+        count = len(built)
+        assert run(["factor", identity_matrix])[0] == 0
+        assert run(["check", "e3_heavytop"])[0] == 0
+        assert len(built) == count
+
+    def test_build_parser_returns_a_new_parser(self):
+        first, second = build_parser(), build_parser()
+        assert first is not second
+        assert cli._parser() is cli._parser()
+        assert cli._parser() not in (first, second)
+
+
+UNDECODABLE = b'{"Q": "\xff\xfe"}'
+OVER_NESTED = "[" * 100_000 + "]" * 100_000
+
+
+def reading(kind, path, tmp_path):
+    out = str(tmp_path / "out")
+    return {
+        "check": ["check", path],
+        "factor": ["factor", path],
+        "derive": ["derive", "--basis", path, "--out", out + ".json"],
+        "simulate": simulate_args(out, **{"--hamiltonian": path}),
+    }[kind]
+
+
+class TestFileContract:
+    @pytest.mark.parametrize("kind", ["check", "simulate", "derive", "factor"])
+    def test_undecodable_input(self, tmp_path, kind):
+        path = tmp_path / "bad.json"
+        path.write_bytes(UNDECODABLE)
+        rc, _, err = run(reading(kind, str(path), tmp_path))
+        assert rc == 2
+        assert err.startswith("input error: cannot read ")
+        assert "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("kind", ["check", "factor", "simulate", "derive"])
+    def test_over_nested_input(self, tmp_path, kind):
+        path = tmp_path / "deep.json"
+        path.write_text(OVER_NESTED)
+        rc, _, err = run(reading(kind, str(path), tmp_path))
+        assert rc == 2
+        assert err.startswith("input error: cannot read ")
+        assert "recursion" in err
+
+    @pytest.mark.parametrize("argv, written", [
+        (simulate_args("{d}/r", **{"--dt": "0.1", "--t-end": "1"}), "{d}/r.csv"),
+        (["derive", "--builtin", "sl2c", "--out", "{d}/pair.json"], "{d}/pair.json"),
+        (["audit", "sl2c", "--samples", "5", "--json", "{d}/audit.json"], "{d}/audit.json"),
+    ])
+    def test_output_in_a_missing_directory(self, tmp_path, argv, written):
+        missing = str(tmp_path / "missing")
+        rc, _, err = run([arg.format(d=missing) for arg in argv])
+        assert rc == 2
+        assert err.startswith(f"input error: cannot write {written.format(d=missing)}: ")
+
+    def test_factor_reads_stdin(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(IDENTITY)))
+        assert run(["factor", "-"])[0] == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO("[[1, 0], [0"))
+        rc, _, err = run(["factor", "-"])
+        assert rc == 2
+        assert err.startswith("input error: cannot read matrix ")
+
+
+class TestStepCountAndSymmetrize:
+    @pytest.mark.parametrize("dt, t_end", [(1e-300, 1e300), (1e-300, 1.0), (1.0, 1e300),
+                                           (1.0, 2.0 ** 53 + 2.0)])
+    def test_step_count_beyond_the_float_grid_rejected(self, dt, t_end):
+        with pytest.raises(InputError, match="too many steps"):
+            _grid(dt, t_end)
+
+    def test_overflowing_step_count_exits_2(self, tmp_path):
+        argv = simulate_args(str(tmp_path / "r"), **{"--dt": "1e-300", "--t-end": "1e300"})
+        rc, _, err = run(argv)
+        assert rc == 2
+        assert "too many steps" in err
+
+    def test_quadratic_keeps_huge_symmetric_entries(self):
+        Q = np.eye(6)
+        Q[0, 1] = Q[1, 0] = 1e308
+        Q[2, 2] = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = HamiltonianSpec.quadratic(Q)
+        assert np.array_equal(spec.Q, Q)
+        assert np.isfinite(spec.Q).all()
+
+    def test_metric_and_legendre_keep_huge_entries(self):
+        M = np.diag([1.7e308, 1e308, 1.0])
+        M[0, 1] = M[1, 0] = 1e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lagrangian = LagrangianSpec(M, np.eye(3))
+            spec = legendre(lagrangian)
+        assert np.array_equal(lagrangian.metric_g, M)
+        assert np.isfinite(spec.Q).all()

@@ -5,6 +5,7 @@ reference, and the CLI exit contract under mutated inputs."""
 import ast
 import contextlib
 import io
+import itertools
 import json
 import pathlib
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from mpmech import formats, lie_core, matched_pair
 from mpmech.cli import main
+from mpmech.dynamics import _grid
 from mpmech.errors import InputError, ValidationError
 from mpmech.lie_core import Check, LieAlgebra, ad_star, defect_bound
 from mpmech.matched_pair import (
@@ -399,7 +401,41 @@ invariant_lists = st.lists(
     max_size=5).map(",".join)
 
 
+# dt and t_end cells for the grid fuzz.  Every pair either gives at most 2,500
+# steps or is rejected before the grid is allocated (see
+# test_drawn_grids_are_small_or_rejected).
+GRID_VALUES = ["nan", "inf", "-inf", "0", "-0.05", "-1e300", "1e-300", "1e300", "abc", "",
+               "0.001", "0.05", "0.1", "0.3", "1", "2.5"]
+INITIAL_CELLS = ["1", "0", "-0.5", "2.5", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300",
+                 "abc", ""]
+initial_states = st.one_of(
+    st.sampled_from(["1,0,0,0,1,0", "0.5,-1,0,2,1,0"]),
+    st.lists(st.sampled_from(INITIAL_CELLS), min_size=6, max_size=6).map(",".join),
+    st.lists(st.sampled_from(INITIAL_CELLS), max_size=8).map(",".join),
+)
+
+
 class TestExitContract:
+    def test_drawn_grids_are_small_or_rejected(self):
+        for dt, t_end in itertools.product(GRID_VALUES, repeat=2):
+            try:
+                ratio = float(t_end) / float(dt)
+            except (ValueError, ZeroDivisionError):
+                continue
+            if not 0 < ratio <= 2500 * (1 + 1e-9):
+                with pytest.raises(InputError):
+                    _grid(float(dt), float(t_end))
+
+    @PROPERTY_SETTINGS
+    @given(dt=st.sampled_from(GRID_VALUES), t_end=st.sampled_from(GRID_VALUES),
+           initial=initial_states)
+    def test_grids_and_initial_states(self, dt, t_end, initial):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = simulate_args(str(pathlib.Path(tmp) / "r"),
+                                 **{"--dt": None, "--t-end": None, "--initial": None})
+            argv += [f"--dt={dt}", f"--t-end={t_end}", f"--initial={initial}"]
+            assert run_main(argv)[0] in (0, 1, 2)
+
     @PROPERTY_SETTINGS
     @given(doc=tensor_documents())
     def test_mutated_tensor_documents(self, doc):
