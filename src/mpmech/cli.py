@@ -7,10 +7,11 @@ derived one), ``derive`` (tensor document from a matrix basis), ``factor``
 (factor one determinant-1 matrix).
 
 Exit codes: 0 success, 1 validation or run failure, 2 malformed input, which
-covers unreadable, non-UTF-8 or too deeply nested input files and output
-paths that cannot be written.  The environment variable MPM_TOLERANCE_SCALE
-multiplies every validation tolerance (default 1).  ``main`` may be called
-repeatedly in one process; every call reuses one parser, built on the first.
+covers unreadable, non-UTF-8 or too deeply nested input files, output paths
+that cannot be written and simulate grids over 2**23 (``MAX_STEPS``) steps.
+The environment variable MPM_TOLERANCE_SCALE multiplies every validation
+tolerance (default 1).  ``main`` may be called repeatedly in one process;
+every call reuses one parser, built on the first.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Hamiltonian and Lagrangian specifications and fixed-step integration.
 
-The integrator is classical RK4 with a fixed step: the flows of interest
-conserve energy and Casimir functions exactly at the continuous level, and a
-fixed-step one-parameter scheme keeps the discrete drift interpretable as
-pure truncation error.  Invariants are monitored at every accepted step.
+The integrator is classical RK4 with a fixed step: the flows conserve energy
+and Casimirs exactly, so the discrete drift is pure truncation error.  Rows
+are scanned for non-finite values every ``FINITE_BLOCK`` steps, and
+invariants are evaluated over all rows after the run.
 """
 
 from __future__ import annotations
@@ -30,6 +30,22 @@ from .matched_pair import (
 )
 
 FD_STEP = 1e-6  # central-difference step, scaled per component by 1 + |z_i|
+FINITE_BLOCK = 256  # RK4 steps between scans for a non-finite state
+MAX_STEPS = 2 ** 23  # longest grid: 64 MiB of float64 states per column, 448 MiB at D = 7
+
+
+def _symmetrized(M, what: str, error: type[InputError]) -> np.ndarray:
+    """Square float ``M`` made exactly symmetric and read-only; ``error`` unless
+    symmetric to 1e-12 relative."""
+    M = np.array(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InputError(f"{what} must be square, got shape {M.shape}")
+    half = 0.5 * M  # halves: no overflow for opposite entries near 1e308
+    if float(np.abs(half - half.T).max()) > 0.5e-12 * (1.0 + float(np.abs(M).max())):
+        raise error(f"{what} is not symmetric")
+    M = half + half.T
+    M.setflags(write=False)
+    return M
 
 
 class HamiltonianSpec:
@@ -49,13 +65,7 @@ class HamiltonianSpec:
 
     @classmethod
     def quadratic(cls, Q, b=None) -> "HamiltonianSpec":
-        Q = np.array(Q, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise InputError(f"quadratic form must be square, got shape {Q.shape}")
-        scale = 1.0 + float(np.abs(Q).max())
-        if float(np.abs(Q - Q.T).max()) > 1e-12 * scale:
-            raise InputError("quadratic form is not symmetric")
-        Q = 0.5 * Q + 0.5 * Q.T
+        Q = _symmetrized(Q, "quadratic form", InputError)
         dim = Q.shape[0]
         if b is None:
             b = np.zeros(dim)
@@ -64,7 +74,6 @@ class HamiltonianSpec:
             raise DimensionMismatch(f"linear term has shape {b.shape}, expected ({dim},)")
         if not (np.isfinite(Q).all() and np.isfinite(b).all()):
             raise InputError("quadratic Hamiltonian has non-finite entries")
-        Q.setflags(write=False)
         b.flags.writeable = False
         return cls(dim, Q, b, None)
 
@@ -118,18 +127,11 @@ class LagrangianSpec:
 
     @staticmethod
     def _check_block(M, what: str) -> np.ndarray:
-        M = np.array(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise InputError(f"{what} must be square, got shape {M.shape}")
-        scale = 1.0 + float(np.abs(M).max())
-        if float(np.abs(M - M.T).max()) > 1e-12 * scale:
-            raise DegenerateMetricError(f"{what} is not symmetric")
-        M = 0.5 * M + 0.5 * M.T
+        M = _symmetrized(M, what, DegenerateMetricError)
         try:
             np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
             raise DegenerateMetricError(f"{what} is not positive definite") from exc
-        M.setflags(write=False)
         return M
 
 
@@ -192,35 +194,42 @@ def _grid(dt: float, t_end: float) -> tuple[int, np.ndarray]:
     if not (0 < dt <= t_end < np.inf):
         raise InputError(f"need 0 < dt <= t_end < inf, got dt={dt}, t_end={t_end}")
     ratio = t_end / dt
-    if not ratio <= 2.0 ** 53:  # inf, or so large that every float is whole
-        raise InputError(f"t_end={t_end} is too many steps of dt={dt}")
+    if not ratio < MAX_STEPS + 0.5:  # inf included
+        raise InputError(f"t_end={t_end} is too many steps of dt={dt} (at most {MAX_STEPS})")
     steps = int(round(ratio))
     if abs(ratio - steps) > 1e-9 * steps:
         raise InputError(f"t_end={t_end} is not a whole number of steps of dt={dt}")
     return steps, dt * np.arange(steps + 1)
 
 
-def _run_rk4(f, z0: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    states = np.empty((steps + 1, z0.size))
-    states[0] = z0
-    z = z0
-    half = 0.5 * dt
-    K = np.empty((4, z0.size))
-    w = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
-    # overflow is detected by the finiteness guard, not by warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            K[0] = f(z)
-            K[1] = f(z + half * K[0])
-            K[2] = f(z + half * K[1])
-            K[3] = f(z + dt * K[2])
-            z = z + np.dot(w, K)
-            if not np.isfinite(z).all():
-                raise IntegrationError(
-                    f"state became non-finite at t={(step + 1) * dt:g}",
-                    last_good_time=step * dt,
-                )
-            states[step + 1] = z
+def _run_rk4(stage, y0: np.ndarray, dt: float, steps: int) -> np.ndarray:
+    """Classical RK4 rows from ``y0``.  ``stage(h)`` returns ``g(y, out)``
+    writing ``h f(y)`` into ``out``; the stages are then ``y + k`` for the
+    previous stage ``k`` and the step is ``y + (k0 + 2 k1 + k2 + k3) / 3``."""
+    states = np.empty((steps + 1, y0.size))
+    states[0] = y = y0
+    k0, k1, k2, k3 = K = np.empty((4, y0.size))
+    half, full = stage(0.5 * dt), stage(dt)
+    w = np.array([1.0, 2.0, 1.0, 1.0]) / 3.0
+
+    def scan(a, b):  # raise at the first non-finite row of states[a:b]
+        bad = a + np.flatnonzero(~np.isfinite(states[a:b]).all(axis=1))
+        if bad.size:
+            raise IntegrationError(f"state became non-finite at t={bad[0] * dt:g}",
+                                   last_good_time=float((bad[0] - 1) * dt))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is found by scan()
+        for a in range(1, steps + 1, FINITE_BLOCK):
+            try:
+                for s in range(a, min(a + FINITE_BLOCK, steps + 1)):
+                    half(y, k0)
+                    half(y + k0, k1)
+                    full(y + k1, k2)
+                    half(y + k2, k3)
+                    y = states[s] = y + np.dot(w, K)
+            except InputError:  # a black box may reject a state that has blown up
+                scan(a, s)
+                raise
+            scan(a, s + 1)
     return states
 
 
@@ -252,9 +261,10 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
     convention), ``M(z)[i, j] = sum_k C[k, i, j] z_k``.  A quadratic spec is
     folded once per run into ``G`` (D, D, D) on ``y = (z, 1)``, ``D = d + 1``:
     ``G[k, i, :d] = sign (C Q)[k, i]``, ``G[k, i, d] = sign (C b)[k, i]``, 0
-    elsewhere; a stage ``(y @ G.reshape(D, D*D)).reshape(D, D) @ y`` has last
-    component 0.  A black box keeps ``(z @ Cf).reshape(d, d)`` times its
-    central-difference gradient.  "H" is the Hamiltonian; see :data:`InvariantMap`.
+    elsewhere; the stage of step ``h`` is ``(y @ Gf).reshape(D, D) @ y``, with
+    ``Gf = (h G).reshape(D, D*D)`` and last component 0.  A black box takes
+    ``(z @ Cf).reshape(d, d) @ gradient(spec, z)``, ``Cf = (h sign C).reshape(d, d*d)``.
+    "H" is the Hamiltonian; see :data:`InvariantMap`.
     """
     _require_validated(double)
     sign = convention_sign(convention)
@@ -270,12 +280,16 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
         D = d + 1
         G = np.zeros((D, D, D))
         G[:d, :d, :d], G[:d, :d, d] = C @ spec.Q, C @ spec.b
-        Gf = G.reshape(D, D * D)  # np.dot below: less call overhead than @ here
-        states = _run_rk4(lambda y: np.dot(np.dot(y, Gf).reshape(D, D), y),
-                          np.append(z0, 1.0), dt, steps)[:, :d]
+
+        def stage(h):  # np.dot: less call overhead than @ here
+            Gf = (h * G).reshape(D, D * D)
+            return lambda y, out: np.dot(np.dot(y, Gf).reshape(D, D), y, out=out)
+        states = _run_rk4(stage, np.append(z0, 1.0), dt, steps)[:, :d]
     else:
-        Cf = C.reshape(d, d * d)
-        states = _run_rk4(lambda z: (z @ Cf).reshape(d, d) @ gradient(spec, z), z0, dt, steps)
+        def stage(h):
+            Cf = (h * C).reshape(d, d * d)
+            return lambda z, out: np.dot(np.dot(z, Cf).reshape(d, d), gradient(spec, z), out=out)
+        states = _run_rk4(stage, z0, dt, steps)
     series, drift = _monitor(states, double.split, spec, invariants)
     return TrajectoryRecord(times, states, double.split, series, drift)
 

@@ -116,3 +116,28 @@ def csv_reference(record):
         cells += [record.invariants[name][row] for name in extras]
         lines.append(",".join(f"{x:.17g}" for x in cells))
     return "".join(line + "\n" for line in lines)
+
+
+def lie_poisson_field(C, sign, grad):
+    """z_dot_i = sign * sum_{k,j} C[k, i, j] z_k grad(z)_j, by explicit loops."""
+    d = C.shape[0]
+
+    def field(z):
+        g = grad(z)
+        out = np.zeros(d)
+        for i in range(d):
+            for k in range(d):
+                for j in range(d):
+                    out[i] += sign * C[k, i, j] * z[k] * g[j]
+        return out
+
+    return field
+
+
+def rk4_step(field, z, dt):
+    """One classical RK4 step in its textbook form."""
+    k1 = field(z)
+    k2 = field(z + 0.5 * dt * k1)
+    k3 = field(z + 0.5 * dt * k2)
+    k4 = field(z + dt * k3)
+    return z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -12,8 +12,8 @@ import pytest
 
 from mpmech import cli
 from mpmech.cli import build_parser, main
-from mpmech.dynamics import HamiltonianSpec, LagrangianSpec, _grid, legendre
-from mpmech.errors import InputError
+from mpmech.dynamics import MAX_STEPS, HamiltonianSpec, LagrangianSpec, _grid, legendre
+from mpmech.errors import DegenerateMetricError, InputError
 
 from test_cli import simulate_args
 
@@ -148,7 +148,7 @@ class TestFileContract:
 
 class TestStepCountAndSymmetrize:
     @pytest.mark.parametrize("dt, t_end", [(1e-300, 1e300), (1e-300, 1.0), (1.0, 1e300),
-                                           (1.0, 2.0 ** 53 + 2.0)])
+                                           (1.0, 2.0 ** 53 + 2.0), (1.0, MAX_STEPS + 1.0)])
     def test_step_count_beyond_the_float_grid_rejected(self, dt, t_end):
         with pytest.raises(InputError, match="too many steps"):
             _grid(dt, t_end)
@@ -158,6 +158,24 @@ class TestStepCountAndSymmetrize:
         rc, _, err = run(argv)
         assert rc == 2
         assert "too many steps" in err
+
+    def test_unallocatable_step_count_exits_2(self, tmp_path):
+        # 2**52 whole steps: a (steps + 1, 7) states array would need 224 PiB
+        argv = simulate_args(str(tmp_path / "r"), **{"--dt": "1", "--t-end": "4503599627370496"})
+        rc, _, err = run(argv)
+        assert rc == 2
+        assert err.startswith("input error: ") and "too many steps" in err
+        assert "Traceback" not in err
+
+    def test_opposite_huge_entries_rejected_without_warning(self):
+        Q = np.eye(6)
+        Q[0, 1], Q[1, 0] = 1e308, -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="not symmetric"):
+                HamiltonianSpec.quadratic(Q)
+            with pytest.raises(DegenerateMetricError, match="g metric is not symmetric"):
+                LagrangianSpec(Q[:3, :3], np.eye(3))
 
     def test_quadratic_keeps_huge_symmetric_entries(self):
         Q = np.eye(6)

@@ -1,0 +1,77 @@
+"""The RK4 loop behind ``integrate``: four field stages per step, rows that
+are textbook RK4 steps across the finiteness-scan blocks, and blow-ups
+reported at the step where the state first became non-finite."""
+
+import numpy as np
+import pytest
+
+from mpmech import dynamics
+from mpmech.dynamics import FINITE_BLOCK, HamiltonianSpec, integrate
+from mpmech.errors import IntegrationError
+from mpmech.matched_pair import build_double
+
+from oracles import lie_poisson_field, rk4_step
+
+P0 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+
+
+# H = 2 z_6: z_dot = M(z) grad H has eigenvalues +-2 on sl2c_derived, so the
+# state overflows after a few hundred steps of dt 1
+GROWING_B = 2.0 * np.eye(6)[5]
+
+
+class TestStages:
+    def test_blackbox_evaluates_gradient_four_times_per_step(self, sl2c_derived, monkeypatch):
+        calls = []
+        gradient = dynamics.gradient
+
+        def counted(spec, z):
+            calls.append(1)
+            return gradient(spec, z)
+
+        monkeypatch.setattr(dynamics, "gradient", counted)
+        spec = HamiltonianSpec.blackbox(lambda z: 0.5 * float(z @ z), 6)
+        steps = FINITE_BLOCK + 44
+        integrate(build_double(sl2c_derived), spec, P0, 0.01, steps * 0.01)
+        assert len(calls) == 4 * steps
+
+    def test_left_rows_are_textbook_steps(self, sl2c_derived, rng):
+        # dt 0.03 is not a power of two, so the prescaled stage tensors round
+        # differently from dt * f; 300 steps cross a scan-block boundary
+        A = rng.standard_normal((6, 6))
+        Q, b = A @ A.T / 6.0, 0.1 * rng.standard_normal(6)
+        double = build_double(sl2c_derived)
+        rec = integrate(double, HamiltonianSpec.quadratic(Q, b), [0.6, -0.3, 0.5, 0.2, 0.4, -0.3],
+                        0.03, 9.0, "left")
+        assert rec.states.shape == (301, 6)
+        field = lie_poisson_field(double.algebra.C, -1.0, lambda z: Q @ z + b)
+        for prev, row in zip(rec.states[:-1], rec.states[1:]):
+            ref = rk4_step(field, prev, 0.03)
+            assert np.abs(ref - row).max() <= 1e-12 * (1.0 + np.abs(row).max())
+
+
+class TestBlowUpTimes:
+    # expected values are those of a finiteness check after every step
+    def test_first_step(self, sl2c_derived):
+        b = np.zeros(6)
+        b[0] = 1e300
+        spec = HamiltonianSpec.quadratic(np.zeros((6, 6)), b)
+        with pytest.raises(IntegrationError, match=r"^state became non-finite at t=1$") as err:
+            integrate(build_double(sl2c_derived), spec, P0, 1.0, 10.0)
+        assert err.value.last_good_time == 0.0
+
+    @pytest.mark.parametrize("convention", ["right", "left"])
+    def test_after_the_first_block(self, sl2c_derived, convention):
+        spec = HamiltonianSpec.quadratic(np.zeros((6, 6)), GROWING_B)
+        with pytest.raises(IntegrationError, match=r"^state became non-finite at t=365$") as err:
+            integrate(build_double(sl2c_derived), spec, P0, 1.0, 1000.0, convention)
+        assert err.value.last_good_time == 364.0
+        assert FINITE_BLOCK < 365 < 2 * FINITE_BLOCK
+
+    def test_blackbox_rejecting_the_blown_up_state(self, sl2c_derived):
+        # the stage after the blow-up evaluates the black box at an infinite
+        # state, which gradient() rejects; the blow-up is still what is reported
+        spec = HamiltonianSpec.blackbox(lambda z: 2.0 * z[5], 6)
+        with pytest.raises(IntegrationError, match=r"^state became non-finite at t=365$") as err:
+            integrate(build_double(sl2c_derived), spec, P0, 1.0, 1000.0)
+        assert err.value.last_good_time == 364.0
