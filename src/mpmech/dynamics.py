@@ -208,7 +208,7 @@ def _run_rk4(stage, y0: np.ndarray, dt: float, steps: int) -> np.ndarray:
     previous stage ``k`` and the step is ``y + (k0 + 2 k1 + k2 + k3) / 3``."""
     states = np.empty((steps + 1, y0.size))
     states[0] = y = y0
-    k0, k1, k2, k3 = K = np.empty((4, y0.size))
+    k0, k1, k2, k3 = K = np.zeros((4, y0.size))
     half, full = stage(0.5 * dt), stage(dt)
     w = np.array([1.0, 2.0, 1.0, 1.0]) / 3.0
 
@@ -226,8 +226,9 @@ def _run_rk4(stage, y0: np.ndarray, dt: float, steps: int) -> np.ndarray:
                     full(y + k1, k2)
                     half(y + k2, k3)
                     y = states[s] = y + np.dot(w, K)
-            except InputError:  # a black box may reject a state that has blown up
-                scan(a, s)
+            except InputError:  # a black box may reject a state that has blown up:
+                states[s] = y + np.dot(w, K)  # non-finite if a stage of step s did
+                scan(a, s + 1)
                 raise
             scan(a, s + 1)
     return states

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -90,8 +91,8 @@ class LieAlgebra:
     input otherwise.  The Jacobi identity is checked when ``validate=True``
     (the default); pass ``validate=False`` to build deliberately broken
     algebras for negative tests and re-run the check later with
-    :meth:`validate`.  The Jacobi defect is computed at most once per
-    algebra (see :meth:`jacobi_check`).
+    :meth:`validate`.  The Jacobiator is computed at most once per algebra
+    and kept (see :attr:`jacobiator`).
     """
 
     def __init__(self, constants, names: Sequence[str] | None = None, *,
@@ -124,7 +125,6 @@ class LieAlgebra:
                 )
         self.names = names
         self._validated = False
-        self._jacobi: tuple[float, str] | None = None
         if validate:
             self.validate()
 
@@ -132,16 +132,20 @@ class LieAlgebra:
     def validated(self) -> bool:
         return self._validated
 
+    @cached_property
+    def jacobiator(self) -> np.ndarray:
+        """Read-only ``J[m, i, j, l]``, the E_m part of Jac(E_i, E_j, E_l)."""
+        J = _jacobiator(self.C)
+        J.setflags(write=False)
+        return J
+
     def jacobi_check(self, name: str) -> Check:
         """The Jacobi identity as a :class:`Check` against :func:`defect_bound`,
         witnessed by the basis triple of the largest Jacobiator entry."""
-        if self._jacobi is None:
-            J = np.abs(_jacobiator(self.C))
-            _, i, j, l = np.unravel_index(int(J.argmax()), J.shape)
-            self._jacobi = (float(J.max()),
-                            f"({self.name_of(i)}, {self.name_of(j)}, {self.name_of(l)})")
-        defect, witness = self._jacobi
-        return Check(name, defect, defect_bound(self.C), witness)
+        J = np.abs(self.jacobiator)
+        _, i, j, l = np.unravel_index(int(J.argmax()), J.shape)
+        return Check(name, float(J.max()), defect_bound(self.C),
+                     f"({self.name_of(i)}, {self.name_of(j)}, {self.name_of(l)})")
 
     def validate(self) -> "LieAlgebra":
         """Check the Jacobi identity; caches the result on success."""
@@ -200,7 +204,7 @@ def jacobi_defect(alg: LieAlgebra) -> float:
 
     Zero (up to rounding) iff the structure constants define a Lie algebra.
     """
-    return float(np.abs(_jacobiator(alg.C)).max())
+    return alg.jacobi_check("jacobi defect").value
 
 
 def lie_poisson_bracket(alg: LieAlgebra, mu, grad_h, grad_f) -> float:

@@ -12,8 +12,12 @@ bracket
     [(x1, y1), (x2, y2)] = ([x1, x2] + y1|>x2 - y2|>x1,
                             [y1, y2] + y1<|x2 - y2<|x1)
 
-and the dual space inherits a linear Poisson structure.  All dual-action
-maps here are exact transposes of ``rho``/``sigma``, and all dynamics are
+and the dual space inherits a linear Poisson structure.  Conversely, the
+bracket is a Lie bracket only if they hold: the conditions are the blocks
+``J[:n, n:, :n, :n]`` and ``-J[n:, n:, n:, :n]`` (n = dim g) of the
+double's Jacobiator.  Only this module knows the double's block layout
+(:func:`build_double`, :func:`pair_from_double`).  All dual-action maps
+here are exact transposes of ``rho``/``sigma``, and all dynamics are
 assembled from the double's structure constants via the coadjoint action;
 closed-form variants of these maps found in the literature can be checked
 against that canonical assembly with :func:`audit_formulas`.
@@ -27,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lie_core
-from .errors import DimensionMismatch, InputError, ValidationError
+from .errors import DimensionMismatch, EmbeddingError, InputError, ValidationError
 from .lie_core import (
     Check,
     LieAlgebra,
@@ -208,36 +212,16 @@ class CompatDefect:
         return self.witness1 if self.d1 >= self.d2 else self.witness2
 
 
-def _condition_tensors(mp: MatchedPair) -> tuple[np.ndarray, np.ndarray]:
-    Cg, Ch, rho, sigma = mp.g.C, mp.h.C, mp.rho, mp.sigma
-    # condition 1, indexed [value in g, a, i, j]:
-    #   f_a|>[e_i,e_j] - [f_a|>e_i, e_j] - [e_i, f_a|>e_j]
-    #   - (f_a<|e_i)|>e_j + (f_a<|e_j)|>e_i
-    d1 = (
-        np.einsum("mak,kij->maij", rho, Cg)
-        - np.einsum("mkj,kai->maij", Cg, rho)
-        - np.einsum("mik,kaj->maij", Cg, rho)
-        - np.einsum("mbj,bai->maij", rho, sigma)
-        + np.einsum("mbi,baj->maij", rho, sigma)
-    )
-    # condition 2, indexed [value in h, a, b, i]:
-    #   [f_a,f_b]<|e_i - [f_a, f_b<|e_i] - [f_a<|e_i, f_b]
-    #   - f_a<|(f_b|>e_i) + f_b<|(f_a|>e_i)
-    d2 = (
-        np.einsum("cdi,dab->cabi", sigma, Ch)
-        - np.einsum("cad,dbi->cabi", Ch, sigma)
-        - np.einsum("cdb,dai->cabi", Ch, sigma)
-        - np.einsum("cak,kbi->cabi", sigma, rho)
-        + np.einsum("cbk,kai->cabi", sigma, rho)
-    )
-    return d1, d2
-
-
 def compat_defect(mp: MatchedPair) -> CompatDefect:
-    """Residuals of the two compatibility conditions, with maximizing triples."""
-    # overflow shows as an inf or NaN defect, which fails its check
-    with np.errstate(over="ignore", invalid="ignore"):
-        D1, D2 = _condition_tensors(mp)
+    """Residuals of the two compatibility conditions, with maximizing triples.
+
+    Both are blocks of the double's Jacobiator ``J[k, I, J, L]``, the E_k part
+    of Jac(E_I, E_J, E_L): with n = dim g, condition 1 is ``J[:n, n:, :n, :n]``
+    indexed [value in g, a, i, j], and condition 2 is ``-J[n:, n:, n:, :n]``
+    indexed [value in h, a, b, i]."""
+    n = mp.g.dim
+    J = build_double(mp).algebra.jacobiator
+    D1, D2 = J[:n, n:, :n, :n], -J[n:, n:, n:, :n]
     d1 = float(np.abs(D1).max())
     d2 = float(np.abs(D2).max())
     _, a1, i1, j1 = np.unravel_index(int(np.abs(D1).argmax()), D1.shape)
@@ -250,7 +234,8 @@ def compat_defect(mp: MatchedPair) -> CompatDefect:
 def validation_report(mp: MatchedPair) -> tuple[Check, ...]:
     """The five checks that make ``mp`` a matched pair, each defect against
     :func:`~mpmech.lie_core.defect_bound`: the Jacobi identity of g and of h,
-    the two compatibility conditions, and the Jacobi identity of the double."""
+    the two compatibility conditions (the blocks ``J[:n, n:, :n, :n]`` and
+    ``-J[n:, n:, n:, :n]`` of the double's Jacobiator ``J``) and max |J|."""
     defect = compat_defect(mp)
     bound = defect_bound(mp.g.C, mp.h.C, mp.rho, mp.sigma)
     return (
@@ -282,6 +267,22 @@ def build_double(mp: MatchedPair) -> DoubleAlgebra:
     double = DoubleAlgebra(LieAlgebra(C, names, validate=False), (n, m), mp)
     mp._double = double
     return double
+
+
+def pair_from_double(C, n: int, g_names: Sequence[str] | None,
+                     h_names: Sequence[str] | None) -> MatchedPair:
+    """The inverse of :func:`build_double`: the validated pair of a double with
+    constants ``C`` and g on the first ``n`` indices.  EmbeddingError unless each
+    [e_i, e_j] is in g and each [f_a, f_b] in h, to 1e-10 (1 + its max coefficient)."""
+    C = np.asarray(C, dtype=float)
+    tol = 1e-10 * lie_core.tolerance_scale()
+    for name, block, other in (("g", C[:, :n, :n], slice(n, None)),
+                               ("h", C[:, n:, n:], slice(None, n))):
+        if np.any(np.abs(block[other]).max(axis=0, initial=0.0)
+                  > tol * (1.0 + np.abs(block).max(axis=0, initial=0.0))):
+            raise EmbeddingError(f"{name} basis is not closed under commutators")
+    return MatchedPair(LieAlgebra(C[:n, :n, :n], g_names), LieAlgebra(C[n:, n:, n:], h_names),
+                       C[:n, n:, :n], C[n:, n:, :n])
 
 
 def cobracket_eval(double: DoubleAlgebra, p) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EmbeddingError, InputError, ValidationError
 from .lie_core import LieAlgebra, abelian, tolerance_scale
-from .matched_pair import ClosedFormActions, MatchedPair
+from .matched_pair import ClosedFormActions, MatchedPair, pair_from_double
 
 KHAT = np.array([0.0, 0.0, 1.0])
 KHAT.setflags(write=False)
@@ -208,67 +208,40 @@ def standard_basis() -> EmbeddedBasis:
 
 
 def _vec(M: np.ndarray) -> np.ndarray:
-    flat = M.reshape(-1)
-    return np.concatenate([flat.real, flat.imag])
+    flat = M.reshape(*M.shape[:-2], 4)
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 def derive_actions_from_embedding(basis: EmbeddedBasis) -> MatchedPair:
     """Read off a matched pair from matrix commutators.
 
-    Every commutator of basis matrices is decomposed over the real span of
-    the combined basis by least squares.  Pure g-g and h-h commutators must
-    close in their own factor and give the structure constants; the mixed
-    commutators [f_a, e_i] split into the left-action component (in g) and
-    the right-action component (in h).  Rank deficiency or a commutator
-    escaping the span raises EmbeddingError.
+    The commutators of the combined basis (g first, then h) are decomposed
+    over its real span in one least-squares solve; the coefficients are the
+    double's structure constants, which
+    :func:`~mpmech.matched_pair.pair_from_double` splits into g, h and the
+    actions, the mixed ones read off [f_a, e_i].  Rank deficiency, a
+    commutator escaping the span or a factor that is not closed raises
+    EmbeddingError.
     """
-    n, m = len(basis.g_matrices), len(basis.h_matrices)
-    mats = list(basis.g_matrices) + list(basis.h_matrices)
-    B = np.column_stack([_vec(M) for M in mats])
-    if np.linalg.matrix_rank(B) < n + m:
+    n = len(basis.g_matrices)
+    mats = np.array(basis.g_matrices + basis.h_matrices).reshape(-1, 2, 2)
+    d = len(mats)
+    i, j = np.indices((d, d))
+    # one orientation per pair: [e_i, e_j] and [f_a, f_b] above the diagonal, [f_a, e_i]
+    I, J = np.nonzero((i < j) == ((i < n) == (j < n)))
+    comms = mats[I] @ mats[J] - mats[J] @ mats[I]
+    B, targets = _vec(mats).T, _vec(comms).T
+    coeffs, _, rank, _ = np.linalg.lstsq(B, targets, rcond=None)
+    if rank < d:
         raise EmbeddingError("embedded basis matrices are not linearly independent")
-
-    def decompose(target: np.ndarray) -> np.ndarray:
-        rhs = _vec(target)
-        coeffs, _, _, _ = np.linalg.lstsq(B, rhs, rcond=None)
-        residual = float(np.abs(B @ coeffs - rhs).max())
-        tol = 1e-10 * (1.0 + float(np.abs(target).max())) * tolerance_scale()
-        if residual > tol:
-            raise EmbeddingError(
-                f"commutator leaves the span of the basis (residual {residual:.3e})"
-            )
-        return coeffs
-
-    def comm(A, Bm):
-        return A @ Bm - Bm @ A
-
-    tol_block = 1e-10 * tolerance_scale()
-    Cg = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs = decompose(comm(basis.g_matrices[i], basis.g_matrices[j]))
-            if np.abs(coeffs[n:]).max() > tol_block * (1.0 + np.abs(coeffs).max()):
-                raise EmbeddingError("g basis is not closed under commutators")
-            Cg[:, i, j] = coeffs[:n]
-            Cg[:, j, i] = -coeffs[:n]
-    Ch = np.zeros((m, m, m))
-    for a in range(m):
-        for b in range(a + 1, m):
-            coeffs = decompose(comm(basis.h_matrices[a], basis.h_matrices[b]))
-            if np.abs(coeffs[:n]).max() > tol_block * (1.0 + np.abs(coeffs).max()):
-                raise EmbeddingError("h basis is not closed under commutators")
-            Ch[:, a, b] = coeffs[n:]
-            Ch[:, b, a] = -coeffs[n:]
-    rho = np.zeros((n, m, n))
-    sigma = np.zeros((m, m, n))
-    for a in range(m):
-        for i in range(n):
-            coeffs = decompose(comm(basis.h_matrices[a], basis.g_matrices[i]))
-            rho[:, a, i] = coeffs[:n]
-            sigma[:, a, i] = coeffs[n:]
-    g = LieAlgebra(Cg, basis.g_names)
-    h = LieAlgebra(Ch, basis.h_names)
-    return MatchedPair(g, h, rho, sigma)
+    residual = np.abs(B @ coeffs - targets).max(axis=0)
+    tol = 1e-10 * (1.0 + np.abs(comms).max(axis=(1, 2))) * tolerance_scale()
+    if np.any(residual > tol):
+        raise EmbeddingError(f"commutator leaves the span of the basis "
+                             f"(residual {residual[residual > tol][0]:.3e})")
+    C = np.zeros((d, d, d))
+    C[:, I, J], C[:, J, I] = coeffs, -coeffs
+    return pair_from_double(C, n, basis.g_names, basis.h_names)
 
 
 # -- built-in pairs and closed forms ------------------------------------------

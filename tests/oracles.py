@@ -2,8 +2,9 @@
 
 Everything here is deliberately written with explicit loops and closed
 formulas so it shares no code path with the package: brute-force Jacobi
-residuals, commutator projections through a pseudo-inverse, and the
-classical semidirect-product Lie-Poisson equations.
+residuals, the five-term compatibility conditions, commutator projections
+through a pseudo-inverse, and the classical semidirect-product Lie-Poisson
+equations.
 """
 
 import numpy as np
@@ -33,6 +34,32 @@ def brute_jacobi_defect(C):
                 )
                 worst = max(worst, float(np.abs(total).max()))
     return worst
+
+
+def condition_tensors(Cg, Ch, rho, sigma):
+    """The two matched-pair compatibility conditions, term by term from the
+    actions, without forming the double."""
+    # condition 1, indexed [value in g, a, i, j]:
+    #   f_a|>[e_i,e_j] - [f_a|>e_i, e_j] - [e_i, f_a|>e_j]
+    #   - (f_a<|e_i)|>e_j + (f_a<|e_j)|>e_i
+    d1 = (
+        np.einsum("mak,kij->maij", rho, Cg)
+        - np.einsum("mkj,kai->maij", Cg, rho)
+        - np.einsum("mik,kaj->maij", Cg, rho)
+        - np.einsum("mbj,bai->maij", rho, sigma)
+        + np.einsum("mbi,baj->maij", rho, sigma)
+    )
+    # condition 2, indexed [value in h, a, b, i]:
+    #   [f_a,f_b]<|e_i - [f_a, f_b<|e_i] - [f_a<|e_i, f_b]
+    #   - f_a<|(f_b|>e_i) + f_b<|(f_a|>e_i)
+    d2 = (
+        np.einsum("cdi,dab->cabi", sigma, Ch)
+        - np.einsum("cad,dbi->cabi", Ch, sigma)
+        - np.einsum("cdb,dai->cabi", Ch, sigma)
+        - np.einsum("cak,kbi->cabi", sigma, rho)
+        + np.einsum("cbk,kai->cabi", sigma, rho)
+    )
+    return d1, d2
 
 
 def commutator_projection(g_mats, h_mats):

@@ -7,7 +7,7 @@ import pytest
 
 from mpmech import dynamics
 from mpmech.dynamics import FINITE_BLOCK, HamiltonianSpec, integrate
-from mpmech.errors import IntegrationError
+from mpmech.errors import InputError, IntegrationError
 from mpmech.matched_pair import build_double
 
 from oracles import lie_poisson_field, rk4_step
@@ -68,10 +68,19 @@ class TestBlowUpTimes:
         assert err.value.last_good_time == 364.0
         assert FINITE_BLOCK < 365 < 2 * FINITE_BLOCK
 
-    def test_blackbox_rejecting_the_blown_up_state(self, sl2c_derived):
-        # the stage after the blow-up evaluates the black box at an infinite
-        # state, which gradient() rejects; the blow-up is still what is reported
+    @pytest.mark.parametrize("convention", ["right", "left"])
+    def test_blackbox_rejecting_the_blown_up_state(self, sl2c_derived, convention):
+        # gradient() rejects an infinite state: in the right convention row 365
+        # overflows and the next step's first stage reads it; in the left one a
+        # stage input of step 365 overflows before the row does.  The blow-up
+        # is what is reported either way.
         spec = HamiltonianSpec.blackbox(lambda z: 2.0 * z[5], 6)
         with pytest.raises(IntegrationError, match=r"^state became non-finite at t=365$") as err:
-            integrate(build_double(sl2c_derived), spec, P0, 1.0, 1000.0)
+            integrate(build_double(sl2c_derived), spec, P0, 1.0, 1000.0, convention)
         assert err.value.last_good_time == 364.0
+
+    @pytest.mark.parametrize("convention", ["right", "left"])
+    def test_blackbox_non_finite_at_the_initial_state(self, sl2c_derived, convention):
+        spec = HamiltonianSpec.blackbox(lambda z: float("inf") if z[1] == 0.0 else float(z @ z), 6)
+        with pytest.raises(InputError, match="^Hamiltonian is non-finite near component 0$"):
+            integrate(build_double(sl2c_derived), spec, P0, 1.0, 1000.0, convention)

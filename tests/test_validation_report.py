@@ -109,10 +109,8 @@ class TestReport:
     def test_check_computes_each_defect_once(self, monkeypatch, tmp_path, pairs):
         path = write_json(tmp_path, "pair.json", formats.pair_to_dict(pairs["sl2c_derived"]))
         jacobi = count_calls(monkeypatch, lie_core, "_jacobiator")
-        compat = count_calls(monkeypatch, matched_pair, "_condition_tensors")
         assert main(["check", path]) == 0
-        assert len(jacobi) == 3   # g, h and the double
-        assert len(compat) == 1
+        assert len(jacobi) == 3   # g, h and the double, whose blocks are the conditions
 
     def test_validate_reuses_validated_algebras(self, monkeypatch, sl2c_derived):
         g, h = sl2c_derived.g, sl2c_derived.h
