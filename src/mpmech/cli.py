@@ -8,7 +8,8 @@ derived one), ``derive`` (tensor document from a matrix basis), ``factor``
 
 Exit codes: 0 success, 1 validation or run failure, 2 malformed input, which
 covers unreadable, non-UTF-8 or too deeply nested input files, output paths
-that cannot be written and simulate grids over 2**23 (``MAX_STEPS``) steps.
+that cannot be written, simulate grids over 2**23 (``MAX_STEPS``) steps, and
+audits of over 2**20 (``AUDIT_MAX_SAMPLES``) samples or with a negative seed.
 The environment variable MPM_TOLERANCE_SCALE multiplies every validation
 tolerance (default 1).  ``main`` may be called repeatedly in one process;
 every call reuses one parser, built on the first.

@@ -225,9 +225,9 @@ def _run_rk4(stage, y0: np.ndarray, dt: float, steps: int) -> np.ndarray:
                     half(y + k0, k1)
                     full(y + k1, k2)
                     half(y + k2, k3)
-                    y = states[s] = y + np.dot(w, K)
+                    y = states[s] = y + w.dot(K)
             except InputError:  # a black box may reject a state that has blown up:
-                states[s] = y + np.dot(w, K)  # non-finite if a stage of step s did
+                states[s] = y + w.dot(K)  # non-finite if a stage of step s did
                 scan(a, s + 1)
                 raise
             scan(a, s + 1)
@@ -265,7 +265,9 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
     elsewhere; the stage of step ``h`` is ``(y @ Gf).reshape(D, D) @ y``, with
     ``Gf = (h G).reshape(D, D*D)`` and last component 0.  A black box takes
     ``(z @ Cf).reshape(d, d) @ gradient(spec, z)``, ``Cf = (h sign C).reshape(d, d*d)``.
-    "H" is the Hamiltonian; see :data:`InvariantMap`.
+    Each stage is two ``ndarray.dot`` calls, into this run's matrix buffer and
+    the stage row: ``np.dot`` or ``@`` would add a Python dispatch frame, a
+    reshape and a temporary.  "H" is the Hamiltonian; see :data:`InvariantMap`.
     """
     _require_validated(double)
     sign = convention_sign(convention)
@@ -276,20 +278,22 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
         )
     steps, times = _grid(dt, t_end)
     d = double.dim
+    D = d + 1 if spec.is_quadratic else d
     C = sign * double.algebra.C
+    M = np.empty((D, D))  # per run, as a black box may itself call integrate
+    P = M.reshape(-1)  # flat view: the first dot of a stage writes M through it
     if spec.is_quadratic:
-        D = d + 1
         G = np.zeros((D, D, D))
         G[:d, :d, :d], G[:d, :d, d] = C @ spec.Q, C @ spec.b
 
-        def stage(h):  # np.dot: less call overhead than @ here
+        def stage(h):
             Gf = (h * G).reshape(D, D * D)
-            return lambda y, out: np.dot(np.dot(y, Gf).reshape(D, D), y, out=out)
+            return lambda y, out: (y.dot(Gf, P), M.dot(y, out))
         states = _run_rk4(stage, np.append(z0, 1.0), dt, steps)[:, :d]
     else:
         def stage(h):
             Cf = (h * C).reshape(d, d * d)
-            return lambda z, out: np.dot(np.dot(z, Cf).reshape(d, d), gradient(spec, z), out=out)
+            return lambda z, out: (z.dot(Cf, P), M.dot(gradient(spec, z), out))
         states = _run_rk4(stage, z0, dt, steps)
     series, drift = _monitor(states, double.split, spec, invariants)
     return TrajectoryRecord(times, states, double.split, series, drift)

@@ -119,6 +119,10 @@ def dump_pair_document(mp: MatchedPair, path: str) -> None:
 
 # -- 2x2 complex matrices ------------------------------------------------------
 
+def _number(value) -> bool:  # JSON true/false load as bool, an int subclass
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def matrix_from_json(entries) -> np.ndarray:
     """Parse a 2x2 complex matrix; entries are [re, im] pairs or plain reals."""
     arr = np.asarray(entries, dtype=object)
@@ -128,10 +132,9 @@ def matrix_from_json(entries) -> np.ndarray:
     for i in range(2):
         for j in range(2):
             cell = entries[i][j]
-            if isinstance(cell, (int, float)):
+            if _number(cell):
                 out[i, j] = float(cell)
-            elif (isinstance(cell, (list, tuple)) and len(cell) == 2
-                  and isinstance(cell[0], (int, float)) and isinstance(cell[1], (int, float))):
+            elif isinstance(cell, (list, tuple)) and len(cell) == 2 and all(map(_number, cell)):
                 out[i, j] = float(cell[0]) + 1j * float(cell[1])
             else:
                 raise InputError(f"matrix entry {cell!r} is not a number or [re, im]")

@@ -168,3 +168,38 @@ def rk4_step(field, z, dt):
     k3 = field(z + 0.5 * dt * k2)
     k4 = field(z + dt * k3)
     return z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def dispatched_rk4(T, y0, dt, steps, vector=lambda y: y):
+    """RK4 rows of ``y_dot = (y @ T.reshape(D, D*D)).reshape(D, D) @ vector(y)``
+    with the stage and sum formulas that ``integrate`` used before its
+    buffered ``ndarray.dot`` stages: ``np.dot`` through numpy's dispatcher, a
+    reshape per stage, stage tensors prescaled by the step, and
+    ``y + np.dot(w, K)`` with ``w = (1, 2, 1, 1) / 3``."""
+    D = y0.size
+    states = np.empty((steps + 1, D))
+    states[0] = y = y0
+    K = np.zeros((4, D))
+
+    def stage(h):
+        Tf = (h * T).reshape(D, D * D)
+        return lambda y, out: np.dot(np.dot(y, Tf).reshape(D, D), vector(y), out=out)
+
+    half, full = stage(0.5 * dt), stage(dt)
+    w = np.array([1.0, 2.0, 1.0, 1.0]) / 3.0
+    for s in range(1, steps + 1):
+        half(y, K[0])
+        half(y + K[0], K[1])
+        full(y + K[1], K[2])
+        half(y + K[2], K[3])
+        y = states[s] = y + np.dot(w, K)
+    return states
+
+
+def homogeneous_tensor(C, sign, Q, b):
+    """``G`` on ``y = (z, 1)``: ``G[k, i, :d] = sign (C Q)[k, i]``,
+    ``G[k, i, d] = sign (C b)[k, i]``, 0 elsewhere."""
+    d = C.shape[0]
+    G = np.zeros((d + 1, d + 1, d + 1))
+    G[:d, :d, :d], G[:d, :d, d] = sign * C @ Q, sign * C @ b
+    return G

@@ -1,6 +1,7 @@
 """The RK4 loop behind ``integrate``: four field stages per step, rows that
-are textbook RK4 steps across the finiteness-scan blocks, and blow-ups
-reported at the step where the state first became non-finite."""
+are textbook RK4 steps across the finiteness-scan blocks, rows bitwise equal
+to the dispatched ``np.dot`` stages, buffers that belong to one run, and
+blow-ups reported at the step where the state first became non-finite."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from mpmech.dynamics import FINITE_BLOCK, HamiltonianSpec, integrate
 from mpmech.errors import InputError, IntegrationError
 from mpmech.matched_pair import build_double
 
-from oracles import lie_poisson_field, rk4_step
+from oracles import dispatched_rk4, homogeneous_tensor, lie_poisson_field, rk4_step
 
 P0 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
@@ -48,6 +49,59 @@ class TestStages:
         for prev, row in zip(rec.states[:-1], rec.states[1:]):
             ref = rk4_step(field, prev, 0.03)
             assert np.abs(ref - row).max() <= 1e-12 * (1.0 + np.abs(row).max())
+
+
+
+def random_quadratic(rng):
+    A = rng.standard_normal((6, 6))
+    return A @ A.T / 6.0, 0.1 * rng.standard_normal(6)
+
+
+Z0 = np.array([0.6, -0.3, 0.5, 0.2, 0.4, -0.3])
+SIGNS = {"right": 1.0, "left": -1.0}
+
+
+class TestBufferedStages:
+    # 600 steps of dt 0.03 cross two FINITE_BLOCK boundaries; the buffered
+    # ndarray.dot stages run the same BLAS calls on the same operands as the
+    # dispatched np.dot ones, so every row must be bitwise equal
+    @pytest.mark.parametrize("convention", ["right", "left"])
+    def test_quadratic_rows_equal_dispatched_stages(self, sl2c_derived, rng, convention):
+        Q, b = random_quadratic(rng)
+        double = build_double(sl2c_derived)
+        rec = integrate(double, HamiltonianSpec.quadratic(Q, b), Z0, 0.03, 18.0, convention)
+        G = homogeneous_tensor(double.algebra.C, SIGNS[convention], Q, b)
+        ref = dispatched_rk4(G, np.append(Z0, 1.0), 0.03, 600)[:, :6]
+        assert 600 > 2 * FINITE_BLOCK and rec.states.shape == (601, 6)
+        assert np.array_equal(rec.states, ref)
+
+    @pytest.mark.parametrize("convention", ["right", "left"])
+    def test_blackbox_rows_equal_dispatched_stages(self, sl2c_derived, rng, convention):
+        Q, b = random_quadratic(rng)
+        spec = HamiltonianSpec.blackbox(lambda z: 0.5 * z @ Q @ z + b @ z + 0.1 * np.cos(z[0]), 6)
+        double = build_double(sl2c_derived)
+        rec = integrate(double, spec, Z0, 0.03, 18.0, convention)
+        ref = dispatched_rk4(SIGNS[convention] * double.algebra.C, Z0, 0.03, 600,
+                             lambda z: dynamics.gradient(spec, z))
+        assert np.array_equal(rec.states, ref)
+
+    def test_blackbox_that_integrates(self, sl2c_derived, rng):
+        # each stage writes M(z) before it evaluates the gradient, so an inner
+        # run that shared the outer run's buffer would overwrite M(z) first
+        Q, b = random_quadratic(rng)
+        double = build_double(sl2c_derived)
+        inner = HamiltonianSpec.blackbox(lambda z: float(z @ z), 6)
+
+        def plain(z):
+            return 0.5 * z @ Q @ z + b @ z
+
+        def nested(z):
+            integrate(double, inner, -2.0 * z, 0.1, 0.1)
+            return plain(z)
+
+        rows = [integrate(double, HamiltonianSpec.blackbox(f, 6), Z0, 0.03, 0.3).states
+                for f in (plain, nested)]
+        assert np.array_equal(*rows)
 
 
 class TestBlowUpTimes:

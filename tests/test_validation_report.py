@@ -20,6 +20,7 @@ from mpmech.dynamics import _grid
 from mpmech.errors import InputError, ValidationError
 from mpmech.lie_core import Check, LieAlgebra, ad_star, defect_bound
 from mpmech.matched_pair import (
+    AUDIT_MAX_SAMPLES,
     ClosedFormActions,
     MatchedPair,
     a_star,
@@ -183,6 +184,32 @@ class TestInputContract:
         assert main(["audit", "sl2c", "--samples", samples]) == 2
         with pytest.raises(InputError):
             audit_formulas(pairs["sl2c_derived"], pairs["sl2c_derived"], samples=int(samples))
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--samples", "100000000000"],
+                                       ["--samples", str(AUDIT_MAX_SAMPLES + 1)]])
+    def test_audit_rejects_before_allocating(self, flags, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the audit drew samples")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert main(["audit", "sl2c", *flags]) == 2
+        assert capsys.readouterr().err.startswith("input error: the audit ")
+
+    def test_audit_seed_and_sample_cap_through_the_api(self, pairs):
+        de = pairs["sl2c_derived"]
+        with pytest.raises(InputError, match="seed must be non-negative"):
+            audit_formulas(de, de, samples=1, seed=-1)
+        with pytest.raises(InputError, match=f"1 to {AUDIT_MAX_SAMPLES} samples"):
+            audit_formulas(de, de, samples=AUDIT_MAX_SAMPLES + 1)
+        assert audit_formulas(de, de, samples=1, seed=2 ** 64).samples == 1
+
+    @pytest.mark.parametrize("matrix", [[[True, 0], [0, 1]], [[1, 0], [0, False]],
+                                        [[[1.0, False], 0], [0, 1]]])
+    def test_factor_rejects_boolean_entries(self, tmp_path, capsys, matrix):
+        with pytest.raises(InputError, match="is not a number"):
+            formats.matrix_from_json(matrix)
+        assert main(["factor", write_json(tmp_path, "m.json", matrix)]) == 2
+        assert capsys.readouterr().err.startswith("input error: matrix entry ")
 
     def test_boolean_dimension_rejected(self, tmp_path):
         alg = {"dim": True, "C": [[[0.0]]]}
@@ -413,7 +440,30 @@ initial_states = st.one_of(
 )
 
 
+# --samples and --seed cells for the audit fuzz: every drawn count is at most
+# 12 or rejected before the samples are drawn (see
+# test_drawn_audit_samples_are_small_or_rejected).
+AUDIT_SAMPLES = [-10 ** 11, AUDIT_MAX_SAMPLES + 1, 10 ** 11, 2 ** 64, "abc", "1e3", "", "-0"]
+AUDIT_SEEDS = [-2 ** 63, -1, 2 ** 64, 10 ** 30, "x", "1.5", ""]
+
+
 class TestExitContract:
+    def test_drawn_audit_samples_are_small_or_rejected(self, pairs):
+        de = pairs["sl2c_derived"]
+        for samples in AUDIT_SAMPLES:
+            if isinstance(samples, int) and samples > 12:
+                with pytest.raises(InputError):
+                    audit_formulas(de, de, samples=samples)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(samples=st.one_of(st.integers(-5, 12), st.sampled_from(AUDIT_SAMPLES)),
+           seed=st.one_of(st.integers(-3, 3), st.sampled_from(AUDIT_SEEDS)))
+    def test_audit_samples_and_seeds(self, samples, seed):
+        rc = run_main(["audit", "sl2c", "--samples", str(samples), "--seed", str(seed)])[0]
+        valid = (isinstance(samples, int) and 1 <= samples <= 12
+                 and isinstance(seed, int) and seed >= 0)
+        assert rc == (0 if valid else 2)
+
     def test_drawn_grids_are_small_or_rejected(self):
         for dt, t_end in itertools.product(GRID_VALUES, repeat=2):
             try:
