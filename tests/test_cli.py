@@ -41,6 +41,15 @@ class TestCheck:
     def test_missing_file_is_input_error(self):
         assert main(["check", "/no/such/file.json"]) == 2
 
+    @pytest.mark.parametrize("names", [[1, 2, 3], [["e1"], ["e2"], ["e3"]], "e1e2e3", 5])
+    def test_names_must_be_strings(self, tmp_path, capsys, names):
+        doc = formats.pair_to_dict(builtin_pairs()["sl2c_derived"])
+        doc["g"]["names"] = names
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        assert "input error:" in capsys.readouterr().err
+
     def test_tolerance_scale_env(self, monkeypatch):
         monkeypatch.setenv("MPM_TOLERANCE_SCALE", "1e12")
         assert main(["check", "sl2c_printed"]) == 0
@@ -190,6 +199,19 @@ class TestDeriveAndFactor:
         out = tmp_path / "derived.json"
         assert main(["derive", "--basis", str(basis_path), "--out", str(out)]) == 0
         assert main(["check", str(out)]) == 0
+
+    @pytest.mark.parametrize("change", [{"g": 5}, {"h": {"a": 1}}, {"g_names": 5},
+                                        {"h_names": [[1], {}, None]}, {"g_names": [1, 2, 3]}])
+    def test_malformed_basis_file_is_input_error(self, tmp_path, capsys, change):
+        from mpmech.sl2c import k_basis, su2_basis
+        basis_doc = {"g": [formats.matrix_to_json(M) for M in su2_basis()],
+                     "h": [formats.matrix_to_json(M) for M in k_basis()], **change}
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps(basis_doc))
+        out = tmp_path / "derived.json"
+        assert main(["derive", "--basis", str(basis_path), "--out", str(out)]) == 2
+        assert "input error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_factor_identity(self, tmp_path, capsys):
         path = tmp_path / "m.json"
