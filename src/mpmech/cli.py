@@ -53,31 +53,34 @@ def load_pair(name_or_path: str) -> MatchedPair:
     return formats.load_pair_document(name_or_path)
 
 
+def _heavy_top(n: int, m: int) -> HamiltonianSpec:
+    if m < 3:
+        raise InputError("heavy_top needs an h factor of dimension >= 3")
+    return HamiltonianSpec.quadratic(np.diag(np.repeat([1.0, 0.0], (n, m))), np.eye(n + m)[n + 2])
+
+
+def _rigid_body_123(n: int, m: int) -> HamiltonianSpec:
+    if n != 3:
+        raise InputError("rigid_body_123 needs a g factor of dimension 3")
+    return HamiltonianSpec.quadratic(np.diag([1.0, 0.5, 1.0 / 3.0] + [0.0] * m))
+
+
+BUILTIN_HAMILTONIANS = {  # name -> (dim g, dim h) -> quadratic spec
+    "quadratic_identity": lambda n, m: HamiltonianSpec.quadratic(np.eye(n + m)),
+    "heavy_top": _heavy_top,
+    "rigid_body_123": _rigid_body_123,
+}
+
+
 def builtin_hamiltonian(name: str, n: int, m: int) -> HamiltonianSpec:
-    if name == "quadratic_identity":
-        return HamiltonianSpec.quadratic(np.eye(n + m))
-    if name == "heavy_top":
-        if m < 3:
-            raise InputError("heavy_top needs an h factor of dimension >= 3")
-        Q = np.zeros((n + m, n + m))
-        Q[:n, :n] = np.eye(n)
-        b = np.zeros(n + m)
-        b[n + 2] = 1.0
-        return HamiltonianSpec.quadratic(Q, b)
-    if name == "rigid_body_123":
-        if n != 3:
-            raise InputError("rigid_body_123 needs a g factor of dimension 3")
-        Q = np.zeros((n + m, n + m))
-        Q[:n, :n] = np.diag([1.0, 0.5, 1.0 / 3.0])
-        return HamiltonianSpec.quadratic(Q)
-    raise InputError(
-        f"unknown Hamiltonian {name!r}; built-ins are quadratic_identity, "
-        f"heavy_top, rigid_body_123"
-    )
+    if name not in BUILTIN_HAMILTONIANS:
+        raise InputError(f"unknown Hamiltonian {name!r}; built-ins are "
+                         f"{', '.join(BUILTIN_HAMILTONIANS)}")
+    return BUILTIN_HAMILTONIANS[name](n, m)
 
 
 def load_hamiltonian(name_or_path: str, n: int, m: int) -> HamiltonianSpec:
-    if name_or_path in ("quadratic_identity", "heavy_top", "rigid_body_123"):
+    if name_or_path in BUILTIN_HAMILTONIANS:
         return builtin_hamiltonian(name_or_path, n, m)
     doc = formats.read_json(name_or_path, "Hamiltonian")
     if not isinstance(doc, dict) or "Q" not in doc:

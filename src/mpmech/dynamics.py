@@ -145,7 +145,7 @@ def legendre(lagrangian: LagrangianSpec) -> HamiltonianSpec:
     inv_h = np.linalg.inv(lagrangian.metric_h)
     n, m = inv_g.shape[0], inv_h.shape[0]
     Q = np.zeros((n + m, n + m))
-    Q[:n, :n] = 0.5 * inv_g + 0.5 * inv_g.T
+    Q[:n, :n] = 0.5 * inv_g + 0.5 * inv_g.T  # inv(M) can fail quadratic()'s symmetry test
     Q[n:, n:] = 0.5 * inv_h + 0.5 * inv_h.T
     return HamiltonianSpec.quadratic(Q)
 

@@ -182,11 +182,19 @@ def bracket(alg: LieAlgebra, x, y) -> np.ndarray:
                   - np.einsum("kij,i,j->k", alg.C, y, x))
 
 
+def coadjoint(C: np.ndarray, z, x) -> np.ndarray:
+    """``ad*_x z = sum_kj C[k, i, j] z_k x_j`` over any leading axes; at
+    ``x = grad H(z)`` it is the right Lie-Poisson field ``M(z) grad H``.
+    :func:`ad_star`, :func:`lie_poisson_rhs`, ``matched_lp_rhs``,
+    ``euler_poincare_rhs`` and the audit's fields are views of it."""
+    return np.einsum("kij,...k,...j->...i", C, z, x)
+
+
 def ad_star(alg: LieAlgebra, xi, mu) -> np.ndarray:
-    """Infinitesimal coadjoint action: <ad*_xi mu, z> = -<mu, [xi, z]>."""
-    xi = _as_vector(xi, alg.dim, "algebra vector")
-    mu = _as_vector(mu, alg.dim, "dual vector")
-    return -np.einsum("kij,i,k->j", alg.C, xi, mu)
+    """Infinitesimal coadjoint action <ad*_xi mu, z> = -<mu, [xi, z]>, as
+    :func:`coadjoint` on ``alg``."""
+    xi, mu = _as_vector(xi, alg.dim, "algebra vector"), _as_vector(mu, alg.dim, "dual vector")
+    return coadjoint(alg.C, mu, xi)
 
 
 def _jacobiator(C: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ from .lie_core import (
     Check,
     LieAlgebra,
     _as_vector,
+    coadjoint,
     convention_sign,
     defect_bound,
     lie_poisson_bracket,
@@ -126,10 +127,6 @@ class DualPoint:
     def concat(self) -> np.ndarray:
         return np.concatenate([self.mu, self.nu])
 
-    @classmethod
-    def from_concat(cls, z, split: tuple[int, int]) -> "DualPoint":
-        return cls(*_as_pair(np.asarray(z, dtype=float), split, "state"))
-
 
 def as_dual_point(p, split: tuple[int, int]) -> DualPoint:
     """Coerce a DualPoint, a (mu, nu) pair, or a flat vector."""
@@ -139,9 +136,9 @@ def as_dual_point(p, split: tuple[int, int]) -> DualPoint:
 
 
 def _as_pair(x, split: tuple[int, int], what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Split a (g part, h part) pair or a flat vector, checking both shapes."""
+    """Split a flat vector, or a (g part, h part) pair with a non-scalar part, checking shapes."""
     n, m = split
-    if isinstance(x, (tuple, list)) and len(x) == 2:
+    if isinstance(x, (tuple, list)) and len(x) == 2 and any(np.ndim(e) for e in x):
         return (_as_vector(x[0], n, f"{what} (g part)"),
                 _as_vector(x[1], m, f"{what} (h part)"))
     flat = np.asarray(x, dtype=float)
@@ -151,47 +148,49 @@ def _as_pair(x, split: tuple[int, int], what: str) -> tuple[np.ndarray, np.ndarr
 
 
 # -- mutual actions and their duals -----------------------------------------
+# Every argument is one vector or a stack of rows; a wrong last dimension is DimensionMismatch.
+
+def _as_rows(v, dim: int, what: str) -> np.ndarray:
+    arr = np.asarray(v, dtype=float)
+    if arr.shape[-1:] != (dim,):
+        raise DimensionMismatch(f"{what} has shape {arr.shape}, expected (..., {dim})")
+    return arr
+
 
 def left_act(mp: MatchedPair, eta, xi) -> np.ndarray:
     """Left action of h on g: eta |> xi."""
-    eta = _as_vector(eta, mp.h.dim, "h vector")
-    xi = _as_vector(xi, mp.g.dim, "g vector")
-    return np.einsum("kai,a,i->k", mp.rho, eta, xi)
+    eta, xi = _as_rows(eta, mp.h.dim, "h vector"), _as_rows(xi, mp.g.dim, "g vector")
+    return np.einsum("kai,...a,...i->...k", mp.rho, eta, xi)
 
 
 def right_act(mp: MatchedPair, eta, xi) -> np.ndarray:
     """Right action of g on h: eta <| xi."""
-    eta = _as_vector(eta, mp.h.dim, "h vector")
-    xi = _as_vector(xi, mp.g.dim, "g vector")
-    return np.einsum("bai,a,i->b", mp.sigma, eta, xi)
+    eta, xi = _as_rows(eta, mp.h.dim, "h vector"), _as_rows(xi, mp.g.dim, "g vector")
+    return np.einsum("bai,...a,...i->...b", mp.sigma, eta, xi)
 
 
 def co_left_act(mp: MatchedPair, mu, eta) -> np.ndarray:
     """Right action of h on g*, transpose of |>: <mu *<| eta, xi> = <mu, eta |> xi>."""
-    mu = _as_vector(mu, mp.g.dim, "g* vector")
-    eta = _as_vector(eta, mp.h.dim, "h vector")
-    return np.einsum("kai,a,k->i", mp.rho, eta, mu)
+    mu, eta = _as_rows(mu, mp.g.dim, "g* vector"), _as_rows(eta, mp.h.dim, "h vector")
+    return np.einsum("kai,...a,...k->...i", mp.rho, eta, mu)
 
 
 def a_star(mp: MatchedPair, eta, nu) -> np.ndarray:
     """Dual of xi -> eta <| xi, valued in g*: <a*_eta nu, xi> = <nu, eta <| xi>."""
-    eta = _as_vector(eta, mp.h.dim, "h vector")
-    nu = _as_vector(nu, mp.h.dim, "h* vector")
-    return np.einsum("bai,a,b->i", mp.sigma, eta, nu)
+    eta, nu = _as_rows(eta, mp.h.dim, "h vector"), _as_rows(nu, mp.h.dim, "h* vector")
+    return np.einsum("bai,...a,...b->...i", mp.sigma, eta, nu)
 
 
 def co_right_act(mp: MatchedPair, xi, nu) -> np.ndarray:
     """Left action of g on h*, transpose of <|: <xi *|> nu, eta> = <nu, eta <| xi>."""
-    xi = _as_vector(xi, mp.g.dim, "g vector")
-    nu = _as_vector(nu, mp.h.dim, "h* vector")
-    return np.einsum("bai,i,b->a", mp.sigma, xi, nu)
+    xi, nu = _as_rows(xi, mp.g.dim, "g vector"), _as_rows(nu, mp.h.dim, "h* vector")
+    return np.einsum("bai,...i,...b->...a", mp.sigma, xi, nu)
 
 
 def b_star(mp: MatchedPair, xi, mu) -> np.ndarray:
     """Dual of eta -> eta |> xi, valued in h*: <b*_xi mu, eta> = <mu, eta |> xi>."""
-    xi = _as_vector(xi, mp.g.dim, "g vector")
-    mu = _as_vector(mu, mp.g.dim, "g* vector")
-    return np.einsum("kai,i,k->a", mp.rho, xi, mu)
+    xi, mu = _as_rows(xi, mp.g.dim, "g vector"), _as_rows(mu, mp.g.dim, "g* vector")
+    return np.einsum("kai,...i,...k->...a", mp.rho, xi, mu)
 
 
 # -- compatibility -----------------------------------------------------------
@@ -318,7 +317,8 @@ def _require_validated(double: DoubleAlgebra) -> None:
 
 
 def matched_lp_rhs(double: DoubleAlgebra, p, grad_h, convention: str = "right") -> DualPoint:
-    """Lie-Poisson vector field on the dual of the double.
+    """Lie-Poisson vector field on the dual of the double: the sign of the
+    convention times :func:`~mpmech.lie_core.coadjoint` on its constants.
 
     In the "right" convention ``p_dot = M(p) @ grad_h`` with M the Poisson
     tensor of :func:`cobracket_eval`, so ``dF/dt = {F, H}`` along the flow and
@@ -333,8 +333,7 @@ def matched_lp_rhs(double: DoubleAlgebra, p, grad_h, convention: str = "right") 
     _require_validated(double)
     p = as_dual_point(p, double.split)
     grad = np.concatenate(_as_pair(grad_h, double.split, "grad H"))
-    rhs = convention_sign(convention) * np.einsum(
-        "kij,k,j->i", double.algebra.C, p.concat(), grad)
+    rhs = convention_sign(convention) * coadjoint(double.algebra.C, p.concat(), grad)
     n, _ = double.split
     return DualPoint(rhs[:n], rhs[n:])
 
@@ -347,34 +346,26 @@ def matched_ad_star(double: DoubleAlgebra, x, p) -> DualPoint:
 def euler_poincare_rhs(mp: MatchedPair, state, lagrangian) -> tuple[DualPoint, tuple[np.ndarray, np.ndarray]]:
     """Euler-Poincare vector field for a quadratic Lagrangian.
 
-    ``state`` is the velocity pair (xi, eta); the momenta are mu = M_g xi,
-    nu = M_h eta and evolve by
+    ``state`` is the velocity pair (xi, eta); the momenta mu = M_g xi,
+    nu = M_h eta evolve by minus the double's :func:`~mpmech.lie_core.coadjoint`
+    at (mu, nu) with gradient (xi, eta), on validated pairs or not:
 
         mu_dot = -ad*_xi mu + mu *<| eta + a*_eta nu
         nu_dot = -ad*_eta nu - xi *|> nu - b*_xi mu.
 
-    The pairing identities make <mu_dot, xi> + <nu_dot, eta> vanish
-    identically, so the kinetic energy is conserved along the flow.  Returns
-    the momentum derivative and the (recovered) velocity pair.
+    Antisymmetry makes <mu_dot, xi> + <nu_dot, eta> vanish identically, so
+    the kinetic energy is conserved.  Returns the momentum derivative and the
+    (recovered) velocity pair.
     """
-    xi, eta = _as_pair(state, (mp.g.dim, mp.h.dim), "velocity state")
+    n, m = mp.g.dim, mp.h.dim
+    xi, eta = _as_pair(state, (n, m), "velocity state")
     metric_g = np.asarray(lagrangian.metric_g, dtype=float)
     metric_h = np.asarray(lagrangian.metric_h, dtype=float)
-    if metric_g.shape != (mp.g.dim, mp.g.dim) or metric_h.shape != (mp.h.dim, mp.h.dim):
+    if metric_g.shape != (n, n) or metric_h.shape != (m, m):
         raise DimensionMismatch("Lagrangian metric blocks do not match the pair")
-    mu = metric_g @ xi
-    nu = metric_h @ eta
-    mu_dot = (
-        -lie_core.ad_star(mp.g, xi, mu)
-        + co_left_act(mp, mu, eta)
-        + a_star(mp, eta, nu)
-    )
-    nu_dot = (
-        -lie_core.ad_star(mp.h, eta, nu)
-        - co_right_act(mp, xi, nu)
-        - b_star(mp, xi, mu)
-    )
-    return DualPoint(mu_dot, nu_dot), (xi, eta)
+    z = np.concatenate([metric_g @ xi, metric_h @ eta])
+    rhs = -coadjoint(build_double(mp).algebra.C, z, np.concatenate([xi, eta]))
+    return DualPoint(rhs[:n], rhs[n:]), (xi, eta)
 
 
 # -- formula audit ------------------------------------------------------------
@@ -468,11 +459,11 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
     vector field and the plus-sign variants of the coadjoint assembly
     against the canonical, energy-conserving one on ``mp_derived``.
 
-    Every row is evaluated on all samples at once, stacked one per row:
-    each map is one einsum, and each vector field one contraction
-    ``einsum("kij,sk,sj->si", C, Z, G)`` of a double's constants with the
-    points ``Z = (mu, nu)`` and gradients ``G = (x, y)``.  The plus-sign
-    field negates the block ``C[:, :n, n:]`` (the *<| and a* terms).
+    Every row is evaluated on all samples at once, stacked one per row: the
+    action and dual rows call the maps above, and each vector field is
+    :func:`~mpmech.lie_core.coadjoint` of a double's constants at the points
+    ``Z = (mu, nu)`` with gradients ``G = (x, y)``.  The plus-sign field
+    negates the block ``C[:, :n, n:]`` (the *<| and a* terms).
     """
     if (mp_derived.g.dim, mp_derived.h.dim) != (mp_printed.g.dim, mp_printed.h.dim):
         raise DimensionMismatch("audited pairs live on different algebras")
@@ -492,11 +483,9 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
         lines.append(AuditLine(name, deviation, status, witness))
 
     # primitive actions: printed tensors against derived tensors
-    add("action |>", np.einsum("kai,sa,si->sk", pr.rho, etas, xis),
-        np.einsum("kai,sa,si->sk", de.rho, etas, xis),
+    add("action |>", left_act(pr, etas, xis), left_act(de, etas, xis),
         _tensor_witness(pr.rho - de.rho, pr.h.name_of, pr.g.name_of))
-    add("action <|", np.einsum("bai,sa,si->sb", pr.sigma, etas, xis),
-        np.einsum("bai,sa,si->sb", de.sigma, etas, xis),
+    add("action <|", right_act(pr, etas, xis), right_act(de, etas, xis),
         _tensor_witness(pr.sigma - de.sigma, pr.h.name_of, pr.g.name_of))
     if lines[-1].status == "MISMATCH":
         defect = compat_defect(pr)
@@ -505,43 +494,34 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
 
     # dual maps: closed forms against their defining pairing identities
     cf = closed_forms or ClosedFormActions()
-    dual_rows = (
-        ("dual *<|", cf.co_left, mus, etas,
-         lambda mp: np.einsum("kai,sa,sk->si", mp.rho, etas, mus)),
-        ("dual *|>", cf.co_right, xis, nus,
-         lambda mp: np.einsum("bai,si,sb->sa", mp.sigma, xis, nus)),
-        ("dual a*", cf.a_star, etas, nus,
-         lambda mp: np.einsum("bai,sa,sb->si", mp.sigma, etas, nus)),
-        ("dual b*", cf.b_star, xis, mus,
-         lambda mp: np.einsum("kai,si,sk->sa", mp.rho, xis, mus)),
-    )
-    for name, closed, u, v, canonical in dual_rows:
-        add(name, closed(u, v) if closed is not None else canonical(de), canonical(pr))
+    dual_rows = (("dual *<|", cf.co_left, co_left_act, mus, etas),
+                 ("dual *|>", cf.co_right, co_right_act, xis, nus),
+                 ("dual a*", cf.a_star, a_star, etas, nus),
+                 ("dual b*", cf.b_star, b_star, xis, mus))
+    for name, closed, exact, u, v in dual_rows:
+        add(name, closed(u, v) if closed is not None else exact(de, u, v), exact(pr, u, v))
 
     # vector fields on the derived double
     Z = np.hstack([mus, nus])
     G = np.hstack([xis, etas])
 
-    def field(C):
-        return np.einsum("kij,sk,sj->si", C, Z, G)
-
     def energy_rate(F):  # <mu_dot, x> + <nu_dot, y>, one dot product per block and sample
         return F[:, None, :n] @ xis[:, :, None] + F[:, None, n:] @ etas[:, :, None]
 
     C = build_double(de).algebra.C
-    canonical = field(C)
+    canonical = coadjoint(C, Z, G)
     if cf.lp_rhs is not None:
         mu_dot, nu_dot = cf.lp_rhs(mus, nus, xis, etas)
         add("closed-form rhs (mu)", mu_dot, canonical[:, :n])
         add("closed-form rhs (nu)", nu_dot, canonical[:, n:])
     else:
-        add("canonical rhs (tensor sets)", field(build_double(pr).algebra.C), canonical)
+        add("canonical rhs (tensor sets)", coadjoint(build_double(pr).algebra.C, Z, G), canonical)
     add("canonical rhs energy rate", energy_rate(canonical), 0.0)
 
     if closed_forms is not None:
         C_plus = C.copy()
         C_plus[:, :n, n:] *= -1.0
-        plus = field(C_plus)
+        plus = coadjoint(C_plus, Z, G)
         add("plus-sign rhs vs canonical", plus, canonical)
         add("plus-sign rhs energy rate", energy_rate(plus), 0.0)
 

@@ -88,9 +88,6 @@ class KElement:
                              f"({self.a}, {self.b}, {self.c})")
 
 
-K_IDENTITY = KElement(0.0, 0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class SU2Element:
     """A 2x2 special unitary matrix."""
@@ -249,13 +246,8 @@ def derive_actions_from_embedding(basis: EmbeddedBasis) -> MatchedPair:
 def _printed_tensors() -> tuple[np.ndarray, np.ndarray]:
     # closed-form convention: Y |> X = Y x (X x k), Y <| X = X x Y
     eye = np.eye(3)
-    rho = np.zeros((3, 3, 3))
-    sigma = np.zeros((3, 3, 3))
-    for a in range(3):
-        for i in range(3):
-            rho[:, a, i] = np.cross(eye[a], np.cross(eye[i], KHAT))
-            sigma[:, a, i] = np.cross(eye[i], eye[a])
-    return rho, sigma
+    rho = np.cross(eye[:, None], np.cross(eye, KHAT)).transpose(2, 0, 1)  # [:, a, i]
+    return rho, _EPS.transpose(0, 2, 1)
 
 
 BUILTIN_PAIRS = ("sl2c_derived", "sl2c_printed", "e3_heavytop")
@@ -285,14 +277,9 @@ def _build_pairs(scale: float) -> tuple[MatchedPair, ...]:
     rho_p, sigma_p = _printed_tensors()
     printed = MatchedPair(su2_algebra(), k_algebra(), rho_p, sigma_p,
                           validate=False)
-    eye = np.eye(3)
-    sigma_e3 = np.zeros((3, 3, 3))
-    for a in range(3):
-        for i in range(3):
-            sigma_e3[:, a, i] = np.cross(eye[a], eye[i])
-    heavytop = MatchedPair(su2_algebra(),
-                           abelian(3, ("f1", "f2", "f3")),
-                           np.zeros((3, 3, 3)), sigma_e3)
+    # e(3): f_a <| e_i = f_a x e_i, the cross product's constants
+    heavytop = MatchedPair(su2_algebra(), abelian(3, ("f1", "f2", "f3")),
+                           np.zeros((3, 3, 3)), _EPS)
     return derived, printed, heavytop
 
 

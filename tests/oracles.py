@@ -203,3 +203,22 @@ def homogeneous_tensor(C, sign, Q, b):
     G = np.zeros((d + 1, d + 1, d + 1))
     G[:d, :d, :d], G[:d, :d, d] = sign * C @ Q, sign * C @ b
     return G
+
+
+def euler_poincare_five_term(Cg, Ch, rho, sigma, metric_g, metric_h, xi, eta):
+    """Euler-Poincare momentum rates of a quadratic Lagrangian, term by term
+    from the actions, without forming the double: with mu = M_g xi and
+    nu = M_h eta,
+
+        mu_dot = -ad*_xi mu + mu *<| eta + a*_eta nu
+        nu_dot = -ad*_eta nu - xi *|> nu - b*_xi mu,
+
+    where ``-ad*_x z = sum C[k, i, j] x_i z_k`` (indexed j)."""
+    mu, nu = metric_g @ xi, metric_h @ eta
+    mu_dot = (np.einsum("kij,i,k->j", Cg, xi, mu)
+              + np.einsum("kai,a,k->i", rho, eta, mu)
+              + np.einsum("bai,a,b->i", sigma, eta, nu))
+    nu_dot = (np.einsum("kij,i,k->j", Ch, eta, nu)
+              - np.einsum("bai,i,b->a", sigma, xi, nu)
+              - np.einsum("kai,i,k->a", rho, xi, mu))
+    return mu_dot, nu_dot
