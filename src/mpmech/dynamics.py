@@ -19,7 +19,7 @@ from .errors import (
     InputError,
     IntegrationError,
 )
-from .lie_core import convention_sign
+from .lie_core import convention_sign, float_array
 from .matched_pair import (
     DoubleAlgebra,
     MatchedPair,
@@ -37,7 +37,7 @@ MAX_STEPS = 2 ** 23  # longest grid: 64 MiB of float64 states per column, 448 Mi
 def _symmetrized(M, what: str, error: type[InputError]) -> np.ndarray:
     """Square float ``M`` made exactly symmetric and read-only; ``error`` unless
     symmetric to 1e-12 relative."""
-    M = np.array(M, dtype=float)
+    M = float_array(M, what)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"{what} must be square, got shape {M.shape}")
     half = 0.5 * M  # halves: no overflow for opposite entries near 1e308
@@ -69,7 +69,7 @@ class HamiltonianSpec:
         dim = Q.shape[0]
         if b is None:
             b = np.zeros(dim)
-        b = np.asarray(b, dtype=float)
+        b = float_array(b, "linear term")
         if b.shape != (dim,):
             raise DimensionMismatch(f"linear term has shape {b.shape}, expected ({dim},)")
         if not (np.isfinite(Q).all() and np.isfinite(b).all()):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import TrajectoryRecord
 from .errors import InputError
-from .lie_core import LieAlgebra
+from .lie_core import LieAlgebra, float_array
 from .matched_pair import MatchedPair
 
 
@@ -74,14 +74,6 @@ def basis_names(doc: dict, key: str, where: str) -> tuple[str, ...] | None:
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise InputError(f"{where}[{key!r}] must be a list of strings")
     return tuple(names)
-
-
-def float_array(value, what: str) -> np.ndarray:
-    """``value`` as a float array; ragged or non-numeric nesting is an InputError."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{what} is not a numeric array: {exc}") from exc
 
 
 def algebra_from_dict(doc: dict, where: str = "algebra") -> LieAlgebra:

@@ -74,8 +74,16 @@ def require(checks: Sequence[Check]) -> None:
             f"{c.name} {c.value:.3e} exceeds {c.bound:.3e} at {c.witness}" for c in failed))
 
 
+def float_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array; ragged or non-numeric nesting is an InputError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} is not a numeric array: {exc}") from exc
+
+
 def _as_vector(v, dim: int, what: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
+    arr = float_array(v, what)
     if arr.shape != (dim,):
         raise DimensionMismatch(
             f"{what} has shape {arr.shape}, expected ({dim},)"
@@ -97,7 +105,7 @@ class LieAlgebra:
 
     def __init__(self, constants, names: Sequence[str] | None = None, *,
                  validate: bool = True):
-        C = np.array(constants, dtype=float)
+        C = float_array(constants, "structure constants")
         if C.ndim != 3 or C.shape[0] != C.shape[1] or C.shape[0] != C.shape[2]:
             raise InputError(
                 f"structure constants must be a cubic rank-3 tensor, got shape {C.shape}"
@@ -186,8 +194,14 @@ def coadjoint(C: np.ndarray, z, x) -> np.ndarray:
     """``ad*_x z = sum_kj C[k, i, j] z_k x_j`` over any leading axes; at
     ``x = grad H(z)`` it is the right Lie-Poisson field ``M(z) grad H``.
     :func:`ad_star`, :func:`lie_poisson_rhs`, ``matched_lp_rhs``,
-    ``euler_poincare_rhs`` and the audit's fields are views of it."""
-    return np.einsum("kij,...k,...j->...i", C, z, x)
+    ``euler_poincare_rhs``, the audit's fields and the six action maps of
+    ``matched_pair`` are views of it.  Two steps, as in ``integrate``'s stage:
+    one matrix product ``M = z @ C.reshape(K, I*J)`` over all rows, then a
+    2-operand einsum of ``M`` with ``x`` row by row.  Not ``@``: BLAS fuses
+    multiply-adds, so ``ad*_mu mu`` on su(2) would not be exactly zero."""
+    K, I, J = C.shape
+    M = np.matmul(z, C.reshape(K, I * J))
+    return np.einsum("...ij,...j->...i", M.reshape(*M.shape[:-1], I, J), x)
 
 
 def ad_star(alg: LieAlgebra, xi, mu) -> np.ndarray:

@@ -39,12 +39,13 @@ from .lie_core import (
     coadjoint,
     convention_sign,
     defect_bound,
+    float_array,
     lie_poisson_bracket,
     require,
 )
 
 AUDIT_TOLERANCE = 1e-10
-AUDIT_MAX_SAMPLES = 2 ** 20  # peak RSS grows 0.47 KiB a sample (30 MiB at 2**16): 480 MiB here
+AUDIT_MAX_SAMPLES = 2 ** 20  # peak RSS +0.65 KiB a sample (+169 MiB at 2**18): 664 MiB here
 
 
 class MatchedPair:
@@ -58,8 +59,8 @@ class MatchedPair:
     def __init__(self, g: LieAlgebra, h: LieAlgebra, rho, sigma, *,
                  validate: bool = True):
         n, m = g.dim, h.dim
-        rho = np.array(rho, dtype=float)
-        sigma = np.array(sigma, dtype=float)
+        rho = np.array(float_array(rho, "rho"))
+        sigma = np.array(float_array(sigma, "sigma"))
         if rho.shape != (n, m, n):
             raise DimensionMismatch(
                 f"rho has shape {rho.shape}, expected {(n, m, n)}"
@@ -119,8 +120,8 @@ class DualPoint:
     nu: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-        object.__setattr__(self, "nu", np.asarray(self.nu, dtype=float))
+        object.__setattr__(self, "mu", float_array(self.mu, "dual point (g part)"))
+        object.__setattr__(self, "nu", float_array(self.nu, "dual point (h part)"))
         if self.mu.ndim != 1 or self.nu.ndim != 1:
             raise DimensionMismatch("dual point components must be vectors")
 
@@ -138,20 +139,20 @@ def as_dual_point(p, split: tuple[int, int]) -> DualPoint:
 def _as_pair(x, split: tuple[int, int], what: str) -> tuple[np.ndarray, np.ndarray]:
     """Split a flat vector, or a (g part, h part) pair with a non-scalar part, checking shapes."""
     n, m = split
-    if isinstance(x, (tuple, list)) and len(x) == 2 and any(np.ndim(e) for e in x):
-        return (_as_vector(x[0], n, f"{what} (g part)"),
-                _as_vector(x[1], m, f"{what} (h part)"))
-    flat = np.asarray(x, dtype=float)
-    if flat.shape != (n + m,):
-        raise DimensionMismatch(f"{what} has shape {flat.shape}, expected ({n + m},)")
+    if isinstance(x, (tuple, list)) and len(x) == 2:
+        g, h = (float_array(e, what) for e in x)
+        if g.ndim or h.ndim:
+            return _as_vector(g, n, f"{what} (g part)"), _as_vector(h, m, f"{what} (h part)")
+    flat = _as_vector(x, n + m, what)
     return flat[:n], flat[n:]
 
 
 # -- mutual actions and their duals -----------------------------------------
 # Every argument is one vector or a stack of rows; a wrong last dimension is DimensionMismatch.
+# Each is lie_core.coadjoint(T, z, x) = sum_kj T[k, i, j] z_k x_j, T a transpose of rho or sigma.
 
 def _as_rows(v, dim: int, what: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
+    arr = float_array(v, what)
     if arr.shape[-1:] != (dim,):
         raise DimensionMismatch(f"{what} has shape {arr.shape}, expected (..., {dim})")
     return arr
@@ -160,37 +161,37 @@ def _as_rows(v, dim: int, what: str) -> np.ndarray:
 def left_act(mp: MatchedPair, eta, xi) -> np.ndarray:
     """Left action of h on g: eta |> xi."""
     eta, xi = _as_rows(eta, mp.h.dim, "h vector"), _as_rows(xi, mp.g.dim, "g vector")
-    return np.einsum("kai,...a,...i->...k", mp.rho, eta, xi)
+    return coadjoint(mp.rho.transpose(1, 0, 2), eta, xi)
 
 
 def right_act(mp: MatchedPair, eta, xi) -> np.ndarray:
     """Right action of g on h: eta <| xi."""
     eta, xi = _as_rows(eta, mp.h.dim, "h vector"), _as_rows(xi, mp.g.dim, "g vector")
-    return np.einsum("bai,...a,...i->...b", mp.sigma, eta, xi)
+    return coadjoint(mp.sigma.transpose(1, 0, 2), eta, xi)
 
 
 def co_left_act(mp: MatchedPair, mu, eta) -> np.ndarray:
     """Right action of h on g*, transpose of |>: <mu *<| eta, xi> = <mu, eta |> xi>."""
     mu, eta = _as_rows(mu, mp.g.dim, "g* vector"), _as_rows(eta, mp.h.dim, "h vector")
-    return np.einsum("kai,...a,...k->...i", mp.rho, eta, mu)
+    return coadjoint(mp.rho.transpose(0, 2, 1), mu, eta)
 
 
 def a_star(mp: MatchedPair, eta, nu) -> np.ndarray:
     """Dual of xi -> eta <| xi, valued in g*: <a*_eta nu, xi> = <nu, eta <| xi>."""
     eta, nu = _as_rows(eta, mp.h.dim, "h vector"), _as_rows(nu, mp.h.dim, "h* vector")
-    return np.einsum("bai,...a,...b->...i", mp.sigma, eta, nu)
+    return coadjoint(mp.sigma.transpose(0, 2, 1), nu, eta)
 
 
 def co_right_act(mp: MatchedPair, xi, nu) -> np.ndarray:
     """Left action of g on h*, transpose of <|: <xi *|> nu, eta> = <nu, eta <| xi>."""
     xi, nu = _as_rows(xi, mp.g.dim, "g vector"), _as_rows(nu, mp.h.dim, "h* vector")
-    return np.einsum("bai,...i,...b->...a", mp.sigma, xi, nu)
+    return coadjoint(mp.sigma, nu, xi)
 
 
 def b_star(mp: MatchedPair, xi, mu) -> np.ndarray:
     """Dual of eta -> eta |> xi, valued in h*: <b*_xi mu, eta> = <mu, eta |> xi>."""
     xi, mu = _as_rows(xi, mp.g.dim, "g vector"), _as_rows(mu, mp.g.dim, "g* vector")
-    return np.einsum("kai,...i,...k->...a", mp.rho, xi, mu)
+    return coadjoint(mp.rho, mu, xi)
 
 
 # -- compatibility -----------------------------------------------------------
@@ -274,7 +275,7 @@ def pair_from_double(C, n: int, g_names: Sequence[str] | None,
     """The inverse of :func:`build_double`: the validated pair of a double with
     constants ``C`` and g on the first ``n`` indices.  EmbeddingError unless each
     [e_i, e_j] is in g and each [f_a, f_b] in h, to 1e-10 (1 + its max coefficient)."""
-    C = np.asarray(C, dtype=float)
+    C = float_array(C, "double constants")
     tol = 1e-10 * lie_core.tolerance_scale()
     for name, block, other in (("g", C[:, :n, :n], slice(n, None)),
                                ("h", C[:, n:, n:], slice(None, n))):
@@ -462,8 +463,9 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
     Every row is evaluated on all samples at once, stacked one per row: the
     action and dual rows call the maps above, and each vector field is
     :func:`~mpmech.lie_core.coadjoint` of a double's constants at the points
-    ``Z = (mu, nu)`` with gradients ``G = (x, y)``.  The plus-sign field
-    negates the block ``C[:, :n, n:]`` (the *<| and a* terms).
+    ``Z = (mu, nu)`` with gradients ``G = (x, y)``, so each row is one matrix
+    product over the samples and one row-wise contraction.  The plus-sign
+    field negates the block ``C[:, :n, n:]`` (the *<| and a* terms).
     """
     if (mp_derived.g.dim, mp_derived.h.dim) != (mp_printed.g.dim, mp_printed.h.dim):
         raise DimensionMismatch("audited pairs live on different algebras")
@@ -505,8 +507,8 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
     Z = np.hstack([mus, nus])
     G = np.hstack([xis, etas])
 
-    def energy_rate(F):  # <mu_dot, x> + <nu_dot, y>, one dot product per block and sample
-        return F[:, None, :n] @ xis[:, :, None] + F[:, None, n:] @ etas[:, :, None]
+    def energy_rate(F):  # <mu_dot, x> + <nu_dot, y>, one row-wise dot
+        return np.einsum("si,si->s", F, G)
 
     C = build_double(de).algebra.C
     canonical = coadjoint(C, Z, G)

@@ -283,6 +283,11 @@ def _build_pairs(scale: float) -> tuple[MatchedPair, ...]:
     return derived, printed, heavytop
 
 
+def _cross(a, b):
+    """``np.cross`` on the last axis, bitwise: the same products and subtraction."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
 def sl2c_closed_forms() -> ClosedFormActions:
     """The closed-form dual actions and vector field of the printed convention.
 
@@ -294,22 +299,22 @@ def sl2c_closed_forms() -> ClosedFormActions:
     """
 
     def co_left(mu, eta):
-        return np.cross(mu, np.cross(KHAT, eta))
+        return _cross(mu, _cross(KHAT, eta))
 
     def co_right(xi, nu):
-        return np.cross(nu, xi)
+        return _cross(nu, xi)
 
     def a_star_cf(eta, nu):
-        return np.cross(eta, nu)
+        return _cross(eta, nu)
 
     def b_star_cf(xi, mu):
         return mu[..., 2:] * xi - (mu * xi).sum(-1, keepdims=True) * KHAT
 
     def lp_rhs(mu, nu, x, y):
-        mu_dot = np.cross(x + np.cross(y, KHAT), mu) + np.cross(y, nu)
+        mu_dot = _cross(x + _cross(y, KHAT), mu) + _cross(y, nu)
         nu_dot = (y[..., 2:] * nu
                   - (nu * y + mu * x).sum(-1, keepdims=True) * KHAT
-                  + np.cross(nu, x)
+                  + _cross(nu, x)
                   + mu[..., 2:] * x)
         return mu_dot, nu_dot
 

@@ -222,3 +222,21 @@ def euler_poincare_five_term(Cg, Ch, rho, sigma, metric_g, metric_h, xi, eta):
               - np.einsum("bai,i,b->a", sigma, xi, nu)
               - np.einsum("kai,i,k->a", rho, xi, mu))
     return mu_dot, nu_dot
+
+
+def einsum_coadjoint(C, z, x):
+    """``sum_kj C[k, i, j] z_k x_j`` over any leading axes as one 3-operand
+    einsum, the form ``lie_core.coadjoint`` had before its two steps."""
+    return np.einsum("kij,...k,...j->...i", C, z, x)
+
+
+# The six action and dual maps of a matched pair ``mp`` as 3-operand einsums on
+# ``mp.rho`` and ``mp.sigma``, with the package's argument order and no shape checks.
+EINSUM_MAPS = {
+    "left_act": lambda mp, eta, xi: np.einsum("kai,...a,...i->...k", mp.rho, eta, xi),
+    "right_act": lambda mp, eta, xi: np.einsum("bai,...a,...i->...b", mp.sigma, eta, xi),
+    "co_left_act": lambda mp, mu, eta: np.einsum("kai,...a,...k->...i", mp.rho, eta, mu),
+    "a_star": lambda mp, eta, nu: np.einsum("bai,...a,...b->...i", mp.sigma, eta, nu),
+    "co_right_act": lambda mp, xi, nu: np.einsum("bai,...i,...b->...a", mp.sigma, xi, nu),
+    "b_star": lambda mp, xi, mu: np.einsum("kai,...i,...k->...a", mp.rho, xi, mu),
+}
