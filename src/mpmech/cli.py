@@ -7,9 +7,11 @@ derived one), ``derive`` (tensor document from a matrix basis), ``factor``
 (factor one determinant-1 matrix).
 
 Exit codes: 0 success, 1 validation or run failure, 2 malformed input, which
-covers unreadable, non-UTF-8 or too deeply nested input files, output paths
-that cannot be written, simulate grids over 2**23 (``MAX_STEPS``) steps, and
-audits of over 2**20 (``AUDIT_MAX_SAMPLES``) samples or with a negative seed.
+covers unreadable, non-UTF-8 or too deeply nested input files, numbers outside
+the float range (such as a 400-digit JSON integer), NaN or infinite entries in
+tensors, Hamiltonians, initial states and matrix bases, output paths that
+cannot be written, simulate grids over 2**23 (``MAX_STEPS``) steps, and audits
+of over 2**20 (``AUDIT_MAX_SAMPLES``) samples or with a negative seed.
 The environment variable MPM_TOLERANCE_SCALE multiplies every validation
 tolerance (default 1).  ``main`` may be called repeatedly in one process;
 every call reuses one parser, built on the first.
@@ -28,6 +30,7 @@ import numpy as np
 from . import formats, sl2c
 from .dynamics import HamiltonianSpec, LagrangianSpec, integrate, integrate_ep
 from .errors import InputError, IntegrationError, ValidationError
+from .lie_core import _require_finite
 from .matched_pair import MatchedPair, audit_formulas, build_double, validation_report
 
 
@@ -102,9 +105,7 @@ def parse_initial(text: str, dim: int) -> np.ndarray:
         raise InputError(f"cannot parse initial state {text!r}: {exc}") from exc
     if len(values) != dim:
         raise InputError(f"initial state has {len(values)} components, expected {dim}")
-    if not np.all(np.isfinite(values)):
-        raise InputError(f"initial state {text!r} has non-finite components")
-    return np.array(values)
+    return _require_finite(np.array(values), f"initial state {text!r}")
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -19,7 +19,7 @@ from .errors import (
     InputError,
     IntegrationError,
 )
-from .lie_core import convention_sign, float_array
+from .lie_core import _as_vector, _require_finite, _symmetric_part, convention_sign
 from .matched_pair import (
     DoubleAlgebra,
     MatchedPair,
@@ -32,20 +32,6 @@ from .matched_pair import (
 FD_STEP = 1e-6  # central-difference step, scaled per component by 1 + |z_i|
 FINITE_BLOCK = 256  # RK4 steps between scans for a non-finite state
 MAX_STEPS = 2 ** 23  # longest grid: 64 MiB of float64 states per column, 448 MiB at D = 7
-
-
-def _symmetrized(M, what: str, error: type[InputError]) -> np.ndarray:
-    """Square float ``M`` made exactly symmetric and read-only; ``error`` unless
-    symmetric to 1e-12 relative."""
-    M = float_array(M, what)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputError(f"{what} must be square, got shape {M.shape}")
-    half = 0.5 * M  # halves: no overflow for opposite entries near 1e308
-    if float(np.abs(half - half.T).max()) > 0.5e-12 * (1.0 + float(np.abs(M).max())):
-        raise error(f"{what} is not symmetric")
-    M = half + half.T
-    M.setflags(write=False)
-    return M
 
 
 class HamiltonianSpec:
@@ -65,16 +51,10 @@ class HamiltonianSpec:
 
     @classmethod
     def quadratic(cls, Q, b=None) -> "HamiltonianSpec":
-        Q = _symmetrized(Q, "quadratic form", InputError)
+        Q = _symmetric_part(Q, "quadratic form")
         dim = Q.shape[0]
-        if b is None:
-            b = np.zeros(dim)
-        b = float_array(b, "linear term")
-        if b.shape != (dim,):
-            raise DimensionMismatch(f"linear term has shape {b.shape}, expected ({dim},)")
-        if not (np.isfinite(Q).all() and np.isfinite(b).all()):
-            raise InputError("quadratic Hamiltonian has non-finite entries")
-        b.flags.writeable = False
+        b = np.array(_as_vector(np.zeros(dim) if b is None else b, dim, "linear term"))
+        _require_finite(b, "linear term").flags.writeable = False
         return cls(dim, Q, b, None)
 
     @classmethod
@@ -86,22 +66,16 @@ class HamiltonianSpec:
         return self.Q is not None
 
     def value(self, z) -> float:
-        z = self._check(z)
+        z = _as_vector(z, self.dim, "state")
         if self.is_quadratic:
             return float(0.5 * z @ self.Q @ z + self.b @ z)
         return float(self.f(z))
-
-    def _check(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,):
-            raise DimensionMismatch(f"state has shape {z.shape}, expected ({self.dim},)")
-        return z
 
 
 def gradient(spec: HamiltonianSpec, z) -> np.ndarray:
     """Gradient of the Hamiltonian: exact for quadratic specs, central
     differences (step 1e-6 * (1 + |z_i|)) for black boxes."""
-    z = spec._check(z)
+    z = _as_vector(z, spec.dim, "state")
     if spec.is_quadratic:
         return spec.Q @ z + spec.b
     grad = np.empty(spec.dim)
@@ -127,7 +101,7 @@ class LagrangianSpec:
 
     @staticmethod
     def _check_block(M, what: str) -> np.ndarray:
-        M = _symmetrized(M, what, DegenerateMetricError)
+        M = _symmetric_part(M, what, DegenerateMetricError)
         try:
             np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
@@ -284,7 +258,8 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
     P = M.reshape(-1)  # flat view: the first dot of a stage writes M through it
     if spec.is_quadratic:
         G = np.zeros((D, D, D))
-        G[:d, :d, :d], G[:d, :d, d] = C @ spec.Q, C @ spec.b
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the first scan
+            G[:d, :d, :d], G[:d, :d, d] = C @ spec.Q, C @ spec.b
 
         def stage(h):
             Gf = (h * G).reshape(D, D * D)

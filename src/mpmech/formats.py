@@ -134,17 +134,18 @@ def matrix_from_json(entries) -> np.ndarray:
     arr = np.asarray(entries, dtype=object)
     if arr.shape not in ((2, 2), (2, 2, 2)):
         raise InputError(f"expected a 2x2 matrix, got shape {arr.shape}")
-    out = np.zeros((2, 2), dtype=complex)
+    parts, pairs = [], []  # each cell as re, im, and whether it was a pair
     for i in range(2):
         for j in range(2):
             cell = entries[i][j]
-            if _number(cell):
-                out[i, j] = float(cell)
-            elif isinstance(cell, (list, tuple)) and len(cell) == 2 and all(map(_number, cell)):
-                out[i, j] = float(cell[0]) + 1j * float(cell[1])
-            else:
+            pair = isinstance(cell, (list, tuple)) and len(cell) == 2 and all(map(_number, cell))
+            if not (pair or _number(cell)):
                 raise InputError(f"matrix entry {cell!r} is not a number or [re, im]")
-    return out
+            parts += cell if pair else (cell, 0)
+            pairs.append(pair)
+    v = float_array(parts, "matrix").tolist()
+    return np.array([v[2 * k] + 1j * v[2 * k + 1] if pair else v[2 * k]
+                     for k, pair in enumerate(pairs)], dtype=complex).reshape(2, 2)
 
 
 def matrix_to_json(M: np.ndarray) -> list:

@@ -28,8 +28,12 @@ DEFECT_TOLERANCE = 0.5e-10
 def tolerance_scale() -> float:
     """Global multiplier for validation tolerances (MPM_TOLERANCE_SCALE).
 
-    It must be finite and positive: a NaN scale would make every
-    ``defect > bound`` test false and so accept any input.
+    It scales :func:`defect_bound` (Jacobi identity, compatibility), the
+    (anti)symmetry tests of structure constants, quadratic forms and
+    Lagrangian metrics, and the closure, span, unitarity and determinant tests
+    of embeddings and 2x2 matrices.  It must be finite and positive: a NaN
+    scale would make every ``defect > bound`` test false and so accept any
+    input.
     """
     text = os.environ.get("MPM_TOLERANCE_SCALE", "1")
     try:
@@ -75,11 +79,43 @@ def require(checks: Sequence[Check]) -> None:
 
 
 def float_array(value, what: str) -> np.ndarray:
-    """``value`` as a float array; ragged or non-numeric nesting is an InputError."""
+    """``value`` as a float array; ragged or non-numeric nesting, or an integer
+    past the float range, is an InputError."""
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} is not a numeric array: {exc}") from exc
+
+
+def _require_finite(arr: np.ndarray, what: str, error: type[InputError] = InputError) -> np.ndarray:
+    """``arr``, or ``error`` if it holds a NaN or an infinity."""
+    if not np.isfinite(arr).all():
+        raise error(f"non-finite entries in {what}")
+    return arr
+
+
+def _symmetric_part(value, what: str, error: type[InputError] = InputError, *,
+                    antisymmetric: bool = False) -> np.ndarray:
+    """The read-only symmetric part ``(M + M^T) / 2`` of the square float matrix
+    ``value``, or with ``antisymmetric`` the part ``(C - C^T) / 2`` of a cubic
+    rank-3 tensor over its last two indices.  Halves first, so entries near
+    1e308 cannot overflow.  A wrong shape is an InputError; ``error`` if an
+    entry is not finite or the defect ``max |M - part|`` exceeds
+    ``0.5 ABS_FLOOR (1 + max |M|) tolerance_scale()``."""
+    M = float_array(value, what)
+    rank = 3 if antisymmetric else 2
+    if M.ndim != rank or M.shape.count(M.shape[0]) != rank:
+        raise InputError(f"{what} must be {'a cubic rank-3 tensor' if antisymmetric else 'square'}"
+                         f", got shape {M.shape}")
+    half = 0.5 * _require_finite(M, what, error)
+    half_t = half.swapaxes(-1, -2)
+    part, rest = (half - half_t, half + half_t) if antisymmetric else (half + half_t, half - half_t)
+    defect = float(np.abs(rest).max(initial=0.0))
+    if defect > 0.5 * ABS_FLOOR * (1.0 + float(np.abs(M).max(initial=0.0))) * tolerance_scale():
+        raise error(f"{what} are not antisymmetric in the last two indices (defect {defect:.3e})"
+                    if antisymmetric else f"{what} is not symmetric")
+    part.setflags(write=False)
+    return part
 
 
 def _as_vector(v, dim: int, what: str) -> np.ndarray:
@@ -105,24 +141,9 @@ class LieAlgebra:
 
     def __init__(self, constants, names: Sequence[str] | None = None, *,
                  validate: bool = True):
-        C = float_array(constants, "structure constants")
-        if C.ndim != 3 or C.shape[0] != C.shape[1] or C.shape[0] != C.shape[2]:
-            raise InputError(
-                f"structure constants must be a cubic rank-3 tensor, got shape {C.shape}"
-            )
+        C = _symmetric_part(constants, "structure constants", antisymmetric=True)
         if C.shape[0] == 0:
             raise InputError("algebra dimension must be positive")
-        if not np.all(np.isfinite(C)):
-            raise InputError("structure constants contain non-finite entries")
-        scale = 1.0 + float(np.abs(C).max())
-        asym = float(np.abs(C + C.transpose(0, 2, 1)).max())
-        if asym > ABS_FLOOR * scale * tolerance_scale():
-            raise InputError(
-                f"structure constants are not antisymmetric in the last two "
-                f"indices (defect {asym:.3e})"
-            )
-        C = 0.5 * C - 0.5 * C.transpose(0, 2, 1)  # halve first: no overflow near 1e308
-        C.setflags(write=False)
         self.C = C
         self.dim = int(C.shape[0])
         if names is not None:

@@ -36,6 +36,7 @@ from .lie_core import (
     Check,
     LieAlgebra,
     _as_vector,
+    _require_finite,
     coadjoint,
     convention_sign,
     defect_bound,
@@ -59,24 +60,16 @@ class MatchedPair:
     def __init__(self, g: LieAlgebra, h: LieAlgebra, rho, sigma, *,
                  validate: bool = True):
         n, m = g.dim, h.dim
-        rho = np.array(float_array(rho, "rho"))
-        sigma = np.array(float_array(sigma, "sigma"))
-        if rho.shape != (n, m, n):
-            raise DimensionMismatch(
-                f"rho has shape {rho.shape}, expected {(n, m, n)}"
-            )
-        if sigma.shape != (m, m, n):
-            raise DimensionMismatch(
-                f"sigma has shape {sigma.shape}, expected {(m, m, n)}"
-            )
-        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(sigma))):
-            raise InputError("action tensors contain non-finite entries")
-        rho.setflags(write=False)
-        sigma.setflags(write=False)
+        tensors = []
+        for name, T, shape in (("rho", rho, (n, m, n)), ("sigma", sigma, (m, m, n))):
+            T = np.array(float_array(T, name))
+            if T.shape != shape:
+                raise DimensionMismatch(f"{name} has shape {T.shape}, expected {shape}")
+            _require_finite(T, name).setflags(write=False)
+            tensors.append(T)
         self.g = g
         self.h = h
-        self.rho = rho
-        self.sigma = sigma
+        self.rho, self.sigma = tensors
         self._validated = False
         self._double: DoubleAlgebra | None = None
         if validate:
@@ -360,8 +353,8 @@ def euler_poincare_rhs(mp: MatchedPair, state, lagrangian) -> tuple[DualPoint, t
     """
     n, m = mp.g.dim, mp.h.dim
     xi, eta = _as_pair(state, (n, m), "velocity state")
-    metric_g = np.asarray(lagrangian.metric_g, dtype=float)
-    metric_h = np.asarray(lagrangian.metric_h, dtype=float)
+    metric_g = float_array(lagrangian.metric_g, "g metric")
+    metric_h = float_array(lagrangian.metric_h, "h metric")
     if metric_g.shape != (n, n) or metric_h.shape != (m, m):
         raise DimensionMismatch("Lagrangian metric blocks do not match the pair")
     z = np.concatenate([metric_g @ xi, metric_h @ eta])

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmbeddingError, InputError, ValidationError
-from .lie_core import LieAlgebra, abelian, tolerance_scale
+from .lie_core import LieAlgebra, _require_finite, abelian, tolerance_scale
 from .matched_pair import ClosedFormActions, MatchedPair, pair_from_double
 
 KHAT = np.array([0.0, 0.0, 1.0])
@@ -99,10 +99,11 @@ class SU2Element:
         if M.shape != (2, 2):
             raise InputError(f"SU(2) element must be 2x2, got {M.shape}")
         tol = 1e-12 * tolerance_scale()
-        if not np.abs(M.conj().T @ M - np.eye(2)).max() <= tol:
-            raise ValidationError("matrix is not unitary")
-        if not abs(np.linalg.det(M) - 1.0) <= tol:
-            raise ValidationError("matrix does not have unit determinant")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the tests
+            if not np.abs(M.conj().T @ M - np.eye(2)).max() <= tol:
+                raise ValidationError("matrix is not unitary")
+            if not abs(np.linalg.det(M) - 1.0) <= tol:
+                raise ValidationError("matrix does not have unit determinant")
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
 
@@ -140,23 +141,23 @@ def iwasawa_factor(M) -> tuple[SU2Element, KElement]:
     The triangular factor is read off the positive-definite product
     P = M^dagger M: c = 1/P22 - 1 and a + ib = P21/P22, which avoids
     Gram-Schmidt cancellation for near-identity input; the unitary factor is
-    then M times the inverse triangular matrix.  A matrix whose P22 leaves
-    the float range (entries far apart in magnitude) is an InputError.
+    then M times the inverse triangular matrix.  A matrix whose P22, 1/P22 or
+    P21/P22 leaves the float range (entries far apart in magnitude) is an
+    InputError, the last two through :class:`KElement`.
     """
     M = np.asarray(M, dtype=complex)
     if M.shape != (2, 2):
         raise InputError(f"expected a 2x2 matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise InputError("matrix has non-finite entries")
-    det = np.linalg.det(M)
-    if not abs(det - 1.0) <= 1e-10 * tolerance_scale():
-        raise InputError(f"matrix determinant {det} is not 1")
-    with np.errstate(over="ignore", invalid="ignore"):  # only P21 and P22 are used
-        P = M.conj().T @ M
-    p22 = float(P[1, 1].real)
-    if not 0.0 < p22 < np.inf:
-        raise InputError(f"matrix cannot be factored in double precision (P22 = {p22})")
-    ab = P[1, 0] / p22
+    _require_finite(M, "matrix")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a test
+        det = np.linalg.det(M)
+        if not abs(det - 1.0) <= 1e-10 * tolerance_scale():
+            raise InputError(f"matrix determinant {det} is not 1")
+        P = M.conj().T @ M  # only P21 and P22 are used
+        p22 = float(P[1, 1].real)
+        if not 0.0 < p22 < np.inf:
+            raise InputError(f"matrix cannot be factored in double precision (P22 = {p22})")
+        ab = P[1, 0] / p22  # KElement rejects an overflow
     b_factor = KElement(float(ab.real), float(ab.imag), 1.0 / p22 - 1.0)
     a_factor = SU2Element(M @ _k_matrix_inverse(b_factor))
     return a_factor, b_factor
@@ -194,6 +195,7 @@ class EmbeddedBasis:
         for M in g + h:
             if M.shape != (2, 2):
                 raise InputError("basis matrices must be 2x2")
+            _require_finite(M, "basis matrices")
         object.__setattr__(self, "g_matrices", g)
         object.__setattr__(self, "h_matrices", h)
 
@@ -226,7 +228,9 @@ def derive_actions_from_embedding(basis: EmbeddedBasis) -> MatchedPair:
     i, j = np.indices((d, d))
     # one orientation per pair: [e_i, e_j] and [f_a, f_b] above the diagonal, [f_a, e_i]
     I, J = np.nonzero((i < j) == ((i < n) == (j < n)))
-    comms = mats[I] @ mats[J] - mats[J] @ mats[I]
+    with np.errstate(over="ignore", invalid="ignore"):  # tested next
+        comms = mats[I] @ mats[J] - mats[J] @ mats[I]
+    _require_finite(comms, "basis commutators", EmbeddingError)
     B, targets = _vec(mats).T, _vec(comms).T
     coeffs, _, rank, _ = np.linalg.lstsq(B, targets, rcond=None)
     if rank < d:
