@@ -6,6 +6,9 @@ Conventions used throughout the package:
   (target, left, right): ``[e_i, e_j] = sum_k C[k, i, j] e_k``;
 * the basis is always the coordinate basis, and duals use the coordinate
   pairing ``<mu, x> = sum_i mu_i x_i``;
+* ``C`` is contracted only by :func:`poisson_tensor`, ``M(z)[i, j] = sum_k C[k, i, j] z_k``:
+  through :func:`coadjoint` (every field and action map, the audit, and :func:`bracket`
+  with the brackets and forms built on it), in ``cobracket_eval`` and in the Jacobiator;
 * all objects are immutable after construction and every operation is a
   pure function, so everything here is safe to share across threads.
 """
@@ -78,11 +81,11 @@ def require(checks: Sequence[Check]) -> None:
             f"{c.name} {c.value:.3e} exceeds {c.bound:.3e} at {c.witness}" for c in failed))
 
 
-def float_array(value, what: str) -> np.ndarray:
-    """``value`` as a float array; ragged or non-numeric nesting, or an integer
-    past the float range, is an InputError."""
+def float_array(value, what: str, dtype: type = float) -> np.ndarray:
+    """``value`` as a float array, or of ``dtype`` (complex for matrices); ragged
+    or non-numeric nesting, or an integer past the float range, is an InputError."""
     try:
-        return np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} is not a numeric array: {exc}") from exc
 
@@ -121,9 +124,7 @@ def _symmetric_part(value, what: str, error: type[InputError] = InputError, *,
 def _as_vector(v, dim: int, what: str) -> np.ndarray:
     arr = float_array(v, what)
     if arr.shape != (dim,):
-        raise DimensionMismatch(
-            f"{what} has shape {arr.shape}, expected ({dim},)"
-        )
+        raise DimensionMismatch(f"{what} has shape {arr.shape}, expected ({dim},)")
     return arr
 
 
@@ -149,9 +150,7 @@ class LieAlgebra:
         if names is not None:
             names = tuple(str(s) for s in names)
             if len(names) != self.dim:
-                raise InputError(
-                    f"got {len(names)} basis names for dimension {self.dim}"
-                )
+                raise InputError(f"got {len(names)} basis names for dimension {self.dim}")
         self.names = names
         self._validated = False
         if validate:
@@ -171,9 +170,8 @@ class LieAlgebra:
     def jacobi_check(self, name: str) -> Check:
         """The Jacobi identity as a :class:`Check` against :func:`defect_bound`,
         witnessed by the basis triple of the largest Jacobiator entry."""
-        J = np.abs(self.jacobiator)
-        _, i, j, l = np.unravel_index(int(J.argmax()), J.shape)
-        return Check(name, float(J.max()), defect_bound(self.C),
+        value, (_, i, j, l) = _largest_entry(self.jacobiator)
+        return Check(name, value, defect_bound(self.C),
                      f"({self.name_of(i)}, {self.name_of(j)}, {self.name_of(l)})")
 
     def validate(self) -> "LieAlgebra":
@@ -200,29 +198,35 @@ def abelian(dim: int, names: Sequence[str] | None = None) -> LieAlgebra:
 def bracket(alg: LieAlgebra, x, y) -> np.ndarray:
     """Lie bracket [x, y] in coordinates.
 
-    Evaluated as ``0.5 * (c(x, y) - c(y, x))`` with ``c`` the plain
-    contraction with ``C``, so the result is antisymmetric in floating point:
-    ``bracket(y, x) == -bracket(x, y)`` bit for bit and ``bracket(x, x)`` is
-    exactly zero, whatever the structure constants.
+    Evaluated as ``0.5 * (c(x, y) - c(y, x))`` with ``c`` the :func:`coadjoint`
+    of ``C.transpose(1, 0, 2)``, so the result is antisymmetric in floating point:
+    ``bracket(y, x) == -bracket(x, y)`` bit for bit but for the sign of zeros,
+    and ``bracket(x, x)`` is exactly zero, whatever the structure constants.
     """
     x = _as_vector(x, alg.dim, "left bracket argument")
     y = _as_vector(y, alg.dim, "right bracket argument")
-    return 0.5 * (np.einsum("kij,i,j->k", alg.C, x, y)
-                  - np.einsum("kij,i,j->k", alg.C, y, x))
+    T = alg.C.transpose(1, 0, 2)
+    return 0.5 * (coadjoint(T, x, y) - coadjoint(T, y, x))
+
+
+def poisson_tensor(C: np.ndarray, z) -> np.ndarray:
+    """The Lie-Poisson tensor ``M(z)[..., i, j] = sum_k C[k, i, j] z_k`` over any leading
+    axes of ``z``, one matrix product ``z @ C.reshape(K, I*J)``.  Its views: :func:`coadjoint`
+    (``M(z) x``: every field, action map and bracket), ``cobracket_eval`` and the Jacobiator."""
+    K, I, J = C.shape
+    return np.matmul(z, C.reshape(K, I * J)).reshape(*np.shape(z)[:-1], I, J)
 
 
 def coadjoint(C: np.ndarray, z, x) -> np.ndarray:
     """``ad*_x z = sum_kj C[k, i, j] z_k x_j`` over any leading axes; at
     ``x = grad H(z)`` it is the right Lie-Poisson field ``M(z) grad H``.
-    :func:`ad_star`, :func:`lie_poisson_rhs`, ``matched_lp_rhs``,
+    :func:`ad_star`, :func:`lie_poisson_rhs`, :func:`bracket`, ``matched_lp_rhs``,
     ``euler_poincare_rhs``, the audit's fields and the six action maps of
     ``matched_pair`` are views of it.  Two steps, as in ``integrate``'s stage:
-    one matrix product ``M = z @ C.reshape(K, I*J)`` over all rows, then a
-    2-operand einsum of ``M`` with ``x`` row by row.  Not ``@``: BLAS fuses
-    multiply-adds, so ``ad*_mu mu`` on su(2) would not be exactly zero."""
-    K, I, J = C.shape
-    M = np.matmul(z, C.reshape(K, I * J))
-    return np.einsum("...ij,...j->...i", M.reshape(*M.shape[:-1], I, J), x)
+    :func:`poisson_tensor` over all rows, then a 2-operand einsum of ``M`` with
+    ``x`` row by row.  Not ``@``: BLAS fuses multiply-adds, so ``ad*_mu mu`` on
+    su(2) would not be exactly zero."""
+    return np.einsum("...ij,...j->...i", poisson_tensor(C, z), x)
 
 
 def ad_star(alg: LieAlgebra, xi, mu) -> np.ndarray:
@@ -233,20 +237,22 @@ def ad_star(alg: LieAlgebra, xi, mu) -> np.ndarray:
 
 
 def _jacobiator(C: np.ndarray) -> np.ndarray:
-    # overflow shows as an inf or NaN defect, which fails its check
+    # P[m, i, j, l], the E_m part of [e_i, [e_j, e_l]], is M(z) at the rows z = C[m, i]; J adds
+    # P's two cyclic transposes.  Overflow shows as an inf or NaN defect, which fails its check.
     with np.errstate(over="ignore", invalid="ignore"):
-        return (
-            np.einsum("mik,kjl->mijl", C, C)
-            + np.einsum("mjk,kli->mijl", C, C)
-            + np.einsum("mlk,kij->mijl", C, C)
-        )
+        P = poisson_tensor(C, C)
+        return P + P.transpose(0, 3, 1, 2) + P.transpose(0, 2, 3, 1)
+
+
+def _largest_entry(T: np.ndarray) -> tuple[float, tuple]:
+    """``(max |T|, index of that entry)``; a NaN counts as largest."""
+    k = int(np.abs(T).argmax())
+    return float(abs(T.flat[k])), np.unravel_index(k, T.shape)
 
 
 def jacobi_defect(alg: LieAlgebra) -> float:
-    """Max-norm of the Jacobiator over all basis triples.
-
-    Zero (up to rounding) iff the structure constants define a Lie algebra.
-    """
+    """Max-norm of the Jacobiator over all basis triples: zero (up to rounding)
+    iff the structure constants define a Lie algebra."""
     return alg.jacobi_check("jacobi defect").value
 
 

@@ -36,6 +36,7 @@ from .lie_core import (
     Check,
     LieAlgebra,
     _as_vector,
+    _largest_entry,
     _require_finite,
     coadjoint,
     convention_sign,
@@ -216,10 +217,8 @@ def compat_defect(mp: MatchedPair) -> CompatDefect:
     n = mp.g.dim
     J = build_double(mp).algebra.jacobiator
     D1, D2 = J[:n, n:, :n, :n], -J[n:, n:, n:, :n]
-    d1 = float(np.abs(D1).max())
-    d2 = float(np.abs(D2).max())
-    _, a1, i1, j1 = np.unravel_index(int(np.abs(D1).argmax()), D1.shape)
-    _, a2, b2, i2 = np.unravel_index(int(np.abs(D2).argmax()), D2.shape)
+    d1, (_, a1, i1, j1) = _largest_entry(D1)
+    d2, (_, a2, b2, i2) = _largest_entry(D2)
     w1 = (mp.h.name_of(a1), mp.g.name_of(i1), mp.g.name_of(j1))
     w2 = (mp.h.name_of(a2), mp.h.name_of(b2), mp.g.name_of(i2))
     return CompatDefect(d1, d2, w1, w2, D1[:, a1, i1, j1].copy(), D2[:, a2, b2, i2].copy())
@@ -280,15 +279,16 @@ def pair_from_double(C, n: int, g_names: Sequence[str] | None,
 
 
 def cobracket_eval(double: DoubleAlgebra, p) -> np.ndarray:
-    """Linear Poisson tensor at p: M[I, J] = <(mu, nu), [E_I, E_J]>.
+    """Linear Poisson tensor at p: M[I, J] = <(mu, nu), [E_I, E_J]>, the
+    :func:`~mpmech.lie_core.poisson_tensor` of the double's constants.
 
-    The matrix is antisymmetric in floating point, ``M == -M.T`` bit for bit
-    (the constants of the double are antisymmetrized on construction), with
-    an exactly zero diagonal; its kernel directions are the gradients of
-    Casimir functions at p.
+    The matrix is antisymmetric in floating point: ``M == -M.T``, bit for bit
+    off the diagonal (the constants of the double are antisymmetrized on
+    construction), and the diagonal is zero; its kernel directions are the
+    gradients of Casimir functions at p.
     """
     p = as_dual_point(p, double.split)
-    return np.einsum("kij,k->ij", double.algebra.C, p.concat())
+    return lie_core.poisson_tensor(double.algebra.C, p.concat())
 
 
 def matched_bracket_eval(double: DoubleAlgebra, p, grad_h, grad_f) -> float:
@@ -433,12 +433,6 @@ class AuditReport:
         return asdict(self)
 
 
-def _tensor_witness(diff: np.ndarray, left_names, right_names) -> str:
-    """Basis-pair label of the largest entry of a (value, a, i) tensor."""
-    _, a, i = np.unravel_index(int(np.abs(diff).argmax()), diff.shape)
-    return f"({left_names(a)}, {right_names(i)})"
-
-
 def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
                    samples: int = 1000, seed: int = 0,
                    closed_forms: ClosedFormActions | None = None,
@@ -477,11 +471,12 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
         status = "MATCH" if deviation <= tol else "MISMATCH"
         lines.append(AuditLine(name, deviation, status, witness))
 
-    # primitive actions: printed tensors against derived tensors
-    add("action |>", left_act(pr, etas, xis), left_act(de, etas, xis),
-        _tensor_witness(pr.rho - de.rho, pr.h.name_of, pr.g.name_of))
-    add("action <|", right_act(pr, etas, xis), right_act(de, etas, xis),
-        _tensor_witness(pr.sigma - de.sigma, pr.h.name_of, pr.g.name_of))
+    # primitive actions: printed tensors against derived tensors, witness (a, i) of the largest
+    for name, act, printed, derived in (("action |>", left_act, pr.rho, de.rho),
+                                        ("action <|", right_act, pr.sigma, de.sigma)):
+        _, (_, a, i) = _largest_entry(printed - derived)
+        witness = f"({pr.h.name_of(a)}, {pr.g.name_of(i)})"
+        add(name, act(pr, etas, xis), act(de, etas, xis), witness)
     if lines[-1].status == "MISMATCH":
         defect = compat_defect(pr)
         lines[-1] = replace(lines[-1], detail=f"compatibility condition 1 defect "

@@ -26,16 +26,19 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmbeddingError, InputError, ValidationError
-from .lie_core import LieAlgebra, _require_finite, abelian, tolerance_scale
+from .lie_core import LieAlgebra, _require_finite, abelian, float_array, tolerance_scale
 from .matched_pair import ClosedFormActions, MatchedPair, pair_from_double
 
 KHAT = np.array([0.0, 0.0, 1.0])
 KHAT.setflags(write=False)
 
-_EPS = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS[_i, _j, _k] = 1.0
-    _EPS[_i, _k, _j] = -1.0
+
+def _cross(a, b):
+    """The cross product on the last axis, bitwise as numpy's (same products and subtraction)."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
+_EPS = _cross(np.eye(3)[:, None], np.eye(3)).transpose(2, 0, 1)  # [k, a, i]: (e_a x e_i)_k
 _EPS.setflags(write=False)
 
 
@@ -95,7 +98,7 @@ class SU2Element:
     matrix: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=complex)
+        M = float_array(self.matrix, "SU(2) element", complex)
         if M.shape != (2, 2):
             raise InputError(f"SU(2) element must be 2x2, got {M.shape}")
         tol = 1e-12 * tolerance_scale()
@@ -145,7 +148,7 @@ def iwasawa_factor(M) -> tuple[SU2Element, KElement]:
     P21/P22 leaves the float range (entries far apart in magnitude) is an
     InputError, the last two through :class:`KElement`.
     """
-    M = np.asarray(M, dtype=complex)
+    M = float_array(M, "matrix", complex)
     if M.shape != (2, 2):
         raise InputError(f"expected a 2x2 matrix, got shape {M.shape}")
     _require_finite(M, "matrix")
@@ -190,14 +193,13 @@ class EmbeddedBasis:
     h_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        g = tuple(np.asarray(M, dtype=complex) for M in self.g_matrices)
-        h = tuple(np.asarray(M, dtype=complex) for M in self.h_matrices)
-        for M in g + h:
-            if M.shape != (2, 2):
-                raise InputError("basis matrices must be 2x2")
-            _require_finite(M, "basis matrices")
-        object.__setattr__(self, "g_matrices", g)
-        object.__setattr__(self, "h_matrices", h)
+        for field in ("g_matrices", "h_matrices"):
+            mats = tuple(float_array(M, "basis matrix", complex) for M in getattr(self, field))
+            for M in mats:
+                if M.shape != (2, 2):
+                    raise InputError("basis matrices must be 2x2")
+                _require_finite(M, "basis matrices")
+            object.__setattr__(self, field, mats)
 
 
 def standard_basis() -> EmbeddedBasis:
@@ -250,7 +252,7 @@ def derive_actions_from_embedding(basis: EmbeddedBasis) -> MatchedPair:
 def _printed_tensors() -> tuple[np.ndarray, np.ndarray]:
     # closed-form convention: Y |> X = Y x (X x k), Y <| X = X x Y
     eye = np.eye(3)
-    rho = np.cross(eye[:, None], np.cross(eye, KHAT)).transpose(2, 0, 1)  # [:, a, i]
+    rho = _cross(eye[:, None], _cross(eye, KHAT)).transpose(2, 0, 1)  # [:, a, i]
     return rho, _EPS.transpose(0, 2, 1)
 
 
@@ -285,11 +287,6 @@ def _build_pairs(scale: float) -> tuple[MatchedPair, ...]:
     heavytop = MatchedPair(su2_algebra(), abelian(3, ("f1", "f2", "f3")),
                            np.zeros((3, 3, 3)), _EPS)
     return derived, printed, heavytop
-
-
-def _cross(a, b):
-    """``np.cross`` on the last axis, bitwise: the same products and subtraction."""
-    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
 
 
 def sl2c_closed_forms() -> ClosedFormActions:

@@ -240,3 +240,23 @@ EINSUM_MAPS = {
     "co_right_act": lambda mp, xi, nu: np.einsum("bai,...i,...b->...a", mp.sigma, xi, nu),
     "b_star": lambda mp, xi, mu: np.einsum("kai,...i,...k->...a", mp.rho, xi, mu),
 }
+
+
+# The three contractions of the structure constants that ``lie_core.poisson_tensor``
+# replaced, as the einsums they were.
+
+def einsum_bracket(C, x, y):
+    """``[x, y]`` as ``0.5 * (c(x, y) - c(y, x))``, ``c`` a 3-operand einsum."""
+    return 0.5 * (np.einsum("kij,i,j->k", C, x, y) - np.einsum("kij,i,j->k", C, y, x))
+
+
+def einsum_cobracket(C, z):
+    """``M(z)[i, j] = sum_k C[k, i, j] z_k`` as one einsum."""
+    return np.einsum("kij,k->ij", C, z)
+
+
+def einsum_jacobiator(C):
+    """``J[m, i, j, l]``, the E_m part of Jac(E_i, E_j, E_l), as three einsums."""
+    return (np.einsum("mik,kjl->mijl", C, C)
+            + np.einsum("mjk,kli->mijl", C, C)
+            + np.einsum("mlk,kij->mijl", C, C))
