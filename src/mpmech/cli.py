@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 
@@ -205,11 +204,7 @@ def cmd_factor(args) -> int:
     doc = formats.read_json(sys.stdin if args.matrix == "-" else args.matrix, "matrix")
     M = formats.matrix_from_json(doc)
     unitary, triangular = sl2c.iwasawa_factor(M)
-    out = {
-        "su2": formats.matrix_to_json(unitary.matrix),
-        "k": [triangular.a, triangular.b, triangular.c],
-    }
-    print(json.dumps(out, indent=2))
+    print(formats.factor_to_json(unitary.matrix, triangular))
     return 0
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 
 import numpy as np
 
@@ -129,29 +130,42 @@ def _number(value) -> bool:  # JSON true/false load as bool, an int subclass
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _object_shape(value) -> tuple:
+    """``np.asarray(value, dtype=object).shape``: nested list lengths down to where they differ."""
+    if not isinstance(value, (list, tuple)):
+        return ()
+    return (len(value),) + tuple(os.path.commonprefix([_object_shape(v) for v in value]))
+
+
 def matrix_from_json(entries) -> np.ndarray:
     """Parse a 2x2 complex matrix; entries are [re, im] pairs or plain reals."""
-    arr = np.asarray(entries, dtype=object)
-    if arr.shape not in ((2, 2), (2, 2, 2)):
-        raise InputError(f"expected a 2x2 matrix, got shape {arr.shape}")
-    parts, pairs = [], []  # each cell as re, im, and whether it was a pair
-    for i in range(2):
-        for j in range(2):
-            cell = entries[i][j]
-            pair = isinstance(cell, (list, tuple)) and len(cell) == 2 and all(map(_number, cell))
-            if not (pair or _number(cell)):
-                raise InputError(f"matrix entry {cell!r} is not a number or [re, im]")
-            parts += cell if pair else (cell, 0)
-            pairs.append(pair)
+    rows = entries if isinstance(entries, (list, tuple)) and len(entries) == 2 else ()
+    cells = [cell for row in rows if isinstance(row, (list, tuple)) and len(row) == 2 for cell in row]
+    pairs = [isinstance(c, (list, tuple)) and len(c) == 2 and all(map(_number, c)) for c in cells]
+    bad = [c for c, pair in zip(cells, pairs) if not (pair or _number(c))]
+    if len(cells) != 4 or bad:
+        shape = _object_shape(entries)
+        if shape not in ((2, 2), (2, 2, 2)):
+            raise InputError(f"expected a 2x2 matrix, got shape {shape}")
+        raise InputError(f"matrix entry {bad[0]!r} is not a number or [re, im]")
+    parts = [x for c, pair in zip(cells, pairs) for x in (c if pair else (c, 0))]
     v = float_array(parts, "matrix").tolist()
     return np.array([v[2 * k] + 1j * v[2 * k + 1] if pair else v[2 * k]
                      for k, pair in enumerate(pairs)], dtype=complex).reshape(2, 2)
 
 
 def matrix_to_json(M: np.ndarray) -> list:
-    M = np.asarray(M, dtype=complex)
-    return [[[float(M[i, j].real), float(M[i, j].imag)] for j in range(2)]
-            for i in range(2)]
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(M, dtype=complex).tolist()]
+
+
+_FACTOR_TEXT = json.dumps({"su2": [[[0, 0]] * 2] * 2, "k": [0] * 3}, indent=2).replace("0", "%s")
+
+
+def factor_to_json(U: np.ndarray, k) -> str:
+    """``json.dumps({"su2": matrix_to_json(U), "k": [k.a, k.b, k.c]}, indent=2)`` for finite
+    numbers: that text, built once with a %s per number, filled as json writes them."""
+    numbers = [x for z in U.ravel().tolist() for x in (z.real, z.imag)] + [k.a, k.b, k.c]
+    return _FACTOR_TEXT % tuple(map(float.__repr__, numbers))
 
 
 # -- trajectory CSV -----------------------------------------------------------

@@ -161,6 +161,13 @@ class LieAlgebra:
         return self._validated
 
     @cached_property
+    def left_constants(self) -> np.ndarray:
+        """``C.transpose(1, 0, 2)``, contiguous and read-only: :func:`bracket`'s tensor."""
+        T = np.ascontiguousarray(self.C.transpose(1, 0, 2))
+        T.setflags(write=False)
+        return T
+
+    @cached_property
     def jacobiator(self) -> np.ndarray:
         """Read-only ``J[m, i, j, l]``, the E_m part of Jac(E_i, E_j, E_l)."""
         J = _jacobiator(self.C)
@@ -199,13 +206,13 @@ def bracket(alg: LieAlgebra, x, y) -> np.ndarray:
     """Lie bracket [x, y] in coordinates.
 
     Evaluated as ``0.5 * (c(x, y) - c(y, x))`` with ``c`` the :func:`coadjoint`
-    of ``C.transpose(1, 0, 2)``, so the result is antisymmetric in floating point:
+    of :attr:`LieAlgebra.left_constants`, so the result is antisymmetric in floating point:
     ``bracket(y, x) == -bracket(x, y)`` bit for bit but for the sign of zeros,
     and ``bracket(x, x)`` is exactly zero, whatever the structure constants.
     """
     x = _as_vector(x, alg.dim, "left bracket argument")
     y = _as_vector(y, alg.dim, "right bracket argument")
-    T = alg.C.transpose(1, 0, 2)
+    T = alg.left_constants
     return 0.5 * (coadjoint(T, x, y) - coadjoint(T, y, x))
 
 

@@ -47,7 +47,8 @@ from .lie_core import (
 )
 
 AUDIT_TOLERANCE = 1e-10
-AUDIT_MAX_SAMPLES = 2 ** 20  # peak RSS +0.65 KiB a sample (+169 MiB at 2**18): 664 MiB here
+AUDIT_MAX_SAMPLES = 2 ** 20
+AUDIT_BLOCK_SAMPLES = 2 ** 16  # samples per block of audit rows; bounds the memory beyond the draws
 
 
 class MatchedPair:
@@ -447,8 +448,10 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
     vector field and the plus-sign variants of the coadjoint assembly
     against the canonical, energy-conserving one on ``mp_derived``.
 
-    Every row is evaluated on all samples at once, stacked one per row: the
-    action and dual rows call the maps above, and each vector field is
+    Every row is evaluated on blocks of up to ``AUDIT_BLOCK_SAMPLES`` samples,
+    stacked one per row, and keeps its largest deviation, so the memory held
+    beyond the samples themselves is bounded.  The action and dual rows call
+    the maps above, and each vector field is
     :func:`~mpmech.lie_core.coadjoint` of a double's constants at the points
     ``Z = (mu, nu)`` with gradients ``G = (x, y)``, so each row is one matrix
     product over the samples and one row-wise contraction.  The plus-sign
@@ -462,57 +465,52 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
         raise InputError(f"the audit seed must be non-negative, got {seed}")
     n, m = mp_derived.g.dim, mp_derived.h.dim
     rng = np.random.default_rng(seed)
-    etas, xis, mus, nus = (rng.standard_normal((samples, k)) for k in (m, n, n, m))
+    draws = [rng.standard_normal((samples, k)) for k in (m, n, n, m)]  # eta, xi, mu, nu
     pr, de = mp_printed, mp_derived
-    lines: list[AuditLine] = []
-
-    def add(name, a, b, witness=None):
-        deviation = float(np.abs(a - b).max())
-        status = "MATCH" if deviation <= tol else "MISMATCH"
-        lines.append(AuditLine(name, deviation, status, witness))
-
-    # primitive actions: printed tensors against derived tensors, witness (a, i) of the largest
-    for name, act, printed, derived in (("action |>", left_act, pr.rho, de.rho),
-                                        ("action <|", right_act, pr.sigma, de.sigma)):
-        _, (_, a, i) = _largest_entry(printed - derived)
-        witness = f"({pr.h.name_of(a)}, {pr.g.name_of(i)})"
-        add(name, act(pr, etas, xis), act(de, etas, xis), witness)
-    if lines[-1].status == "MISMATCH":
-        defect = compat_defect(pr)
-        lines[-1] = replace(lines[-1], detail=f"compatibility condition 1 defect "
-                            f"{defect.d1:g} at ({', '.join(defect.witness1)})")
-
-    # dual maps: closed forms against their defining pairing identities
     cf = closed_forms or ClosedFormActions()
-    dual_rows = (("dual *<|", cf.co_left, co_left_act, mus, etas),
-                 ("dual *|>", cf.co_right, co_right_act, xis, nus),
-                 ("dual a*", cf.a_star, a_star, etas, nus),
-                 ("dual b*", cf.b_star, b_star, xis, mus))
-    for name, closed, exact, u, v in dual_rows:
-        add(name, closed(u, v) if closed is not None else exact(de, u, v), exact(pr, u, v))
-
-    # vector fields on the derived double
-    Z = np.hstack([mus, nus])
-    G = np.hstack([xis, etas])
-
-    def energy_rate(F):  # <mu_dot, x> + <nu_dot, y>, one row-wise dot
-        return np.einsum("si,si->s", F, G)
-
     C = build_double(de).algebra.C
-    canonical = coadjoint(C, Z, G)
-    if cf.lp_rhs is not None:
-        mu_dot, nu_dot = cf.lp_rhs(mus, nus, xis, etas)
-        add("closed-form rhs (mu)", mu_dot, canonical[:, :n])
-        add("closed-form rhs (nu)", nu_dot, canonical[:, n:])
-    else:
-        add("canonical rhs (tensor sets)", coadjoint(build_double(pr).algebra.C, Z, G), canonical)
-    add("canonical rhs energy rate", energy_rate(canonical), 0.0)
+    C_plus = C.copy()
+    C_plus[:, :n, n:] *= -1.0
 
-    if closed_forms is not None:
-        C_plus = C.copy()
-        C_plus[:, :n, n:] *= -1.0
-        plus = coadjoint(C_plus, Z, G)
-        add("plus-sign rhs vs canonical", plus, canonical)
-        add("plus-sign rhs energy rate", energy_rate(plus), 0.0)
+    def deviations(etas, xis, mus, nus):  # each row's a - b on one block of samples
+        # primitive actions: printed tensors against derived tensors
+        yield "action |>", left_act(pr, etas, xis) - left_act(de, etas, xis)
+        yield "action <|", right_act(pr, etas, xis) - right_act(de, etas, xis)
+        # dual maps: closed forms against their defining pairing identities
+        for name, closed, exact, u, v in (("dual *<|", cf.co_left, co_left_act, mus, etas),
+                                          ("dual *|>", cf.co_right, co_right_act, xis, nus),
+                                          ("dual a*", cf.a_star, a_star, etas, nus),
+                                          ("dual b*", cf.b_star, b_star, xis, mus)):
+            yield name, (closed(u, v) if closed is not None else exact(de, u, v)) - exact(pr, u, v)
+        # vector fields on the derived double; an energy rate is <mu_dot, x> + <nu_dot, y>
+        Z, G = np.hstack([mus, nus]), np.hstack([xis, etas])
+        canonical = coadjoint(C, Z, G)
+        if cf.lp_rhs is not None:
+            mu_dot, nu_dot = cf.lp_rhs(mus, nus, xis, etas)
+            yield "closed-form rhs (mu)", mu_dot - canonical[:, :n]
+            yield "closed-form rhs (nu)", nu_dot - canonical[:, n:]
+        else:
+            yield "canonical rhs (tensor sets)", coadjoint(build_double(pr).algebra.C, Z, G) - canonical
+        yield "canonical rhs energy rate", np.einsum("si,si->s", canonical, G)
+        if closed_forms is not None:
+            plus = coadjoint(C_plus, Z, G)
+            yield "plus-sign rhs vs canonical", plus - canonical
+            yield "plus-sign rhs energy rate", np.einsum("si,si->s", plus, G)
+
+    witnesses = {}  # the action rows' (a, i): the largest entry of the tensors' difference
+    for name, printed, derived in (("action |>", pr.rho, de.rho), ("action <|", pr.sigma, de.sigma)):
+        _, (_, a, i) = _largest_entry(printed - derived)
+        witnesses[name] = f"({pr.h.name_of(a)}, {pr.g.name_of(i)})"
+    largest = 0.0
+    for start in range(0, samples, AUDIT_BLOCK_SAMPLES):
+        rows = deviations(*(d[start:start + AUDIT_BLOCK_SAMPLES] for d in draws))
+        names, block = zip(*((name, np.abs(difference).max()) for name, difference in rows))
+        largest = np.maximum(largest, block)  # keeps a NaN
+    lines = [AuditLine(name, dev, "MATCH" if dev <= tol else "MISMATCH", witnesses.get(name))
+             for name, dev in zip(names, largest.tolist())]
+    if lines[1].status == "MISMATCH":
+        defect = compat_defect(pr)
+        lines[1] = replace(lines[1], detail=f"compatibility condition 1 defect "
+                           f"{defect.d1:g} at ({', '.join(defect.witness1)})")
 
     return AuditReport(samples, seed, tol, tuple(lines))

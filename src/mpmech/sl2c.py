@@ -19,6 +19,8 @@ compatibility conditions and ships only as an audit target.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -93,7 +95,9 @@ class KElement:
 
 @dataclass(frozen=True)
 class SU2Element:
-    """A 2x2 special unitary matrix."""
+    """A 2x2 special unitary matrix, checked within ``1e-12 * tolerance_scale()`` on
+    its entries as Python complex scalars (cheaper than numpy calls at 2x2); moduli
+    by ``math.hypot``, as ``abs`` raises past the float range."""
 
     matrix: np.ndarray
 
@@ -101,12 +105,16 @@ class SU2Element:
         M = float_array(self.matrix, "SU(2) element", complex)
         if M.shape != (2, 2):
             raise InputError(f"SU(2) element must be 2x2, got {M.shape}")
+        (a, b), (c, d) = M.tolist()
         tol = 1e-12 * tolerance_scale()
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the tests
-            if not np.abs(M.conj().T @ M - np.eye(2)).max() <= tol:
-                raise ValidationError("matrix is not unitary")
-            if not abs(np.linalg.det(M) - 1.0) <= tol:
-                raise ValidationError("matrix does not have unit determinant")
+        # M^dagger M - I; its lower-left entry is the conjugate of the upper-right one
+        gram = (a.conjugate() * a + c.conjugate() * c - 1.0, a.conjugate() * b + c.conjugate() * d,
+                b.conjugate() * b + d.conjugate() * d - 1.0)
+        if not all(math.hypot(z.real, z.imag) <= tol for z in gram):
+            raise ValidationError("matrix is not unitary")
+        det = a * d - b * c
+        if not math.hypot(det.real - 1.0, det.imag) <= tol:
+            raise ValidationError("matrix does not have unit determinant")
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
 
@@ -144,24 +152,27 @@ def iwasawa_factor(M) -> tuple[SU2Element, KElement]:
     The triangular factor is read off the positive-definite product
     P = M^dagger M: c = 1/P22 - 1 and a + ib = P21/P22, which avoids
     Gram-Schmidt cancellation for near-identity input; the unitary factor is
-    then M times the inverse triangular matrix.  A matrix whose P22, 1/P22 or
-    P21/P22 leaves the float range (entries far apart in magnitude) is an
-    InputError, the last two through :class:`KElement`.
+    then M times the inverse triangular matrix, a numpy product like P: their
+    rounding fixes the factors' bits (and, past the float range, the verdict of
+    :class:`SU2Element`), while the checks run on the entries as Python complex
+    scalars.  P22, 1/P22 or P21/P22 past the float range is an InputError.
     """
     M = float_array(M, "matrix", complex)
     if M.shape != (2, 2):
         raise InputError(f"expected a 2x2 matrix, got shape {M.shape}")
-    _require_finite(M, "matrix")
+    (a, b), (c, d) = M.tolist()
+    if not all(map(cmath.isfinite, (a, b, c, d))):
+        raise InputError("non-finite entries in matrix")
+    det = a * d - b * c
+    if not math.hypot(det.real - 1.0, det.imag) <= 1e-10 * tolerance_scale():
+        raise InputError(f"matrix determinant {det} is not 1")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a test
-        det = np.linalg.det(M)
-        if not abs(det - 1.0) <= 1e-10 * tolerance_scale():
-            raise InputError(f"matrix determinant {det} is not 1")
-        P = M.conj().T @ M  # only P21 and P22 are used
-        p22 = float(P[1, 1].real)
-        if not 0.0 < p22 < np.inf:
-            raise InputError(f"matrix cannot be factored in double precision (P22 = {p22})")
-        ab = P[1, 0] / p22  # KElement rejects an overflow
-    b_factor = KElement(float(ab.real), float(ab.imag), 1.0 / p22 - 1.0)
+        (_, _), (p21, p22) = (M.conj().T @ M).tolist()  # only P21 and P22 are used
+    p22 = p22.real
+    if not 0.0 < p22 < math.inf:
+        raise InputError(f"matrix cannot be factored in double precision (P22 = {p22})")
+    s = 1.0 / p22  # a + ib = P21 / P22 as numpy divides by a real, zero signs included
+    b_factor = KElement((p21.real + p21.imag * 0.0) * s, (p21.imag - p21.real * 0.0) * s, s - 1.0)
     a_factor = SU2Element(M @ _k_matrix_inverse(b_factor))
     return a_factor, b_factor
 
