@@ -19,8 +19,6 @@ from .lie_core import (
     abelian,
     ad_star,
     bracket,
-    jacobi_defect,
-    kks_eval,
     lie_poisson_bracket,
     lie_poisson_rhs,
     tolerance_scale,
@@ -30,7 +28,6 @@ from .matched_pair import (
     AuditLine,
     AuditReport,
     ClosedFormActions,
-    CompatDefect,
     DoubleAlgebra,
     DualPoint,
     MatchedPair,
@@ -41,10 +38,7 @@ from .matched_pair import (
     co_left_act,
     co_right_act,
     cobracket_eval,
-    compat_defect,
-    euler_poincare_rhs,
     left_act,
-    matched_ad_star,
     matched_bracket_eval,
     matched_lp_rhs,
     right_act,

@@ -3,7 +3,7 @@
 The integrator is classical RK4 with a fixed step: the flows conserve energy
 and Casimirs exactly, so the discrete drift is pure truncation error.  Rows
 are scanned for non-finite values every ``FINITE_BLOCK`` steps, and
-invariants are evaluated over all rows after the run.
+invariants are checked before the run and evaluated over all rows after it.
 """
 
 from __future__ import annotations
@@ -160,10 +160,6 @@ InvariantMap = Mapping[str, HamiltonianSpec | Callable[[np.ndarray, np.ndarray],
 callable of (mu, nu) returning a float, which is run as a black-box spec."""
 
 
-def _drift(series: np.ndarray) -> float:
-    return float(np.abs(series - series[0]).max() / (1.0 + abs(series[0])))
-
-
 def _grid(dt: float, t_end: float) -> tuple[int, np.ndarray]:
     if not (0 < dt <= t_end < np.inf):
         raise InputError(f"need 0 < dt <= t_end < inf, got dt={dt}, t_end={t_end}")
@@ -208,23 +204,30 @@ def _run_rk4(stage, y0: np.ndarray, dt: float, steps: int) -> np.ndarray:
     return states
 
 
-def _monitor(states: np.ndarray, split: tuple[int, int], spec: HamiltonianSpec,
-             invariants: InvariantMap | None):
-    """Series and drifts of "H" and the invariants, all as specs: a quadratic
-    one over all rows in one einsum, any other row by row."""
+def _invariant_specs(split: tuple[int, int], spec: HamiltonianSpec,
+                     invariants: InvariantMap | None) -> dict[str, HamiltonianSpec]:
+    """"H" and the invariants, all as specs on (mu, nu), checked before a run."""
     n, m = split
     if "H" in (invariants or {}):
         raise InputError("invariant name 'H' is reserved for the Hamiltonian")
-    series = {}
+    specs = {}
     for name, s in {"H": spec, **(invariants or {})}.items():
         if not isinstance(s, HamiltonianSpec):
             s = HamiltonianSpec.blackbox(lambda z, fn=s: fn(z[:n], z[n:]), n + m)
         elif s.dim != n + m:
             raise DimensionMismatch(f"invariant {name!r} has dimension {s.dim}, not {n + m}")
-        series[name] = (0.5 * np.einsum("ij,ij->i", states @ s.Q, states) + states @ s.b
-                        if s.is_quadratic else np.array([s.value(z) for z in states]))
-    drift = {name: _drift(vals) for name, vals in series.items()}
-    return series, drift
+        specs[name] = s
+    return specs
+
+
+def _monitor(states: np.ndarray, specs: dict[str, HamiltonianSpec]):
+    """Series and drifts (see :class:`TrajectoryRecord`) of the specs: a quadratic
+    one over all rows in one einsum, any other row by row."""
+    series = {name: (0.5 * np.einsum("ij,ij->i", states @ s.Q, states) + states @ s.b
+                     if s.is_quadratic else np.array([s.value(z) for z in states]))
+              for name, s in specs.items()}
+    return series, {name: float(np.abs(v - v[0]).max() / (1.0 + abs(v[0])))
+                    for name, v in series.items()}
 
 
 def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
@@ -251,6 +254,7 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
             f"Hamiltonian dimension {spec.dim} does not match the double ({z0.size})"
         )
     steps, times = _grid(dt, t_end)
+    specs = _invariant_specs(double.split, spec, invariants)
     d = double.dim
     D = d + 1 if spec.is_quadratic else d
     C = sign * double.algebra.C
@@ -270,7 +274,7 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
             Cf = (h * C).reshape(d, d * d)
             return lambda z, out: (z.dot(Cf, P), M.dot(gradient(spec, z), out))
         states = _run_rk4(stage, z0, dt, steps)
-    series, drift = _monitor(states, double.split, spec, invariants)
+    series, drift = _monitor(states, specs)
     return TrajectoryRecord(times, states, double.split, series, drift)
 
 

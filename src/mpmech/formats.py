@@ -149,9 +149,7 @@ def matrix_from_json(entries) -> np.ndarray:
             raise InputError(f"expected a 2x2 matrix, got shape {shape}")
         raise InputError(f"matrix entry {bad[0]!r} is not a number or [re, im]")
     parts = [x for c, pair in zip(cells, pairs) for x in (c if pair else (c, 0))]
-    v = float_array(parts, "matrix").tolist()
-    return np.array([v[2 * k] + 1j * v[2 * k + 1] if pair else v[2 * k]
-                     for k, pair in enumerate(pairs)], dtype=complex).reshape(2, 2)
+    return float_array(parts, "matrix").view(complex).reshape(2, 2)  # each (re, im) bit for bit
 
 
 def matrix_to_json(M: np.ndarray) -> list:

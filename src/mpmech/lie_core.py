@@ -228,8 +228,8 @@ def coadjoint(C: np.ndarray, z, x) -> np.ndarray:
     """``ad*_x z = sum_kj C[k, i, j] z_k x_j`` over any leading axes; at
     ``x = grad H(z)`` it is the right Lie-Poisson field ``M(z) grad H``.
     :func:`ad_star`, :func:`lie_poisson_rhs`, :func:`bracket`, ``matched_lp_rhs``,
-    ``euler_poincare_rhs``, the audit's fields and the six action maps of
-    ``matched_pair`` are views of it.  Two steps, as in ``integrate``'s stage:
+    the audit's fields and the six action maps of ``matched_pair`` are views of
+    it.  Two steps, as in ``integrate``'s stage:
     :func:`poisson_tensor` over all rows, then a 2-operand einsum of ``M`` with
     ``x`` row by row.  Not ``@``: BLAS fuses multiply-adds, so ``ad*_mu mu`` on
     su(2) would not be exactly zero."""
@@ -257,25 +257,16 @@ def _largest_entry(T: np.ndarray) -> tuple[float, tuple]:
     return float(abs(T.flat[k])), np.unravel_index(k, T.shape)
 
 
-def jacobi_defect(alg: LieAlgebra) -> float:
-    """Max-norm of the Jacobiator over all basis triples: zero (up to rounding)
-    iff the structure constants define a Lie algebra."""
-    return alg.jacobi_check("jacobi defect").value
-
-
 def lie_poisson_bracket(alg: LieAlgebra, mu, grad_h, grad_f) -> float:
     """Linear Poisson bracket on the dual: <mu, [grad_h, grad_f]>.
 
     The same contraction is the coadjoint-orbit (KKS) two-form at mu on the
-    generators grad_h, grad_f, exported as :func:`kks_eval`.  Antisymmetric
-    in floating point (through :func:`bracket`): swapping the gradients
-    negates the value exactly, and equal gradients give ``0.0``.
+    generators grad_h, grad_f.  Antisymmetric in floating point (through
+    :func:`bracket`): swapping the gradients negates the value exactly, and
+    equal gradients give ``0.0``.
     """
     mu = _as_vector(mu, alg.dim, "dual point")
     return float(mu @ bracket(alg, grad_h, grad_f))
-
-
-kks_eval = lie_poisson_bracket
 
 
 def convention_sign(convention: str) -> float:

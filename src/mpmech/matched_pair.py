@@ -191,25 +191,9 @@ def b_star(mp: MatchedPair, xi, mu) -> np.ndarray:
 
 # -- compatibility -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompatDefect:
-    """Max-norm residuals of the two matched-pair compatibility conditions."""
-
-    d1: float
-    d2: float
-    witness1: tuple[str, str, str]
-    witness2: tuple[str, str, str]
-    vector1: np.ndarray
-    vector2: np.ndarray
-
-    @property
-    def witness(self) -> tuple[str, str, str]:
-        """Witness triple of the larger defect."""
-        return self.witness1 if self.d1 >= self.d2 else self.witness2
-
-
-def compat_defect(mp: MatchedPair) -> CompatDefect:
-    """Residuals of the two compatibility conditions, with maximizing triples.
+def _compatibility_checks(mp: MatchedPair) -> tuple[Check, Check]:
+    """The two compatibility conditions against :func:`~mpmech.lie_core.defect_bound`,
+    witnessed by the basis triple of their largest entry.
 
     Both are blocks of the double's Jacobiator ``J[k, I, J, L]``, the E_k part
     of Jac(E_I, E_J, E_L): with n = dim g, condition 1 is ``J[:n, n:, :n, :n]``
@@ -217,26 +201,24 @@ def compat_defect(mp: MatchedPair) -> CompatDefect:
     indexed [value in h, a, b, i]."""
     n = mp.g.dim
     J = build_double(mp).algebra.jacobiator
-    D1, D2 = J[:n, n:, :n, :n], -J[n:, n:, n:, :n]
-    d1, (_, a1, i1, j1) = _largest_entry(D1)
-    d2, (_, a2, b2, i2) = _largest_entry(D2)
-    w1 = (mp.h.name_of(a1), mp.g.name_of(i1), mp.g.name_of(j1))
-    w2 = (mp.h.name_of(a2), mp.h.name_of(b2), mp.g.name_of(i2))
-    return CompatDefect(d1, d2, w1, w2, D1[:, a1, i1, j1].copy(), D2[:, a2, b2, i2].copy())
+    bound = defect_bound(mp.g.C, mp.h.C, mp.rho, mp.sigma)
+    d1, (_, a1, i1, j1) = _largest_entry(J[:n, n:, :n, :n])
+    d2, (_, a2, b2, i2) = _largest_entry(J[n:, n:, n:, :n])
+    g, h = mp.g.name_of, mp.h.name_of
+    return (Check("compatibility condition 1", d1, bound, f"({h(a1)}, {g(i1)}, {g(j1)})"),
+            Check("compatibility condition 2", d2, bound, f"({h(a2)}, {h(b2)}, {g(i2)})"))
 
 
 def validation_report(mp: MatchedPair) -> tuple[Check, ...]:
     """The five checks that make ``mp`` a matched pair, each defect against
     :func:`~mpmech.lie_core.defect_bound`: the Jacobi identity of g and of h,
-    the two compatibility conditions (the blocks ``J[:n, n:, :n, :n]`` and
-    ``-J[n:, n:, n:, :n]`` of the double's Jacobiator ``J``) and max |J|."""
-    defect = compat_defect(mp)
-    bound = defect_bound(mp.g.C, mp.h.C, mp.rho, mp.sigma)
+    the two compatibility conditions and max |J| of the double's Jacobiator
+    ``J``.  Its helper ``_compatibility_checks`` is the only reader of the
+    conditions' blocks ``J[:n, n:, :n, :n]`` and ``-J[n:, n:, n:, :n]``."""
     return (
         mp.g.jacobi_check("jacobi defect (g)"),
         mp.h.jacobi_check("jacobi defect (h)"),
-        Check("compatibility condition 1", defect.d1, bound, f"({', '.join(defect.witness1)})"),
-        Check("compatibility condition 2", defect.d2, bound, f"({', '.join(defect.witness2)})"),
+        *_compatibility_checks(mp),
         build_double(mp).algebra.jacobi_check("jacobi defect (double)"),
     )
 
@@ -331,36 +313,6 @@ def matched_lp_rhs(double: DoubleAlgebra, p, grad_h, convention: str = "right") 
     rhs = convention_sign(convention) * coadjoint(double.algebra.C, p.concat(), grad)
     n, _ = double.split
     return DualPoint(rhs[:n], rhs[n:])
-
-
-def matched_ad_star(double: DoubleAlgebra, x, p) -> DualPoint:
-    """Coadjoint action of the double on its dual; alias of the right RHS."""
-    return matched_lp_rhs(double, p, x, "right")
-
-
-def euler_poincare_rhs(mp: MatchedPair, state, lagrangian) -> tuple[DualPoint, tuple[np.ndarray, np.ndarray]]:
-    """Euler-Poincare vector field for a quadratic Lagrangian.
-
-    ``state`` is the velocity pair (xi, eta); the momenta mu = M_g xi,
-    nu = M_h eta evolve by minus the double's :func:`~mpmech.lie_core.coadjoint`
-    at (mu, nu) with gradient (xi, eta), on validated pairs or not:
-
-        mu_dot = -ad*_xi mu + mu *<| eta + a*_eta nu
-        nu_dot = -ad*_eta nu - xi *|> nu - b*_xi mu.
-
-    Antisymmetry makes <mu_dot, xi> + <nu_dot, eta> vanish identically, so
-    the kinetic energy is conserved.  Returns the momentum derivative and the
-    (recovered) velocity pair.
-    """
-    n, m = mp.g.dim, mp.h.dim
-    xi, eta = _as_pair(state, (n, m), "velocity state")
-    metric_g = float_array(lagrangian.metric_g, "g metric")
-    metric_h = float_array(lagrangian.metric_h, "h metric")
-    if metric_g.shape != (n, n) or metric_h.shape != (m, m):
-        raise DimensionMismatch("Lagrangian metric blocks do not match the pair")
-    z = np.concatenate([metric_g @ xi, metric_h @ eta])
-    rhs = -coadjoint(build_double(mp).algebra.C, z, np.concatenate([xi, eta]))
-    return DualPoint(rhs[:n], rhs[n:]), (xi, eta)
 
 
 # -- formula audit ------------------------------------------------------------
@@ -509,8 +461,8 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
     lines = [AuditLine(name, dev, "MATCH" if dev <= tol else "MISMATCH", witnesses.get(name))
              for name, dev in zip(names, largest.tolist())]
     if lines[1].status == "MISMATCH":
-        defect = compat_defect(pr)
+        condition = _compatibility_checks(pr)[0]
         lines[1] = replace(lines[1], detail=f"compatibility condition 1 defect "
-                           f"{defect.d1:g} at ({', '.join(defect.witness1)})")
+                           f"{condition.value:g} at {condition.witness}")
 
     return AuditReport(samples, seed, tol, tuple(lines))

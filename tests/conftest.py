@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpmech.matched_pair import validation_report
 from mpmech.sl2c import builtin_pairs
 
 
@@ -27,3 +28,13 @@ def e3_heavytop(pairs):
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+@pytest.fixture(scope="session")
+def compatibility_defects():
+    """Reads the values of a pair's two compatibility checks, condition 1 first,
+    off its validation report."""
+    def read(mp):
+        report = {c.name: c.value for c in validation_report(mp)}
+        return report["compatibility condition 1"], report["compatibility condition 2"]
+    return read

@@ -11,7 +11,6 @@ import pytest
 
 from mpmech.cli import main
 from mpmech.dynamics import HamiltonianSpec, LagrangianSpec, integrate, integrate_ep, legendre
-from mpmech.lie_core import jacobi_defect
 from mpmech.matched_pair import (
     DualPoint,
     a_star,
@@ -20,11 +19,11 @@ from mpmech.matched_pair import (
     build_double,
     co_left_act,
     co_right_act,
-    compat_defect,
     left_act,
     matched_bracket_eval,
     matched_lp_rhs,
     right_act,
+    validation_report,
 )
 from mpmech.sl2c import (
     SU2Element,
@@ -62,9 +61,7 @@ def pairs():
 
 def test_criterion_01_matched_pair_validity(pairs):
     mp = pairs["sl2c_derived"]
-    defect = compat_defect(mp)
-    jac = jacobi_defect(build_double(mp).algebra)
-    worst = max(defect.d1, defect.d2, jac)
+    worst = max(c.value for c in validation_report(mp))  # both conditions and the double's Jacobi
     report(1, "derived pair compatibility and double Jacobi within 1e-12",
            worst <= 1e-12, f"max defect {worst:.3e}")
 

@@ -11,8 +11,8 @@ import pytest
 from mpmech import formats, lie_core
 from mpmech.cli import main
 from mpmech.errors import EmbeddingError
-from mpmech.lie_core import LieAlgebra, jacobi_defect
-from mpmech.matched_pair import MatchedPair, build_double, compat_defect, pair_from_double
+from mpmech.lie_core import LieAlgebra
+from mpmech.matched_pair import MatchedPair, build_double, pair_from_double, validation_report
 from mpmech.sl2c import (
     EmbeddedBasis,
     derive_actions_from_embedding,
@@ -60,18 +60,21 @@ class TestConditionsFromTheJacobiator:
     def test_blocks_match_the_five_term_conditions(self, any_pair):
         mp = any_pair
         reference = condition_tensors(mp.g.C, mp.h.C, mp.rho, mp.sigma)
-        defect = compat_defect(mp)
+        report = {c.name: c for c in validation_report(mp)}
+        n = mp.g.dim
+        J = build_double(mp).algebra.jacobiator
         scale = 1.0 + max(np.abs(t).max() for t in (mp.g.C, mp.h.C, mp.rho, mp.sigma))
         tol = 1e-12 * scale ** 2
-        found = ((defect.d1, defect.witness1, defect.vector1, (mp.h, mp.g, mp.g)),
-                 (defect.d2, defect.witness2, defect.vector2, (mp.h, mp.h, mp.g)))
-        for D, (d, witness, vector, algebras) in zip(reference, found):
+        found = ((report["compatibility condition 1"], J[:n, n:, :n, :n], (mp.h, mp.g, mp.g)),
+                 (report["compatibility condition 2"], -J[n:, n:, n:, :n], (mp.h, mp.h, mp.g)))
+        for D, (check, block, algebras) in zip(reference, found):
             largest = float(np.abs(D).max())
-            assert abs(d - largest) <= tol
-            # the witness is a largest entry of the reference, and its vector is there
+            assert abs(check.value - largest) <= tol
+            assert np.abs(block - D).max() <= tol
+            # the witness is a largest entry of the reference
+            witness = tuple(check.witness[1:-1].split(", "))
             column = D[(slice(None),) + tuple(a.names.index(w) for a, w in zip(algebras, witness))]
             assert float(np.abs(column).max()) >= largest - tol
-            assert np.abs(vector - column).max() <= tol
             if largest > 1e-6:  # a defect above rounding has the reference's witness
                 _, *first = np.unravel_index(int(np.abs(D).argmax()), D.shape)
                 assert witness == tuple(a.name_of(k) for a, k in zip(algebras, first))
@@ -85,8 +88,8 @@ class TestConditionsFromTheJacobiator:
     def test_jacobi_defect_reuses_the_kept_jacobiator(self, monkeypatch, rng):
         jacobi = count_calls(monkeypatch, lie_core, "_jacobiator")
         alg = LieAlgebra(random_antisymmetric(rng, 4), validate=False)
-        first = jacobi_defect(alg)
-        assert jacobi_defect(alg) == first == alg.jacobi_check("jacobi").value
+        first = alg.jacobi_check("jacobi").value
+        assert alg.jacobi_check("jacobi").value == first
         assert first == float(np.abs(alg.jacobiator).max()) > 0.0
         assert len(jacobi) == 1
         assert not alg.jacobiator.flags.writeable

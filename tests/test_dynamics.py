@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from mpmech import dynamics
 from mpmech.dynamics import (
     HamiltonianSpec,
     LagrangianSpec,
@@ -155,6 +158,25 @@ class TestIntegrate:
         with pytest.raises(InputError):
             integrate(double, spec, P0, 0.1, 1.0,
                       invariants={"H": lambda mu, nu: 0.0})
+
+    @pytest.mark.parametrize("mode", ["lp", "ep"])
+    @pytest.mark.parametrize("invariants,error,message", [
+        ({"H": lambda mu, nu: 0.0}, InputError, "invariant name 'H' is reserved for the Hamiltonian"),
+        ({"I": HamiltonianSpec.quadratic(np.eye(5))}, DimensionMismatch,
+         "invariant 'I' has dimension 5, not 6"),
+    ], ids=["reserved_name", "wrong_dimension"])
+    def test_invariants_are_checked_before_the_run(self, monkeypatch, sl2c_derived, mode,
+                                                   invariants, error, message):
+        def no_run(*args):
+            raise AssertionError("the RK4 loop was entered")
+        monkeypatch.setattr(dynamics, "_run_rk4", no_run)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            if mode == "lp":
+                integrate(build_double(sl2c_derived), HamiltonianSpec.quadratic(np.eye(6)),
+                          P0, 1e-3, 200.0, invariants=invariants)
+            else:
+                integrate_ep(sl2c_derived, LagrangianSpec(np.eye(3), np.eye(3)), P0, 1e-3, 200.0,
+                             invariants)
 
     def test_blow_up_reports_last_good_time(self, sl2c_derived):
         double = build_double(sl2c_derived)

@@ -241,7 +241,19 @@ class TestMatrixFromJson:
             assert str(info.value) == f"expected a 2x2 matrix, got shape {shape}"
 
     @pytest.mark.parametrize("entries", [[[1, 0], [0, 1]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
-                                         [[[1.5, -2], 0], [0.25, [0, 1]]]])
+                                         [[[1.5, -2], 0], [0.25, [0, 1]]],
+                                         [[[-0.0, 0.0], [0.0, -0.0]], [[-0.0, -0.0], -0.0]]])
     def test_accepted(self, entries):
         cells = [complex(*c) if isinstance(c, list) else complex(c) for row in entries for c in row]
         assert same_bits(formats.matrix_from_json(entries), np.reshape(cells, (2, 2)))
+
+    @pytest.mark.parametrize("real", [-0.0, 0.0, -1.5])
+    def test_a_pair_cell_and_a_plain_cell_give_the_same_bits(self, monkeypatch, capsys, real):
+        pair, plain = [[1, [real, 0]], [0, 1]], [[1, real], [0, 1]]
+        assert same_bits(formats.matrix_from_json(pair), formats.matrix_from_json(plain))
+        printed = []
+        for doc in (pair, plain):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+            assert main(["factor", "-"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]

@@ -10,7 +10,6 @@ import json
 import re
 import sys
 import tempfile
-import types
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -23,7 +22,6 @@ from mpmech.cli import main
 from mpmech.dynamics import HamiltonianSpec, LagrangianSpec, gradient
 from mpmech.errors import DegenerateMetricError, EmbeddingError, InputError
 from mpmech.lie_core import LieAlgebra
-from mpmech.matched_pair import euler_poincare_rhs
 from mpmech.sl2c import (
     EmbeddedBasis,
     derive_actions_from_embedding,
@@ -161,11 +159,10 @@ class TestApiGate:
         with pytest.raises(InputError, match="state is not a numeric array"):
             gradient(spec, [1, [2]])
 
-    def test_ragged_metric_in_euler_poincare_rhs(self, sl2c_derived):
-        lagrangian = types.SimpleNamespace(metric_g=[[1.0, 0.0, 0.0], [0.0, 1.0], [0.0]],
-                                           metric_h=np.eye(3))
+    def test_ragged_metric_in_euler_poincare_rhs(self):
+        ragged = [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0]]
         with pytest.raises(InputError, match="g metric is not a numeric array"):
-            euler_poincare_rhs(sl2c_derived, np.ones(6), lagrangian)
+            LagrangianSpec(ragged, np.eye(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_metric_is_degenerate(self, bad):

@@ -237,10 +237,11 @@ class TestLargestEntry:
         _, (_, i, j, l) = _largest_entry(J)
         names = printed.g.names + printed.h.names
         assert checks["jacobi defect (double)"].witness == f"({names[i]}, {names[j]}, {names[l]})"
-        defect = matched_pair.compat_defect(printed)
+        condition = checks["compatibility condition 1"]
         n = printed.g.dim
         value, (_, a, i, j) = _largest_entry(J[:n, n:, :n, :n])
-        assert (defect.d1, defect.witness1) == (value, (names[n + a], names[i], names[j]))
+        witness = f"({names[n + a]}, {names[i]}, {names[j]})"
+        assert (condition.value, condition.witness) == (value, witness)
 
     def test_audit_action_witness(self, pairs):
         report = matched_pair.audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"],

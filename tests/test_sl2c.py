@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mpmech.errors import EmbeddingError, InputError, ValidationError
-from mpmech.matched_pair import build_double, compat_defect
+from mpmech.matched_pair import build_double
 from mpmech.sl2c import (
     EmbeddedBasis,
     KElement,
@@ -174,10 +174,9 @@ class TestDeriveActions:
             eps[i, k, j] = -1.0
         assert np.abs(mp.g.C - eps).max() <= 1e-12
 
-    def test_output_is_compatible(self):
+    def test_output_is_compatible(self, compatibility_defects):
         mp = derive_actions_from_embedding(standard_basis())
-        defect = compat_defect(mp)
-        assert max(defect.d1, defect.d2) <= 1e-12
+        assert max(compatibility_defects(mp)) <= 1e-12
 
     def test_commuting_diagonal_bases_give_zero_tensors(self):
         basis = EmbeddedBasis(
@@ -203,20 +202,17 @@ class TestDeriveActions:
 
 
 class TestBuiltinPairs:
-    def test_derived_is_validated(self, sl2c_derived):
+    def test_derived_is_validated(self, sl2c_derived, compatibility_defects):
         assert sl2c_derived.validated
-        defect = compat_defect(sl2c_derived)
-        assert max(defect.d1, defect.d2) <= 1e-12
+        assert max(compatibility_defects(sl2c_derived)) <= 1e-12
 
-    def test_heavytop_is_exactly_compatible(self, e3_heavytop):
+    def test_heavytop_is_exactly_compatible(self, e3_heavytop, compatibility_defects):
         assert e3_heavytop.validated
-        defect = compat_defect(e3_heavytop)
-        assert defect.d1 == 0.0
-        assert defect.d2 == 0.0
+        assert compatibility_defects(e3_heavytop) == (0.0, 0.0)
 
-    def test_printed_is_not_validated(self, sl2c_printed):
+    def test_printed_is_not_validated(self, sl2c_printed, compatibility_defects):
         assert not sl2c_printed.validated
-        assert compat_defect(sl2c_printed).d1 >= 4.0 - 1e-12
+        assert compatibility_defects(sl2c_printed)[0] >= 4.0 - 1e-12
 
     def test_derived_double_matches_commutator_constants(self, sl2c_derived):
         oracle = commutator_projection(su2_basis(), k_basis())

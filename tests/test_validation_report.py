@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mpmech
 from mpmech import formats, lie_core, matched_pair
 from mpmech.cli import main
 from mpmech.dynamics import _grid
@@ -42,6 +43,8 @@ from test_homogeneous_kernel import UNEQUAL_DOC
 from test_lie_core import corrupted_su2
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mpmech"
+REMOVED_NAMES = ("compat_defect", "CompatDefect", "jacobi_defect", "kks_eval",
+                 "matched_ad_star", "euler_poincare_rhs")
 REPORT_NAMES = [
     "jacobi defect (g)",
     "jacobi defect (h)",
@@ -119,6 +122,32 @@ class TestReport:
         jacobi = count_calls(monkeypatch, lie_core, "_jacobiator")
         MatchedPair(g, h, sl2c_derived.rho, sl2c_derived.sigma)
         assert len(jacobi) == 1   # the new double only
+
+    def test_one_reader_of_the_compatibility_blocks(self, monkeypatch, pairs):
+        # the six deleted names stay deleted
+        for module in (mpmech, lie_core, matched_pair):
+            assert [name for name in REMOVED_NAMES if hasattr(module, name)] == [], module.__name__
+        # a 4-index subscript is a read of a block of a Jacobiator, the one rank-4 tensor
+        readers = {f"{path.stem}.{fn.name}" for path in sorted(SRC.glob("*.py"))
+                   for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+                   if isinstance(fn, ast.FunctionDef) and any(
+                       isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+                       and len(node.slice.elts) == 4 for node in ast.walk(fn))}
+        assert readers == {"matched_pair._compatibility_checks"}
+        conditions = count_calls(monkeypatch, matched_pair, "_compatibility_checks")
+        validation_report(pairs["sl2c_printed"])
+        assert len(conditions) == 1
+
+    def test_audit_detail_reads_condition_one_without_the_report(self, monkeypatch, pairs):
+        reports = count_calls(monkeypatch, matched_pair, "validation_report")
+        conditions = count_calls(monkeypatch, matched_pair, "_compatibility_checks")
+        report = audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"], samples=10,
+                                closed_forms=sl2c_closed_forms())
+        condition = validation_report(pairs["sl2c_printed"])[2]
+        assert report.line("action <|").detail == (
+            f"compatibility condition 1 defect {condition.value:g} at {condition.witness}")
+        assert condition.witness == "(f3, e1, e2)"
+        assert reports == [] and len(conditions) == 2  # the audit's and this test's
 
     @pytest.mark.parametrize("largest,bound", [(0.0, 0.5e-10), (1.0, 2e-10), (1e6 - 1.0, 50.0)])
     def test_bound_grows_as_the_square_of_the_scale(self, largest, bound):
