@@ -29,7 +29,6 @@ from .matched_pair import (
     AuditReport,
     ClosedFormActions,
     DoubleAlgebra,
-    DualPoint,
     MatchedPair,
     a_star,
     audit_formulas,
@@ -37,9 +36,7 @@ from .matched_pair import (
     build_double,
     co_left_act,
     co_right_act,
-    cobracket_eval,
     left_act,
-    matched_bracket_eval,
     matched_lp_rhs,
     right_act,
 )

@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 validation or run failure, 2 malformed input, which
 covers unreadable, non-UTF-8 or too deeply nested input files, numbers outside
 the float range (such as a 400-digit JSON integer), NaN or infinite entries in
 tensors, Hamiltonians, initial states and matrix bases, output paths that
-cannot be written, simulate grids over 2**23 (``MAX_STEPS``) steps, and audits
-of over 2**20 (``AUDIT_MAX_SAMPLES``) samples or with a negative seed.
+cannot be written or name no file, an invariant named twice, simulate grids
+over 2**23 (``MAX_STEPS``) steps, and audits of over 2**20
+(``AUDIT_MAX_SAMPLES``) samples or with a negative seed.
 The environment variable MPM_TOLERANCE_SCALE multiplies every validation
 tolerance (default 1).  ``main`` may be called repeatedly in one process;
 every call reuses one parser, built on the first.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
 
@@ -121,6 +123,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not os.path.basename(args.out):
+        raise InputError(f"--out needs a file name prefix, got {args.out!r}")
     mp = load_pair(args.pair)
     mp.validate()
     n, m = mp.g.dim, mp.h.dim
@@ -131,6 +135,8 @@ def cmd_simulate(args) -> int:
         if name not in BUILTIN_INVARIANTS:
             raise InputError(f"unknown invariant {name!r}; built-ins are "
                              f"{', '.join(sorted(BUILTIN_INVARIANTS))}")
+        if name in invariants:
+            raise InputError(f"invariant {name!r} is named twice")
         invariants[name] = BUILTIN_INVARIANTS[name](n, m)
 
     start = time.perf_counter()

@@ -25,7 +25,6 @@ from .matched_pair import (
     MatchedPair,
     _as_pair,
     _require_validated,
-    as_dual_point,
     build_double,
 )
 
@@ -248,7 +247,7 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
     """
     _require_validated(double)
     sign = convention_sign(convention)
-    z0 = as_dual_point(p0, double.split).concat()
+    z0 = np.concatenate(_as_pair(p0, double.split, "dual point"))
     if spec.dim != z0.size:
         raise DimensionMismatch(
             f"Hamiltonian dimension {spec.dim} does not match the double ({z0.size})"

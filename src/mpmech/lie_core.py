@@ -6,9 +6,9 @@ Conventions used throughout the package:
   (target, left, right): ``[e_i, e_j] = sum_k C[k, i, j] e_k``;
 * the basis is always the coordinate basis, and duals use the coordinate
   pairing ``<mu, x> = sum_i mu_i x_i``;
-* ``C`` is contracted only by :func:`poisson_tensor`, ``M(z)[i, j] = sum_k C[k, i, j] z_k``:
-  through :func:`coadjoint` (every field and action map, the audit, and :func:`bracket`
-  with the brackets and forms built on it), in ``cobracket_eval`` and in the Jacobiator;
+* ``C`` is contracted only by :func:`poisson_tensor`, the Poisson tensor
+  ``M(z)[i, j] = sum_k C[k, i, j] z_k``: through :func:`coadjoint` (every field and action map,
+  the audit, and :func:`bracket` with the brackets and forms built on it) and in the Jacobiator;
 * all objects are immutable after construction and every operation is a
   pure function, so everything here is safe to share across threads.
 """
@@ -53,7 +53,7 @@ def defect_bound(*tensors) -> float:
     compatibility conditions): ``0.5e-10 * s**2 * tolerance_scale()`` with
     ``s = 1 + max |entry|``, and ``inf``, which no check accepts, past the
     float range."""
-    s = 1.0 + max(float(np.abs(t).max()) for t in tensors)
+    s = 1.0 + float(np.abs(np.concatenate(tensors, axis=None)).max())
     return DEFECT_TOLERANCE * s * s * tolerance_scale()
 
 
@@ -219,7 +219,7 @@ def bracket(alg: LieAlgebra, x, y) -> np.ndarray:
 def poisson_tensor(C: np.ndarray, z) -> np.ndarray:
     """The Lie-Poisson tensor ``M(z)[..., i, j] = sum_k C[k, i, j] z_k`` over any leading
     axes of ``z``, one matrix product ``z @ C.reshape(K, I*J)``.  Its views: :func:`coadjoint`
-    (``M(z) x``: every field, action map and bracket), ``cobracket_eval`` and the Jacobiator."""
+    (``M(z) x``: every field, action map and bracket) and the Jacobiator."""
     K, I, J = C.shape
     return np.matmul(z, C.reshape(K, I * J)).reshape(*np.shape(z)[:-1], I, J)
 

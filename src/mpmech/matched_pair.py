@@ -39,10 +39,9 @@ from .lie_core import (
     _largest_entry,
     _require_finite,
     coadjoint,
-    convention_sign,
     defect_bound,
     float_array,
-    lie_poisson_bracket,
+    lie_poisson_rhs,
     require,
 )
 
@@ -107,32 +106,9 @@ class DoubleAlgebra:
         return self.algebra.dim
 
 
-@dataclass(frozen=True)
-class DualPoint:
-    """A point (mu, nu) of the dual of a double algebra."""
-
-    mu: np.ndarray
-    nu: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", float_array(self.mu, "dual point (g part)"))
-        object.__setattr__(self, "nu", float_array(self.nu, "dual point (h part)"))
-        if self.mu.ndim != 1 or self.nu.ndim != 1:
-            raise DimensionMismatch("dual point components must be vectors")
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.mu, self.nu])
-
-
-def as_dual_point(p, split: tuple[int, int]) -> DualPoint:
-    """Coerce a DualPoint, a (mu, nu) pair, or a flat vector."""
-    if isinstance(p, DualPoint):
-        p = (p.mu, p.nu)
-    return DualPoint(*_as_pair(p, split, "dual point"))
-
-
 def _as_pair(x, split: tuple[int, int], what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Split a flat vector, or a (g part, h part) pair with a non-scalar part, checking shapes."""
+    """Split a flat vector, or a (g part, h part) pair with a non-scalar part, checking shapes:
+    the one reader of a point or a gradient on g (+) h or on its dual."""
     n, m = split
     if isinstance(x, (tuple, list)) and len(x) == 2:
         g, h = (float_array(e, what) for e in x)
@@ -261,31 +237,6 @@ def pair_from_double(C, n: int, g_names: Sequence[str] | None,
                        C[:n, n:, :n], C[n:, n:, :n])
 
 
-def cobracket_eval(double: DoubleAlgebra, p) -> np.ndarray:
-    """Linear Poisson tensor at p: M[I, J] = <(mu, nu), [E_I, E_J]>, the
-    :func:`~mpmech.lie_core.poisson_tensor` of the double's constants.
-
-    The matrix is antisymmetric in floating point: ``M == -M.T``, bit for bit
-    off the diagonal (the constants of the double are antisymmetrized on
-    construction), and the diagonal is zero; its kernel directions are the
-    gradients of Casimir functions at p.
-    """
-    p = as_dual_point(p, double.split)
-    return lie_core.poisson_tensor(double.algebra.C, p.concat())
-
-
-def matched_bracket_eval(double: DoubleAlgebra, p, grad_h, grad_f) -> float:
-    """Lie-Poisson bracket {H, F} on the dual of the double at p.
-
-    This is :func:`~mpmech.lie_core.lie_poisson_bracket` on the double's
-    algebra, so {F, H} == -{H, F} bit for bit and {H, H} is exactly ``0.0``.
-    """
-    p = as_dual_point(p, double.split)
-    zh = np.concatenate(_as_pair(grad_h, double.split, "grad H"))
-    zf = np.concatenate(_as_pair(grad_f, double.split, "grad F"))
-    return lie_poisson_bracket(double.algebra, p.concat(), zh, zf)
-
-
 def _require_validated(double: DoubleAlgebra) -> None:
     if not double.source.validated:
         raise ValidationError(
@@ -293,14 +244,16 @@ def _require_validated(double: DoubleAlgebra) -> None:
         )
 
 
-def matched_lp_rhs(double: DoubleAlgebra, p, grad_h, convention: str = "right") -> DualPoint:
-    """Lie-Poisson vector field on the dual of the double: the sign of the
-    convention times :func:`~mpmech.lie_core.coadjoint` on its constants.
+def matched_lp_rhs(double: DoubleAlgebra, p, grad_h, convention: str = "right") -> np.ndarray:
+    """Lie-Poisson vector field on the dual of the double, as one flat vector:
+    ``rhs[:n]`` is mu_dot and ``rhs[n:]`` is nu_dot, n = dim g.  ``p`` and
+    ``grad_h`` are flat vectors or (g part, h part) pairs, and the result is
+    bit for bit :func:`~mpmech.lie_core.lie_poisson_rhs` on the double's algebra.
 
-    In the "right" convention ``p_dot = M(p) @ grad_h`` with M the Poisson
-    tensor of :func:`cobracket_eval`, so ``dF/dt = {F, H}`` along the flow and
-    H is conserved exactly at the continuous level.  In components, with
-    X, Y the g- and h-gradients:
+    In the "right" convention ``p_dot = M(p) @ grad_h`` with M the
+    :func:`~mpmech.lie_core.poisson_tensor` of the double's constants, so
+    ``dF/dt = {F, H}`` along the flow and H is conserved exactly at the
+    continuous level.  In components, with X, Y the g- and h-gradients:
 
         mu_dot = ad*_X mu - mu *<| Y - a*_Y nu
         nu_dot = ad*_Y nu + X *|> nu + b*_X mu
@@ -308,11 +261,9 @@ def matched_lp_rhs(double: DoubleAlgebra, p, grad_h, convention: str = "right") 
     "left" is the pointwise negation.
     """
     _require_validated(double)
-    p = as_dual_point(p, double.split)
+    z = np.concatenate(_as_pair(p, double.split, "dual point"))
     grad = np.concatenate(_as_pair(grad_h, double.split, "grad H"))
-    rhs = convention_sign(convention) * coadjoint(double.algebra.C, p.concat(), grad)
-    n, _ = double.split
-    return DualPoint(rhs[:n], rhs[n:])
+    return lie_poisson_rhs(double.algebra, z, grad, convention)
 
 
 # -- formula audit ------------------------------------------------------------

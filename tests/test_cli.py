@@ -133,6 +133,20 @@ class TestSimulate:
         argv = simulate_args(str(tmp_path / "r"), **{"--invariants": "bogus"})
         assert main(argv) == 2
 
+    def test_repeated_invariant_rejected(self, tmp_path, capsys):
+        argv = simulate_args(str(tmp_path / "r"), **{"--invariants": "mu_norm2, mu_norm2"})
+        assert main(argv) == 2
+        assert "input error: invariant 'mu_norm2' is named twice" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["", "sub/"])
+    def test_out_without_a_file_name_rejected(self, tmp_path, monkeypatch, capsys, out):
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(simulate_args(out)) == 2
+        assert "input error: --out needs a file name prefix" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
+
     def test_wrong_initial_length_rejected(self, tmp_path):
         argv = simulate_args(str(tmp_path / "r"), **{"--initial": "1,0,0"})
         assert main(argv) == 2

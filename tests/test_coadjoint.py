@@ -12,8 +12,8 @@ from mpmech.lie_core import abelian, ad_star, coadjoint, lie_poisson_rhs
 from mpmech.matched_pair import (
     ClosedFormActions,
     MatchedPair,
+    _as_pair,
     a_star,
-    as_dual_point,
     audit_formulas,
     b_star,
     build_double,
@@ -82,7 +82,7 @@ class TestContraction:
         double = build_double(sl2c_derived)
         for convention, sign in (("right", 1.0), ("left", -1.0)):
             z, x = rng.standard_normal((2, 6))
-            rhs = matched_lp_rhs(double, z, x, convention).concat()
+            rhs = matched_lp_rhs(double, z, x, convention)
             assert np.array_equal(rhs, sign * coadjoint(double.algebra.C, z, x))
 
 
@@ -214,8 +214,8 @@ class TestFlatTwoVector:
         return MatchedPair(abelian(1), abelian(1), np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
 
     def test_flat_list_is_a_state(self, line_pair):
-        p = as_dual_point([1.0, 2.0], (1, 1))
-        assert p.mu.tolist() == [1.0] and p.nu.tolist() == [2.0]
+        mu, nu = _as_pair([1.0, 2.0], (1, 1), "dual point")
+        assert mu.tolist() == [1.0] and nu.tolist() == [2.0]
         record = integrate(build_double(line_pair), HamiltonianSpec.quadratic(np.eye(2)),
                            [1.0, 2.0], 0.1, 1.0)
         assert np.array_equal(record.states, np.tile([1.0, 2.0], (11, 1)))
@@ -226,10 +226,10 @@ class TestFlatTwoVector:
         assert record.velocities[0].tolist() == [3.0, 4.0]
 
     def test_pairs_still_read_as_pairs(self, line_pair):
-        p = as_dual_point(([1.0], [2.0]), (1, 1))
-        assert p.mu.tolist() == [1.0] and p.nu.tolist() == [2.0]
+        mu, nu = _as_pair(([1.0], [2.0]), (1, 1), "dual point")
+        assert mu.tolist() == [1.0] and nu.tolist() == [2.0]
         for bad in ((1.0, [2.0]), ([1.0], 2.0), [[1.0, 2.0], [3.0]]):
             with pytest.raises(DimensionMismatch):
-                as_dual_point(bad, (1, 1))
+                _as_pair(bad, (1, 1), "dual point")
         with pytest.raises(DimensionMismatch):
-            as_dual_point([1.0, 2.0], (2, 1))
+            _as_pair([1.0, 2.0], (2, 1), "dual point")

@@ -105,7 +105,7 @@ class TestIntegrate:
         dt = 1e-3
         rec = integrate(double, spec, P0, dt, 10 * dt)
         from mpmech.matched_pair import matched_lp_rhs
-        rhs0 = matched_lp_rhs(double, P0, gradient(spec, P0)).concat()
+        rhs0 = matched_lp_rhs(double, P0, gradient(spec, P0))
         assert np.abs(rec.states[1] - (P0 + dt * rhs0)).max() <= 10 * dt ** 2
 
     def test_energy_drift_short_window(self, sl2c_derived):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mpmech.errors import DimensionMismatch, ValidationError
-from mpmech.lie_core import coadjoint
+from mpmech.lie_core import coadjoint, lie_poisson_bracket, poisson_tensor
 from mpmech.matched_pair import (
-    DualPoint,
     MatchedPair,
     a_star,
     audit_formulas,
@@ -12,9 +11,7 @@ from mpmech.matched_pair import (
     build_double,
     co_left_act,
     co_right_act,
-    cobracket_eval,
     left_act,
-    matched_bracket_eval,
     matched_lp_rhs,
     right_act,
     validation_report,
@@ -25,14 +22,14 @@ from mpmech.sl2c import k_algebra, sl2c_closed_forms, su2_algebra
 from oracles import semidirect_lp_rhs
 
 E = np.eye(3)
+E6 = np.eye(6)
 
 
 def euler_poincare_field(mp, lag, xi, eta):
     """The Euler-Poincare momentum rate at velocities (xi, eta), integrate_ep's
     field: minus the double's coadjoint at (M_g xi, M_h eta) with gradient (xi, eta)."""
     z = np.concatenate([lag.metric_g @ xi, lag.metric_h @ eta])
-    rhs = -coadjoint(build_double(mp).algebra.C, z, np.concatenate([xi, eta]))
-    return DualPoint(rhs[:mp.g.dim], rhs[mp.g.dim:])
+    return -coadjoint(build_double(mp).algebra.C, z, np.concatenate([xi, eta]))
 
 
 def direct_product():
@@ -175,26 +172,24 @@ class TestDoubleAlgebra:
 class TestCobracket:
     def test_zero_point(self, sl2c_derived):
         double = build_double(sl2c_derived)
-        M = cobracket_eval(double, (np.zeros(3), np.zeros(3)))
+        M = poisson_tensor(double.algebra.C, np.zeros(6))
         assert np.abs(M).max() == 0.0
 
     def test_antisymmetric(self, sl2c_derived, rng):
         double = build_double(sl2c_derived)
         for _ in range(100):
-            p = DualPoint(rng.standard_normal(3), rng.standard_normal(3))
-            M = cobracket_eval(double, p)
+            M = poisson_tensor(double.algebra.C, rng.standard_normal(6))
             assert np.allclose(M, -M.T, atol=0)
 
     def test_entry_example(self, sl2c_derived):
         double = build_double(sl2c_derived)
-        M = cobracket_eval(double, ([0, 0, 1], [0, 0, 0]))
+        M = poisson_tensor(double.algebra.C, E6[2])
         assert M[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_kernel_has_two_casimir_directions(self, sl2c_derived, rng):
         double = build_double(sl2c_derived)
         for _ in range(100):
-            p = DualPoint(rng.standard_normal(3), rng.standard_normal(3))
-            M = cobracket_eval(double, p)
+            M = poisson_tensor(double.algebra.C, rng.standard_normal(6))
             sv = np.linalg.svd(M, compute_uv=False)
             norm = sv[0] if sv[0] > 0 else 1.0
             assert np.sum(sv <= 1e-10 * norm) >= 2
@@ -202,36 +197,29 @@ class TestCobracket:
 
 class TestMatchedBracket:
     def test_self_bracket_vanishes(self, sl2c_derived, rng):
-        double = build_double(sl2c_derived)
+        alg = build_double(sl2c_derived).algebra
         for _ in range(100):
-            p = DualPoint(rng.standard_normal(3), rng.standard_normal(3))
-            grad = (rng.standard_normal(3), rng.standard_normal(3))
-            assert matched_bracket_eval(double, p, grad, grad) == 0.0
+            z, grad = rng.standard_normal((2, 6))
+            assert lie_poisson_bracket(alg, z, grad, grad) == 0.0
 
     def test_antisymmetry(self, sl2c_derived, rng):
-        double = build_double(sl2c_derived)
+        alg = build_double(sl2c_derived).algebra
         for _ in range(200):
-            p = DualPoint(rng.standard_normal(3), rng.standard_normal(3))
-            gh = (rng.standard_normal(3), rng.standard_normal(3))
-            gf = (rng.standard_normal(3), rng.standard_normal(3))
-            scale = 1.0 + max(np.abs(v).max() for v in (*gh, *gf, p.mu, p.nu))
-            total = (matched_bracket_eval(double, p, gh, gf)
-                     + matched_bracket_eval(double, p, gf, gh))
+            z, gh, gf = rng.standard_normal((3, 6))
+            scale = 1.0 + max(np.abs(v).max() for v in (gh, gf, z))
+            total = lie_poisson_bracket(alg, z, gh, gf) + lie_poisson_bracket(alg, z, gf, gh)
             assert abs(total) <= 1e-13 * scale
 
     def test_g_block_term(self, sl2c_derived, rng):
-        double = build_double(sl2c_derived)
+        alg = build_double(sl2c_derived).algebra
         for _ in range(20):
-            p = DualPoint(rng.standard_normal(3), rng.standard_normal(3))
-            val = matched_bracket_eval(double, p, (E[0], np.zeros(3)),
-                                       (E[1], np.zeros(3)))
-            assert val == pytest.approx(p.mu[2], abs=1e-12)
+            z = rng.standard_normal(6)
+            val = lie_poisson_bracket(alg, z, E6[0], E6[1])
+            assert val == pytest.approx(z[2], abs=1e-12)
 
     def test_mixed_term(self, sl2c_derived):
         # only <nu, f2 <| e1> survives; f2 <| e1 = f2 x e1 = -f3
-        p = DualPoint(np.zeros(3), E[2])
-        val = matched_bracket_eval(build_double(sl2c_derived), p,
-                                   (E[0], np.zeros(3)), (np.zeros(3), E[1]))
+        val = lie_poisson_bracket(build_double(sl2c_derived).algebra, E6[5], E6[0], E6[4])
         assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -240,58 +228,55 @@ class TestMatchedRhs:
         double = build_double(sl2c_derived)
         rhs = matched_lp_rhs(double, (np.zeros(3), np.zeros(3)),
                              (np.ones(3), np.ones(3)))
-        assert np.abs(rhs.concat()).max() == 0.0
+        assert np.abs(rhs).max() == 0.0
 
     def test_isotropic_quadratic_flow(self, sl2c_derived):
         double = build_double(sl2c_derived)
-        p = DualPoint(E[0], E[1])
-        rhs = matched_lp_rhs(double, p, (p.mu, p.nu))
-        assert np.allclose(rhs.mu, 0.0, atol=1e-12)
-        assert np.allclose(rhs.nu, E[2], atol=1e-12)
-        assert abs(rhs.mu @ p.mu + rhs.nu @ p.nu) <= 1e-12
+        mu, nu = E[0], E[1]
+        rhs = matched_lp_rhs(double, (mu, nu), (mu, nu))
+        assert np.allclose(rhs[:3], 0.0, atol=1e-12)
+        assert np.allclose(rhs[3:], E[2], atol=1e-12)
+        assert abs(rhs[:3] @ mu + rhs[3:] @ nu) <= 1e-12
 
     def test_heavy_top_point(self, e3_heavytop):
         double = build_double(e3_heavytop)
-        p = DualPoint(E[0], E[1])
-        grad = (p.mu.copy(), E[2])  # H = |mu|^2 / 2 + nu_3
-        rhs = matched_lp_rhs(double, p, grad)
-        assert np.allclose(rhs.mu, [-1.0, 0.0, 0.0], atol=1e-12)
-        assert np.allclose(rhs.nu, [0.0, 0.0, 1.0], atol=1e-12)
+        mu, nu = E[0], E[1]
+        grad = (mu.copy(), E[2])  # H = |mu|^2 / 2 + nu_3
+        rhs = matched_lp_rhs(double, (mu, nu), grad)
+        assert np.allclose(rhs[:3], [-1.0, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(rhs[3:], [0.0, 0.0, 1.0], atol=1e-12)
         # conservation of energy and both Casimir derivatives at this point
-        assert abs(rhs.mu @ grad[0] + rhs.nu @ grad[1]) <= 1e-12
-        assert abs(rhs.mu @ p.nu + rhs.nu @ p.mu) <= 1e-12
-        assert abs(2.0 * (rhs.nu @ p.nu)) <= 1e-12
+        assert abs(rhs[:3] @ grad[0] + rhs[3:] @ grad[1]) <= 1e-12
+        assert abs(rhs[:3] @ nu + rhs[3:] @ mu) <= 1e-12
+        assert abs(2.0 * (rhs[3:] @ nu)) <= 1e-12
 
     def test_left_is_negated_right(self, sl2c_derived, e3_heavytop, rng):
         for mp in (sl2c_derived, e3_heavytop):
             double = build_double(mp)
             for _ in range(50):
-                p = DualPoint(rng.standard_normal(3), rng.standard_normal(3))
-                grad = (rng.standard_normal(3), rng.standard_normal(3))
-                right = matched_lp_rhs(double, p, grad, "right")
-                left = matched_lp_rhs(double, p, grad, "left")
-                assert np.array_equal(left.concat(), -right.concat())
-                assert np.array_equal(matched_lp_rhs(double, p, grad).concat(), right.concat())
+                z, grad = rng.standard_normal((2, 6))
+                right = matched_lp_rhs(double, z, grad, "right")
+                left = matched_lp_rhs(double, z, grad, "left")
+                assert np.array_equal(left, -right)
+                assert np.array_equal(matched_lp_rhs(double, z, grad), right)
 
     def test_energy_rate_vanishes_pointwise(self, sl2c_derived, rng):
         double = build_double(sl2c_derived)
         for _ in range(200):
-            p = DualPoint(rng.standard_normal(3), rng.standard_normal(3))
+            z = rng.standard_normal(6)
             x, y = rng.standard_normal((2, 3))
-            scale = 1.0 + max(np.abs(v).max() for v in (p.mu, p.nu, x, y))
-            rhs = matched_lp_rhs(double, p, (x, y))
-            assert abs(rhs.mu @ x + rhs.nu @ y) <= 1e-12 * scale
+            scale = 1.0 + max(np.abs(v).max() for v in (z, x, y))
+            rhs = matched_lp_rhs(double, z, (x, y))
+            assert abs(rhs[:3] @ x + rhs[3:] @ y) <= 1e-12 * scale
 
     def test_flow_derivative_matches_bracket(self, sl2c_derived, rng):
         double = build_double(sl2c_derived)
         for _ in range(100):
-            p = DualPoint(rng.standard_normal(3), rng.standard_normal(3))
-            gh = (rng.standard_normal(3), rng.standard_normal(3))
-            gf = (rng.standard_normal(3), rng.standard_normal(3))
-            rhs = matched_lp_rhs(double, p, gh)
-            dF = rhs.mu @ gf[0] + rhs.nu @ gf[1]
-            scale = 1.0 + max(np.abs(v).max() for v in (p.mu, p.nu, *gh, *gf))
-            assert abs(dF - matched_bracket_eval(double, p, gf, gh)) <= 1e-12 * scale
+            z, gh, gf = rng.standard_normal((3, 6))
+            rhs = matched_lp_rhs(double, z, gh)
+            dF = rhs[:3] @ gf[:3] + rhs[3:] @ gf[3:]
+            scale = 1.0 + max(np.abs(v).max() for v in (z, gh, gf))
+            assert abs(dF - lie_poisson_bracket(double.algebra, z, gf, gh)) <= 1e-12 * scale
 
     def test_unvalidated_double_rejected(self, sl2c_printed):
         double = build_double(sl2c_printed)
@@ -303,15 +288,15 @@ class TestEulerPoincare:
     def test_zero_state(self, sl2c_derived):
         lag = LagrangianSpec(np.eye(3), np.eye(3))
         p_dot = euler_poincare_field(sl2c_derived, lag, np.zeros(3), np.zeros(3))
-        assert np.abs(p_dot.concat()).max() == 0.0
+        assert np.abs(p_dot).max() == 0.0
         record = integrate_ep(sl2c_derived, lag, np.zeros(6), 0.1, 0.1)
         assert np.abs(record.velocities).max() == 0.0
 
     def test_identity_metric_example(self, sl2c_derived):
         lag = LagrangianSpec(np.eye(3), np.eye(3))
         p_dot = euler_poincare_field(sl2c_derived, lag, E[0], E[1])
-        assert np.allclose(p_dot.mu, 0.0, atol=1e-12)
-        assert np.allclose(p_dot.nu, [0.0, 0.0, -1.0], atol=1e-12)
+        assert np.allclose(p_dot[:3], 0.0, atol=1e-12)
+        assert np.allclose(p_dot[3:], [0.0, 0.0, -1.0], atol=1e-12)
 
     def test_energy_rate_vanishes(self, sl2c_derived, rng):
         lag = LagrangianSpec(np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 1.0, 0.5]))
@@ -319,7 +304,7 @@ class TestEulerPoincare:
             xi, eta = rng.standard_normal((2, 3))
             scale = 1.0 + max(np.abs(xi).max(), np.abs(eta).max())
             p_dot = euler_poincare_field(sl2c_derived, lag, xi, eta)
-            assert abs(p_dot.mu @ xi + p_dot.nu @ eta) <= 1e-12 * scale ** 2
+            assert abs(p_dot[:3] @ xi + p_dot[3:] @ eta) <= 1e-12 * scale ** 2
 
     def test_negates_right_rhs_for_identity_metric(self, sl2c_derived, rng):
         lag = LagrangianSpec(np.eye(3), np.eye(3))
@@ -328,7 +313,7 @@ class TestEulerPoincare:
             xi, eta = rng.standard_normal((2, 3))
             p_dot = euler_poincare_field(sl2c_derived, lag, xi, eta)
             rhs = matched_lp_rhs(double, (xi, eta), (xi, eta), "right")
-            assert np.allclose(p_dot.concat(), -rhs.concat(), atol=1e-13)
+            assert np.allclose(p_dot, -rhs, atol=1e-13)
 
 
 class TestSemidirectDegeneration:
@@ -341,8 +326,8 @@ class TestSemidirectDegeneration:
             mu, nu, x, y = rng.standard_normal((4, 3))
             rhs = matched_lp_rhs(double, (mu, nu), (x, y))
             mu_dot, nu_dot = semidirect_lp_rhs(Cg, rep, mu, nu, x, y)
-            assert np.abs(rhs.mu - mu_dot).max() <= 1e-12
-            assert np.abs(rhs.nu - nu_dot).max() <= 1e-12
+            assert np.abs(rhs[:3] - mu_dot).max() <= 1e-12
+            assert np.abs(rhs[3:] - nu_dot).max() <= 1e-12
 
 
 class TestAudit:

@@ -1,10 +1,11 @@
 """One Poisson-tensor kernel: ``lie_core.poisson_tensor(C, z) = M(z)``,
 ``M[i, j] = sum_k C[k, i, j] z_k``, is the only contraction of the structure
-constants behind the bracket, ``cobracket_eval`` and the Jacobiator (as it is
-behind ``coadjoint``).  Checked against a loop oracle and against the einsums
-these functions used before, with exact antisymmetry on unvalidated random
-algebras, one largest-entry witness rule, no ``np.cross`` in the printed
-tensors, and InputError for the matrix inputs of the SL(2,C) example."""
+constants behind the bracket, the Poisson tensor of a double and the
+Jacobiator (as it is behind ``coadjoint`` and ``matched_lp_rhs``).  Checked
+against a loop oracle and against the einsums these functions used before,
+with exact antisymmetry on unvalidated random algebras, one largest-entry
+witness rule, no ``np.cross`` in the printed tensors, and InputError for the
+matrix inputs of the SL(2,C) example."""
 
 import warnings
 
@@ -23,7 +24,7 @@ from mpmech.lie_core import (
     poisson_tensor,
     trivialized_forms_eval,
 )
-from mpmech.matched_pair import build_double, cobracket_eval, matched_bracket_eval
+from mpmech.matched_pair import build_double, matched_lp_rhs
 from mpmech.sl2c import EmbeddedBasis, SU2Element, iwasawa_factor, k_algebra, su2_algebra
 
 from oracles import einsum_bracket, einsum_cobracket, einsum_jacobiator
@@ -96,7 +97,7 @@ class TestCobracket:
         off = ~np.eye(n + m, dtype=bool)
         for exponent in (-3, 0, 3):
             z = rng.standard_normal(n + m) * 10.0 ** exponent
-            M = cobracket_eval(double, z)
+            M = poisson_tensor(double.algebra.C, z)
             assert np.array_equal(M, -M.T)
             assert same_bits(M[off], (-M.T)[off])
             assert np.all(np.diag(M) == 0.0)
@@ -106,14 +107,13 @@ class TestCobracket:
         double = random_double(seed, n, m)
         C = double.algebra.C
         z = np.random.default_rng(seed).standard_normal(n + m)
-        M = cobracket_eval(double, (z[:n], z[n:]))
-        assert same_bits(M, poisson_tensor(C, z))
+        M = poisson_tensor(C, z)
         tol = 1e-14 * scale(C) * (1.0 + np.abs(z).max())
         assert np.abs(M - einsum_cobracket(C, z)).max() <= tol
 
     def test_builtins_keep_exact_antisymmetry(self, pairs, rng):
         for mp in pairs.values():
-            M = cobracket_eval(build_double(mp), rng.standard_normal(6))
+            M = poisson_tensor(build_double(mp).algebra.C, rng.standard_normal(6))
             assert np.array_equal(M, -M.T) and np.all(np.diag(M) == 0.0)
 
 
@@ -148,11 +148,11 @@ class TestBracket:
                 assert np.abs(got - want).max() <= 1e-14 * scale(alg.C) ** 2
 
     def test_views_stay_exactly_antisymmetric(self, rng):
-        double = random_double(51, 2, 4)
+        alg = random_double(51, 2, 4).algebra
         z, x, y = rng.standard_normal((3, 6))
-        assert matched_bracket_eval(double, z, x, y) == -matched_bracket_eval(double, z, y, x)
-        assert lie_poisson_bracket(double.algebra, z, x, x) == 0.0
-        _, omega = trivialized_forms_eval(double.algebra, z, (x, y), (x, y))
+        assert lie_poisson_bracket(alg, z, x, y) == -lie_poisson_bracket(alg, z, y, x)
+        assert lie_poisson_bracket(alg, z, x, x) == 0.0
+        _, omega = trivialized_forms_eval(alg, z, (x, y), (x, y))
         assert omega == 0.0
 
 
@@ -204,11 +204,11 @@ class TestOneKernel:
         trivialized_forms_eval(alg, z, (x, y), (y, x))
         assert len(calls) == 6
 
-    def test_cobracket_reaches_the_kernel(self, monkeypatch, rng):
-        double = random_double(52, 4, 1)
+    def test_cobracket_reaches_the_kernel(self, monkeypatch, pairs, rng):
+        double = build_double(pairs["e3_heavytop"])
         calls = count_calls(monkeypatch, lie_core, "poisson_tensor")
-        cobracket_eval(double, rng.standard_normal(5))
-        matched_bracket_eval(double, *rng.standard_normal((3, 5)))
+        matched_lp_rhs(double, *rng.standard_normal((2, 6)))
+        lie_poisson_bracket(double.algebra, *rng.standard_normal((3, 6)))
         assert len(calls) == 3
 
     def test_jacobiator_reaches_the_kernel_once(self, monkeypatch):

@@ -15,12 +15,12 @@ from mpmech.dynamics import HamiltonianSpec, LagrangianSpec
 from mpmech.errors import InputError
 from mpmech.lie_core import LieAlgebra, ad_star, coadjoint
 from mpmech.matched_pair import (
-    DualPoint,
     MatchedPair,
-    as_dual_point,
+    _as_pair,
     audit_formulas,
     build_double,
     left_act,
+    matched_lp_rhs,
     pair_from_double,
 )
 from mpmech.sl2c import KHAT, _cross, su2_algebra
@@ -138,16 +138,16 @@ class TestAuditAgainstEinsums:
 
 class TestRaggedOrNonNumericInput:
     @pytest.mark.parametrize("call", [
-        lambda mp: as_dual_point([[1.0, [2.0]], [3.0]], (2, 1)),
-        lambda mp: as_dual_point(["a", [1.0]], (2, 1)),
-        lambda mp: as_dual_point([[1.0, 2.0], "b"], (2, 1)),
-        lambda mp: as_dual_point([1.0, [2.0], 3.0], (2, 1)),
+        lambda mp: _as_pair([[1.0, [2.0]], [3.0]], (2, 1), "dual point"),
+        lambda mp: _as_pair(["a", [1.0]], (2, 1), "dual point"),
+        lambda mp: _as_pair([[1.0, 2.0], "b"], (2, 1), "dual point"),
+        lambda mp: _as_pair([1.0, [2.0], 3.0], (2, 1), "dual point"),
         lambda mp: left_act(mp, [[1, 2], [3]], [1, 2, 3]),
         lambda mp: left_act(mp, [1, 2, 3], [1, "x", 3]),
         lambda mp: ad_star(mp.g, ["a", 1, 2], [1, 2, 3]),
         lambda mp: ad_star(mp.g, [1, 2, 3], {"mu": 1}),
-        lambda mp: DualPoint([1.0, [2.0]], [3.0]),
-        lambda mp: DualPoint([1.0], ["c"]),
+        lambda mp: matched_lp_rhs(build_double(mp), ([1.0, [2.0]], [3.0]), np.zeros(6)),
+        lambda mp: matched_lp_rhs(build_double(mp), np.zeros(6), ([1.0], ["c"])),
         lambda mp: LieAlgebra([[[0.0]], [0.0]]),
         lambda mp: MatchedPair(mp.g, mp.h, [[[0.0]] * 3, [0.0]], mp.sigma, validate=False),
         lambda mp: MatchedPair(mp.g, mp.h, mp.rho, "sigma", validate=False),
@@ -157,7 +157,7 @@ class TestRaggedOrNonNumericInput:
         lambda mp: LagrangianSpec([[1.0], ["x"]], np.eye(3)),
     ], ids=["ragged pair part", "string pair part", "string h part", "ragged flat",
             "ragged stack", "string in a map", "string in ad_star", "dict in ad_star",
-            "ragged DualPoint", "string DualPoint", "ragged constants", "ragged rho",
+            "ragged rhs point", "string rhs gradient", "ragged constants", "ragged rho",
             "string sigma", "ragged double", "ragged Q", "ragged b", "string metric"])
     def test_is_an_input_error(self, call, sl2c_derived):
         with pytest.raises(InputError, match="not a numeric array"):

@@ -19,7 +19,8 @@ from mpmech import formats, lie_core, matched_pair
 from mpmech.cli import main
 from mpmech.dynamics import _grid
 from mpmech.errors import InputError, ValidationError
-from mpmech.lie_core import Check, LieAlgebra, ad_star, defect_bound
+from mpmech.lie_core import (Check, LieAlgebra, ad_star, defect_bound, lie_poisson_rhs,
+                              poisson_tensor)
 from mpmech.matched_pair import (
     AUDIT_MAX_SAMPLES,
     ClosedFormActions,
@@ -30,7 +31,6 @@ from mpmech.matched_pair import (
     build_double,
     co_left_act,
     co_right_act,
-    cobracket_eval,
     left_act,
     matched_lp_rhs,
     right_act,
@@ -44,7 +44,8 @@ from test_lie_core import corrupted_su2
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mpmech"
 REMOVED_NAMES = ("compat_defect", "CompatDefect", "jacobi_defect", "kks_eval",
-                 "matched_ad_star", "euler_poincare_rhs")
+                 "matched_ad_star", "euler_poincare_rhs",
+                 "DualPoint", "as_dual_point", "cobracket_eval", "matched_bracket_eval")
 REPORT_NAMES = [
     "jacobi defect (g)",
     "jacobi defect (h)",
@@ -124,7 +125,7 @@ class TestReport:
         assert len(jacobi) == 1   # the new double only
 
     def test_one_reader_of_the_compatibility_blocks(self, monkeypatch, pairs):
-        # the six deleted names stay deleted
+        # the deleted names stay deleted
         for module in (mpmech, lie_core, matched_pair):
             assert [name for name in REMOVED_NAMES if hasattr(module, name)] == [], module.__name__
         # a 4-index subscript is a read of a block of a Jacobiator, the one rank-4 tensor
@@ -137,6 +138,18 @@ class TestReport:
         conditions = count_calls(monkeypatch, matched_pair, "_compatibility_checks")
         validation_report(pairs["sl2c_printed"])
         assert len(conditions) == 1
+
+    def test_matched_lp_rhs_is_the_flat_lie_poisson_rhs(self, pairs, rng):
+        with pytest.raises(ValidationError, match="unvalidated pair"):
+            matched_lp_rhs(build_double(pairs["sl2c_printed"]), np.zeros(6), np.zeros(6))
+        for name in ("sl2c_derived", "e3_heavytop"):
+            double = build_double(pairs[name])
+            for convention in ("right", "left"):
+                z, x = rng.standard_normal((2, 6))
+                want = lie_poisson_rhs(double.algebra, z, x, convention)
+                for p, grad in ((z, x), ((z[:3], z[3:]), (x[:3], x[3:]))):
+                    got = matched_lp_rhs(double, p, grad, convention)
+                    assert got.shape == (6,) and got.tobytes() == want.tobytes()
 
     def test_audit_detail_reads_condition_one_without_the_report(self, monkeypatch, pairs):
         reports = count_calls(monkeypatch, matched_pair, "validation_report")
@@ -152,6 +165,17 @@ class TestReport:
     @pytest.mark.parametrize("largest,bound", [(0.0, 0.5e-10), (1.0, 2e-10), (1e6 - 1.0, 50.0)])
     def test_bound_grows_as_the_square_of_the_scale(self, largest, bound):
         assert defect_bound(np.array([largest]), np.zeros(3)) == pytest.approx(bound, rel=1e-15)
+
+    def test_bound_is_the_largest_of_the_per_tensor_bounds(self, pairs, rng):
+        def per_tensor(*tensors):
+            s = 1.0 + max(float(np.abs(t).max()) for t in tensors)
+            return lie_core.DEFECT_TOLERANCE * s * s * lie_core.tolerance_scale()
+        sets = [(mp.g.C, mp.h.C, mp.rho, mp.sigma) for mp in pairs.values()]
+        sets += [(mp.g.C,) for mp in pairs.values()]
+        sets += [tuple(rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
+                       for shape in ((3, 3, 3), (2, 4, 2), (5,))) for _ in range(50)]
+        for tensors in sets:
+            assert defect_bound(*tensors) == per_tensor(*tensors)
 
     def test_bound_past_the_float_range_is_infinite(self):
         assert defect_bound(np.array([1e200])) == np.inf
@@ -277,15 +301,15 @@ def reference_deviations(de, pr, samples, seed, cf):
 
     double = build_double(de)
     rows = list(zip(mus, nus, xis, etas))
-    fields = [matched_lp_rhs(double, (mu, nu), (x, y)).concat() for mu, nu, x, y in rows]
+    fields = [matched_lp_rhs(double, (mu, nu), (x, y)) for mu, nu, x, y in rows]
     if cf:
         closed = [np.concatenate(cf.lp_rhs(mu, nu, x, y)) for mu, nu, x, y in rows]
         worst("closed-form rhs (mu)", [(c[:n], f[:n]) for c, f in zip(closed, fields)])
         worst("closed-form rhs (nu)", [(c[n:], f[n:]) for c, f in zip(closed, fields)])
     else:
-        printed = build_double(pr)
+        printed = build_double(pr).algebra.C
         worst("canonical rhs (tensor sets)",
-              [(cobracket_eval(printed, (mu, nu)) @ np.concatenate([x, y]), f)
+              [(poisson_tensor(printed, np.concatenate([mu, nu])) @ np.concatenate([x, y]), f)
                for (mu, nu, x, y), f in zip(rows, fields)])
     worst("canonical rhs energy rate",
           [(f[:n] @ x + f[n:] @ y, 0.0) for (_, _, x, y), f in zip(rows, fields)])
@@ -545,8 +569,7 @@ class TestExitContract:
             rc = run_main(simulate_args(prefix, **flags))[0]
             assert rc in (0, 1, 2)
             if rc == 0:
-                names = list(dict.fromkeys(n.strip() for n in invariants.split(",")
-                                           if n.strip()))
+                names = [n.strip() for n in invariants.split(",") if n.strip()]
                 header = pathlib.Path(prefix + ".csv").read_text().splitlines()[0].split(",")
                 assert header[len(header) - len(names):] == names
 
