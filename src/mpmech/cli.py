@@ -21,6 +21,7 @@ every call reuses one parser, built on the first.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -156,17 +157,18 @@ def cmd_simulate(args) -> int:
         record = integrate_ep(mp, lagrangian, z0, args.dt, args.t_end, invariants)
     wall = time.perf_counter() - start
 
-    csv_path = args.out + ".csv"
-    summary_path = args.out + ".summary.json"
+    csv_path, summary_path = args.out + ".csv", args.out + ".summary.json"
     formats.trajectory_to_csv(record, csv_path)
     summary = formats.summary_dict(
-        record, wall,
-        pair=args.pair, hamiltonian=args.hamiltonian, mode=args.mode,
-        convention=args.convention if args.mode == "lp" else "left",
-        dt=args.dt, t_end=args.t_end,
-        seed=args.seed,
-    )
-    formats.write_json(summary, summary_path)
+        record, wall, pair=args.pair, hamiltonian=args.hamiltonian, mode=args.mode,
+        convention=args.convention if args.mode == "lp" else "left", dt=args.dt,
+        t_end=args.t_end, seed=args.seed)
+    try:
+        formats.write_json(summary, summary_path)
+    except InputError:
+        with contextlib.suppress(OSError):  # leave no CSV without its summary
+            os.remove(csv_path)
+        raise
     print(f"wrote {csv_path} and {summary_path}")
     return 0
 

@@ -171,15 +171,21 @@ def _grid(dt: float, t_end: float) -> tuple[int, np.ndarray]:
     return steps, dt * np.arange(steps + 1)
 
 
-def _run_rk4(stage, y0: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    """Classical RK4 rows from ``y0``.  ``stage(h)`` returns ``g(y, out)``
-    writing ``h f(y)`` into ``out``; the stages are then ``y + k`` for the
-    previous stage ``k`` and the step is ``y + (k0 + 2 k1 + k2 + k3) / 3``."""
-    states = np.empty((steps + 1, y0.size))
+def _run_rk4(T: np.ndarray, y0: np.ndarray, dt: float, steps: int,
+             spec: HamiltonianSpec | None = None) -> np.ndarray:
+    """Classical RK4 rows from ``y0`` of ``y_dot = (y @ T).reshape(D, D) @ v``,
+    ``T`` (D, D*D), ``v = y`` or ``gradient(spec, y)`` for a black box.  A stage
+    at ``u`` is ``u.dot(h T, P)``, which writes this run's ``M`` through its flat
+    view ``P``, then ``M.dot(v(u), k)``.  Its input ``u = y + k``, k the previous
+    stage, goes into one buffer ``U`` and each step ``y + w.dot(K)`` into its row:
+    no Python frame or temporary per stage, as ``np.dot`` or ``@`` would add."""
+    D = y0.size
+    states = np.empty((steps + 1, D))
     states[0] = y = y0
-    k0, k1, k2, k3 = K = np.zeros((4, y0.size))
-    half, full = stage(0.5 * dt), stage(dt)
-    w = np.array([1.0, 2.0, 1.0, 1.0]) / 3.0
+    k0, k1, k2, k3 = K = np.zeros((4, D))
+    U, dy, M = np.empty(D), np.empty(D), np.empty((D, D))  # per run: a black box may integrate
+    P, Mdot, Udot, add = M.reshape(-1), M.dot, U.dot, np.add
+    half, full, w = 0.5 * dt * T, dt * T, np.array([1.0, 2.0, 1.0, 1.0]) / 3.0
 
     def scan(a, b):  # raise at the first non-finite row of states[a:b]
         bad = a + np.flatnonzero(~np.isfinite(states[a:b]).all(axis=1))
@@ -189,17 +195,25 @@ def _run_rk4(stage, y0: np.ndarray, dt: float, steps: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is found by scan()
         for a in range(1, steps + 1, FINITE_BLOCK):
             try:
-                for s in range(a, min(a + FINITE_BLOCK, steps + 1)):
-                    half(y, k0)
-                    half(y + k0, k1)
-                    full(y + k1, k2)
-                    half(y + k2, k3)
-                    y = states[s] = y + w.dot(K)
+                for s, row in enumerate(states[a:a + FINITE_BLOCK], a):
+                    y.dot(half, P)
+                    Mdot(y if spec is None else gradient(spec, y), k0)
+                    add(y, k0, U)
+                    Udot(half, P)
+                    Mdot(U if spec is None else gradient(spec, U), k1)
+                    add(y, k1, U)
+                    Udot(full, P)
+                    Mdot(U if spec is None else gradient(spec, U), k2)
+                    add(y, k2, U)
+                    Udot(half, P)
+                    Mdot(U if spec is None else gradient(spec, U), k3)
+                    add(y, w.dot(K, dy), row)
+                    y = row
             except InputError:  # a black box may reject a state that has blown up:
-                states[s] = y + w.dot(K)  # non-finite if a stage of step s did
+                add(y, w.dot(K, dy), row)  # non-finite if a stage of step s did
                 scan(a, s + 1)
                 raise
-            scan(a, s + 1)
+            scan(a, a + FINITE_BLOCK)
     return states
 
 
@@ -234,16 +248,13 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
               invariants: InvariantMap | None = None) -> TrajectoryRecord:
     """Integrate the Lie-Poisson flow of ``spec`` on the dual of ``double``.
 
-    Fixed-step RK4 on ``p_dot = M(p) grad H(p)`` (negated in the left
-    convention), ``M(z)[i, j] = sum_k C[k, i, j] z_k``.  A quadratic spec is
-    folded once per run into ``G`` (D, D, D) on ``y = (z, 1)``, ``D = d + 1``:
+    Fixed-step RK4 (:func:`_run_rk4`) on ``p_dot = M(p) grad H(p)`` (negated in
+    the left convention), ``M(z)[i, j] = sum_k C[k, i, j] z_k``.  A quadratic spec
+    is folded once per run into ``G`` (D, D, D) on ``y = (z, 1)``, ``D = d + 1``:
     ``G[k, i, :d] = sign (C Q)[k, i]``, ``G[k, i, d] = sign (C b)[k, i]``, 0
-    elsewhere; the stage of step ``h`` is ``(y @ Gf).reshape(D, D) @ y``, with
-    ``Gf = (h G).reshape(D, D*D)`` and last component 0.  A black box takes
-    ``(z @ Cf).reshape(d, d) @ gradient(spec, z)``, ``Cf = (h sign C).reshape(d, d*d)``.
-    Each stage is two ``ndarray.dot`` calls, into this run's matrix buffer and
-    the stage row: ``np.dot`` or ``@`` would add a Python dispatch frame, a
-    reshape and a temporary.  "H" is the Hamiltonian; see :data:`InvariantMap`.
+    elsewhere, and the field is ``(y @ G).reshape(D, D) @ y``, last component 0.
+    A black box runs ``(z @ sign C).reshape(d, d) @ gradient(spec, z)``.  "H" is
+    the Hamiltonian; see :data:`InvariantMap`.
     """
     _require_validated(double)
     sign = convention_sign(convention)
@@ -255,24 +266,14 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
     steps, times = _grid(dt, t_end)
     specs = _invariant_specs(double.split, spec, invariants)
     d = double.dim
-    D = d + 1 if spec.is_quadratic else d
     C = sign * double.algebra.C
-    M = np.empty((D, D))  # per run, as a black box may itself call integrate
-    P = M.reshape(-1)  # flat view: the first dot of a stage writes M through it
     if spec.is_quadratic:
-        G = np.zeros((D, D, D))
+        G = np.zeros((d + 1,) * 3)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the first scan
             G[:d, :d, :d], G[:d, :d, d] = C @ spec.Q, C @ spec.b
-
-        def stage(h):
-            Gf = (h * G).reshape(D, D * D)
-            return lambda y, out: (y.dot(Gf, P), M.dot(y, out))
-        states = _run_rk4(stage, np.append(z0, 1.0), dt, steps)[:, :d]
+        states = _run_rk4(G.reshape(d + 1, -1), np.append(z0, 1.0), dt, steps)[:, :d]
     else:
-        def stage(h):
-            Cf = (h * C).reshape(d, d * d)
-            return lambda z, out: (z.dot(Cf, P), M.dot(gradient(spec, z), out))
-        states = _run_rk4(stage, z0, dt, steps)
+        states = _run_rk4(C.reshape(d, d * d), z0, dt, steps, spec)
     series, drift = _monitor(states, specs)
     return TrajectoryRecord(times, states, double.split, series, drift)
 

@@ -8,16 +8,20 @@ The tensor document is a UTF-8 JSON object
 
 with every tensor dense and nested exactly [target][first][second].  A CSV
 cell is the text of "%.17g" % x, so values round-trip exactly.  numpy builds
-it where 10**E <= |x| < 10**(E + 1), E in -11..16: s = |x| * 10**(16 - E) in
-np.longdouble has exact operands, so it is rounded once, by at most 2**-8,
-and |s - rint(s)| < 0.5 - 2**-7 proves rint(s) the correctly rounded 17-digit
-significand and no tie.  Every other cell (0, inf, nan, E out of range, near
-ties, neighbours of 10**k, all cells where long double is double) is "%"'s.
+it in float64 where 1e-28 <= |x| < 1e17: with 10**E <= |x| < 10**(E + 1) and
+p = 16 - E in 0..44, 10**p = hi + lo exactly, lo = 0 for p <= 22 and |lo| <=
+ulp(hi) / 2 above.  Dekker's two-product gives |x| hi = P + e exactly, with
+P = fl(|x| hi) and |e| <= 8.  s = |x| 10**p < 1e17, so |x lo| <= s 2**-53 < 16,
+t = fl(|x| lo) is within 2**-50 of it, and r = fl(e + t) within 2**-48 of s - P.
+P > 2**53 is an integer, so |r - rint(r)| < 0.5 - 2**-40 proves P + rint(r) the
+correctly rounded 17-digit significand and s no tie.  Every other cell (0,
+inf, nan, |x| out of range, near ties, neighbours of 10**k) is "%"'s.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 
@@ -171,68 +175,83 @@ def factor_to_json(U: np.ndarray, k) -> str:
 CSV_BLOCK_ROWS = 256  # rows formatted at once; bounds the text held at once
 
 
-def _cell_templates(count: int) -> np.ndarray:
-    """Row 17 p + k: the 44 bytes of a cell with decimal exponent 16 - p whose
-    last written digit is k, with 255 on digits (and NUL where no character is):
-    0 sign | 1-5 "0.000" | 6-38 each digit then a "." slot | 39-42 "e-05" | 43 ","."""
-    rows = np.zeros((count, 17, 44), np.uint8)
-    rows[..., 43] = ord(",")
-    for p, k in np.ndindex(count, 17):
-        row, E = rows[p, k], 16 - p
-        row[6:7 + 2 * k:2] = 255
+@functools.cache
+def _tens() -> np.ndarray:
+    """(4, 45): column p holds 10**p = hi + lo, hi the nearest double and lo
+    the exact rest, then hi's Veltkamp halves hh + hl = hi, 26 bits each."""
+    hi = np.array([float(10**p) for p in range(45)])
+    lo = [float(10**p - int(v)) for p, v in enumerate(hi.tolist())]  # <= 50 bits: exact
+    hh = hi * 134217729.0 - (hi * 134217729.0 - hi)
+    return np.array([hi, lo, hh, hi - hh])
+
+
+@functools.cache
+def _cell_tables():
+    """(templates, top, words, last).  Row 17 p + k of ``templates``: the 48 bytes
+    of a cell with exponent 16 - p and last digit k, 255 on the sign and digits:
+    0 sign | 1-5 "0.000" | 6-38 each digit then a "." slot | 39-42 "e-05" | 43 ",".
+    ``top[d + 10 sign]`` is bytes 0-7 for a top digit d, ``words[g]`` the next 8
+    for a 4-digit group g, 255 elsewhere; group j ends in digit ``4 j + last[g]``."""
+    k = np.arange(17)
+    rows = np.zeros((45, 17, 48), np.uint8)
+    rows[..., 0], rows[..., 43], rows[..., 6:40:2] = 255, ord(","), 255 * (k <= k[:, None])
+    for p in range(45):
+        E = 16 - p
         if E < -4:
-            row[7] = ord(".") if k else 0
-            row[39:43] = list(b"e-%02d" % -E)
+            rows[p, 1:, 7], rows[p, :, 39:43] = ord("."), list(b"e-%02d" % -E)
         elif E < 0:
-            row[1:2 - E] = list(b"0." + b"0" * (-1 - E))
-        elif E < k:
-            row[7 + 2 * E] = ord(".")
-    return rows.reshape(-1, 44)
+            rows[p, :, 1:2 - E] = list(b"0." + b"0" * (-1 - E))
+        else:  # a "." after digit E if a later digit is written
+            rows[p, E + 1:, 7 + 2 * E] = ord(".")
+    digits = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10
+    words = np.full((10000, 8), 255, np.uint8)
+    words[:, ::2] = digits + ord("0")
+    top = np.full((2, 10, 8), 255, np.uint8)
+    top[:, :, 0], top[:, :, 6] = [[0], [ord("-")]], words[:10, 6]
+    last = np.where(digits.any(axis=1), 4 - np.argmax(digits[:, ::-1] != 0, axis=1), -12)
+    return (rows.reshape(-1, 48).view(np.uint64), top.view(np.uint64).ravel(),
+            words.view(np.uint64).ravel(), last.astype(np.int8))
 
 
-# 10**p while np.longdouble holds it exactly: p <= 27 with a 64-bit significand
-_POW10 = np.longdouble(10) ** np.arange(64)
-_POW10 = _POW10[:[int(v) == 10**p for p, v in enumerate(_POW10)].index(False)]
-# |s - rint(s)| below this proves rint(s) correct; negative if long double is double
-_MARGIN = 0.5 - float(np.spacing(_POW10.dtype.type(1e17)))
-_DIGITS4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
-_DIGITS4 = _DIGITS4.view(np.uint32).ravel()  # i -> the 4 ASCII digits of i
-_TEMPLATES = _cell_templates(len(_POW10))
+_GROUPS, _OFFSETS = 10 ** np.arange(16, -1, -4)[:, None], np.int8([[0], [4], [8], [12]])
 
 
 def _significands(x: np.ndarray):
     """(ok, p, n): where ok, 10**(16 - p) <= |x| < 10**(17 - p) and n is |x|'s
     correctly rounded 17-digit significand, not a tie; elsewhere n = 10**16."""
     a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = 16 - np.floor(np.log10(a))  # off by one near 10**k: the range test fails
-        ok = (p >= 0) & (p < len(_POW10))
-        p = np.where(ok, p, 0).astype(np.intp)
-        s = a * _POW10[p]  # exact operands, so one rounding, by at most 2**-8
-        n = np.rint(s)
-        ok &= np.abs((s - n).astype(float)) < _MARGIN
-        n = n.astype(np.int64)
+    with np.errstate(all="ignore"):  # 0, inf, nan and p off by one fail the tests below
+        p = np.fmin(np.fmax(16 - np.floor(np.log10(a)), 0), 44).astype(np.intp)
+        hi, lo, hh, hl = np.take(_tens(), p, axis=1)
+        c = a * 134217729.0
+        ah = c - (c - a)  # Veltkamp: a = ah + al, 26 bits each
+        al = a - ah
+        s = a * hi
+        r = ((ah * hh - s) + ah * hl + al * hh) + al * hl + a * lo  # e + t
+        q = np.rint(r)
+        ok = np.abs(r - q) < 0.5 - 2.0**-40
+        n = s.astype(np.int64) + q.astype(np.int64)
     ok &= (n > 10**16) & (n < 10**17)
     return ok, p, np.where(ok, n, 10**16)
 
 
 def _csv_block(block: np.ndarray) -> bytes:
     """``block``'s rows as CSV text, each cell the bytes of "%.17g" % x."""
+    templates, top, words, last = _cell_tables()
     x = block.ravel()
     ok, p, n = _significands(x)
-    top, rest = np.divmod(n, 10**16)
-    hi, lo = np.divmod(rest, 10**8)
-    groups = np.column_stack((top,) + np.divmod(hi, 10**4) + np.divmod(lo, 10**4))
-    digits = _DIGITS4[groups].view(np.uint8)[:, 3:]
-    last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-    cells = _TEMPLATES[17 * p + np.maximum(last, 16 - p)]  # %g keeps integer zeros
-    cells[:, 6:39:2] &= digits
-    cells[np.signbit(x), 0] = ord("-")
+    Q = n // _GROUPS  # the top digit, then 4 more digits a row
+    G = Q[1:] - Q[:-1] * 10**4  # (4, cells): the 4-digit groups after the top digit
+    k = (np.take(last, G) + _OFFSETS).max(axis=0)
+    cells = np.take(templates, 17 * p + np.maximum(k, 16 - p), axis=0)  # %g keeps integer zeros
+    cells[:, 0] &= np.take(top, Q[0] + 10 * np.signbit(x))
+    cells.T[1:5] &= np.take(words, G)
     bad = np.flatnonzero(~ok)
     text = np.array(["%.17g" % v for v in x[bad].tolist()], "S43")
-    cells[bad, :43] = text.view(np.uint8).reshape(-1, 43)
-    cells.reshape(block.shape + (44,))[:, -1, 43] = ord("\n")
-    return cells.tobytes().translate(None, b"\0")
+    chars = cells.view(np.uint8)
+    chars[bad, :43] = text.view(np.uint8).reshape(-1, 43)
+    chars.reshape(block.shape + (48,))[:, -1, 43] = ord("\n")
+    return chars.tobytes().translate(None, b"\0")
 
 
 def trajectory_to_csv(record: TrajectoryRecord, path: str) -> None:
@@ -241,17 +260,15 @@ def trajectory_to_csv(record: TrajectoryRecord, path: str) -> None:
     exact cell by cell as the module docstring says, else formatted by "%"."""
     n, m = record.split
     extras = [name for name in record.invariants if name != "H"]
-    header = (["t"]
-              + [f"mu_{i + 1}" for i in range(n)]
-              + [f"nu_{j + 1}" for j in range(m)]
-              + ["H"] + extras)
+    header = ["t", *(f"mu_{i + 1}" for i in range(n)), *(f"nu_{j + 1}" for j in range(m)),
+              "H", *extras]
     columns = [record.times[:, None], record.states]
     columns += [record.invariants[name][:, None] for name in ["H"] + extras]
     with _output(path) as fh:
-        fh.write(",".join(header) + "\n")
+        fh.buffer.write((",".join(header) + "\n").encode())  # bytes: the blocks are ASCII
         for start in range(0, len(record.times), CSV_BLOCK_ROWS):
             block = np.hstack([col[start:start + CSV_BLOCK_ROWS] for col in columns])
-            fh.write(_csv_block(block).decode("ascii"))
+            fh.buffer.write(_csv_block(block))
 
 
 def summary_dict(record: TrajectoryRecord, wall_time_s: float, **meta) -> dict:

@@ -147,6 +147,12 @@ class TestSimulate:
         assert "input error: --out needs a file name prefix" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
+    def test_unwritable_summary_leaves_no_csv(self, tmp_path, capsys):
+        (tmp_path / "r.summary.json").mkdir()
+        assert main(simulate_args(str(tmp_path / "r"))) == 2
+        assert "input error: cannot write" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.summary.json"]
+
     def test_wrong_initial_length_rejected(self, tmp_path):
         argv = simulate_args(str(tmp_path / "r"), **{"--initial": "1,0,0"})
         assert main(argv) == 2

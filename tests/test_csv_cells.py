@@ -1,14 +1,21 @@
 """The trajectory CSV's cells: ``formats._csv_block`` builds the "%.17g" text
 in numpy and falls back to Python's "%" only for cells whose 17-digit
 significand it cannot prove.  Every test requires bytes equal to "%.17g" % x;
-the last ones require that the exact fast path really carries the cells."""
+the last ones require that the exact fast path really carries the cells.  The
+table tests check the exact powers of ten behind that path, and that
+importing the command line builds none of its tables."""
 
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mpmech import formats
+from mpmech.cli import BUILTIN_INVARIANTS, main
 from mpmech.dynamics import HamiltonianSpec, TrajectoryRecord, integrate
 from mpmech.matched_pair import build_double
 
@@ -34,8 +41,13 @@ def fast_share(values) -> float:
     return float(formats._significands(np.asarray(values, dtype=float).ravel())[0].mean())
 
 
-def log_uniform(rng, count):
-    return 10.0 ** rng.uniform(-12, 17, count) * rng.choice([-1.0, 1.0], count)
+def log_uniform(rng, count, low=-12, high=17):
+    return 10.0 ** rng.uniform(low, high, count) * rng.choice([-1.0, 1.0], count)
+
+
+def significant_bits(v: float) -> int:
+    n = Fraction(v).numerator
+    return (n // (n & -n)).bit_length() if n else 0
 
 
 def power_neighbours():
@@ -103,16 +115,33 @@ class TestBytesEqualPercent:
         assert fast_share(values) > 0.5
         assert_cells_match(np.concatenate([values, np.negative(values)]))
 
+    def test_small_values(self):
+        # the range the float64 two-product adds: 1e-28 <= |x| < 1e-11
+        values = log_uniform(np.random.default_rng(1015), 1 << 16, -28, -11)
+        assert fast_share(values) > 0.99
+        assert_cells_match(values)
+
     def test_powers_table_is_exact(self):
-        assert all(int(v) == 10**p for p, v in enumerate(formats._POW10))
-        if np.finfo(np.longdouble).nmant >= 63:  # x87 extended: exponents -11..16
-            assert len(formats._POW10) == 28
+        tens = formats._tens()
+        assert tens.shape == (4, 45)
+        for p, (hi, lo, hh, hl) in enumerate(tens.T.tolist()):
+            assert Fraction(hi) + Fraction(lo) == 10**p
+            assert Fraction(hh) + Fraction(hl) == Fraction(hi)
+            assert significant_bits(hh) <= 26 and significant_bits(hl) <= 26
+            assert (lo == 0.0) == (p <= 22)
+
+    def test_tables_are_built_on_first_use(self):
+        code = ("import mpmech.cli; from mpmech import formats; print(formats._tens.cache_info()"
+                ".currsize, formats._cell_tables.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(formats.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.split() == ["0", "0"]
 
     def test_without_the_fast_path(self, monkeypatch):
-        # as where np.longdouble is a plain double: 10**0..10**22 are exact,
-        # the margin is negative and every cell takes "%"
-        monkeypatch.setattr(formats, "_POW10", 10.0 ** np.arange(23))
-        monkeypatch.setattr(formats, "_MARGIN", 0.5 - float(np.spacing(1e17)))
+        # a table that holds no power of ten: no significand is in range, so
+        # every cell takes "%"
+        monkeypatch.setattr(formats, "_tens", lambda: np.zeros((4, 45)))
         values = np.concatenate([log_uniform(np.random.default_rng(1014), 8192),
                                  power_neighbours(), [0.0, -0.0, np.inf, np.nan]])
         assert fast_share(values) == 0.0
@@ -131,7 +160,7 @@ class TestTrajectoryCells:
         assert len(rec.times) == 10_001
         cells = np.column_stack([rec.times, rec.states]
                                 + [rec.invariants[name] for name in rec.invariants])
-        assert 1.0 - fast_share(cells) < 0.03
+        assert 1.0 - fast_share(cells) < 0.001
         path = tmp_path / "traj.csv"
         formats.trajectory_to_csv(rec, str(path))
         assert path.read_bytes() == csv_reference(rec).encode("ascii")
@@ -144,3 +173,20 @@ class TestTrajectoryCells:
         path = tmp_path / "traj.csv"
         formats.trajectory_to_csv(rec, str(path))
         assert path.read_bytes() == csv_reference(rec).encode("ascii")
+
+    def test_tiny_values_run(self, sl2c_derived, tmp_path):
+        z0 = "1e-7,-3e-6,2e-12,0,4e-5,-1e-9"
+        prefix = str(tmp_path / "tiny")
+        assert main(["simulate", "--pair", "sl2c_derived", "--hamiltonian", "quadratic_identity",
+                     "--initial", z0, "--dt", "0.01", "--t-end", "30",
+                     "--invariants", "mu_norm2,nu_norm2,mu_dot_nu", "--out", prefix]) == 0
+        rec = integrate(build_double(sl2c_derived), HamiltonianSpec.quadratic(np.eye(6)),
+                        np.array([float(v) for v in z0.split(",")]), 0.01, 30.0,
+                        invariants={name: BUILTIN_INVARIANTS[name](3, 3)
+                                    for name in ("mu_norm2", "nu_norm2", "mu_dot_nu")})
+        assert len(rec.times) == 3001
+        with open(prefix + ".csv", "rb") as fh:
+            assert fh.read() == csv_reference(rec).encode("ascii")
+        cells = np.column_stack([rec.times, rec.states]
+                                + [rec.invariants[name] for name in rec.invariants])
+        assert fast_share(cells) >= 0.999
