@@ -15,7 +15,10 @@ over 2**23 (``MAX_STEPS``) steps, and audits of over 2**20
 (``AUDIT_MAX_SAMPLES``) samples or with a negative seed.
 The environment variable MPM_TOLERANCE_SCALE multiplies every validation
 tolerance (default 1).  ``main`` may be called repeatedly in one process;
-every call reuses one parser, built on the first.
+every call reuses one parser, built on the first, and the built-in
+Hamiltonians and invariants are built and checked once per (name, dim g,
+dim h).  MPM_TOLERANCE_SCALE is still read on every call, when the pair is
+loaded, and a Hamiltonian file is read on every call.
 """
 
 from __future__ import annotations
@@ -44,11 +47,11 @@ def _pairing(n: int, m: int, first: str, second: str) -> HamiltonianSpec:
     return HamiltonianSpec.quadratic(A.T @ B + B.T @ A)
 
 
-# name -> (dim g, dim h) -> quadratic spec
+# name -> (dim g, dim h) -> quadratic spec, built once per (dim g, dim h): Q and b are read-only
 BUILTIN_INVARIANTS = {
-    "mu_norm2": lambda n, m: _pairing(n, m, "mu", "mu"),
-    "nu_norm2": lambda n, m: _pairing(n, m, "nu", "nu"),
-    "mu_dot_nu": lambda n, m: _pairing(n, m, "mu", "nu"),
+    "mu_norm2": functools.cache(lambda n, m: _pairing(n, m, "mu", "mu")),
+    "nu_norm2": functools.cache(lambda n, m: _pairing(n, m, "nu", "nu")),
+    "mu_dot_nu": functools.cache(lambda n, m: _pairing(n, m, "mu", "nu")),
 }
 
 
@@ -70,10 +73,10 @@ def _rigid_body_123(n: int, m: int) -> HamiltonianSpec:
     return HamiltonianSpec.quadratic(np.diag([1.0, 0.5, 1.0 / 3.0] + [0.0] * m))
 
 
-BUILTIN_HAMILTONIANS = {  # name -> (dim g, dim h) -> quadratic spec
-    "quadratic_identity": lambda n, m: HamiltonianSpec.quadratic(np.eye(n + m)),
-    "heavy_top": _heavy_top,
-    "rigid_body_123": _rigid_body_123,
+BUILTIN_HAMILTONIANS = {  # as BUILTIN_INVARIANTS
+    "quadratic_identity": functools.cache(lambda n, m: HamiltonianSpec.quadratic(np.eye(n + m))),
+    "heavy_top": functools.cache(_heavy_top),
+    "rigid_body_123": functools.cache(_rigid_body_123),
 }
 
 

@@ -142,7 +142,7 @@ class TrajectoryRecord:
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise InputError("times and states lengths differ")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
+        if not (self.times[1:] > self.times[:-1]).all():
             raise InputError("times must be strictly increasing")
 
     @property
@@ -171,6 +171,10 @@ def _grid(dt: float, t_end: float) -> tuple[int, np.ndarray]:
     return steps, dt * np.arange(steps + 1)
 
 
+_RK4_WEIGHTS = np.array([1.0, 2.0, 1.0, 1.0]) / 3.0  # of the stages, prescaled by dt / 2, k2 by dt
+_RK4_WEIGHTS.flags.writeable = False
+
+
 def _run_rk4(T: np.ndarray, y0: np.ndarray, dt: float, steps: int,
              spec: HamiltonianSpec | None = None) -> np.ndarray:
     """Classical RK4 rows from ``y0`` of ``y_dot = (y @ T).reshape(D, D) @ v``,
@@ -185,13 +189,14 @@ def _run_rk4(T: np.ndarray, y0: np.ndarray, dt: float, steps: int,
     k0, k1, k2, k3 = K = np.zeros((4, D))
     U, dy, M = np.empty(D), np.empty(D), np.empty((D, D))  # per run: a black box may integrate
     P, Mdot, Udot, add = M.reshape(-1), M.dot, U.dot, np.add
-    half, full, w = 0.5 * dt * T, dt * T, np.array([1.0, 2.0, 1.0, 1.0]) / 3.0
+    half, full, w = 0.5 * dt * T, dt * T, _RK4_WEIGHTS
 
     def scan(a, b):  # raise at the first non-finite row of states[a:b]
-        bad = a + np.flatnonzero(~np.isfinite(states[a:b]).all(axis=1))
-        if bad.size:
-            raise IntegrationError(f"state became non-finite at t={bad[0] * dt:g}",
-                                   last_good_time=float((bad[0] - 1) * dt))
+        finite = np.isfinite(states[a:b])
+        if not finite.all():
+            bad = a + int(finite.all(axis=1).argmin())
+            raise IntegrationError(f"state became non-finite at t={bad * dt:g}",
+                                   last_good_time=float((bad - 1) * dt))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is found by scan()
         for a in range(1, steps + 1, FINITE_BLOCK):
             try:
@@ -234,13 +239,21 @@ def _invariant_specs(split: tuple[int, int], spec: HamiltonianSpec,
 
 
 def _monitor(states: np.ndarray, specs: dict[str, HamiltonianSpec]):
-    """Series and drifts (see :class:`TrajectoryRecord`) of the specs: a quadratic
-    one over all rows in one einsum, any other row by row."""
-    series = {name: (0.5 * np.einsum("ij,ij->i", states @ s.Q, states) + states @ s.b
-                     if s.is_quadratic else np.array([s.value(z) for z in states]))
-              for name, s in specs.items()}
-    return series, {name: float(np.abs(v - v[0]).max() / (1.0 + abs(v[0])))
-                    for name, v in series.items()}
+    """Series and drifts (see :class:`TrajectoryRecord`) of the specs, rows of one
+    (specs, rows) table: the quadratic specs over all rows in one stacked matmul
+    and einsum, which give each spec's bits of ``0.5 einsum("ij,ij->i", states @ Q,
+    states) + states @ b``, any other row by row; then all drifts at once."""
+    V = np.empty((len(specs), len(states)))
+    quadratic = [i for i, s in enumerate(specs.values()) if s.is_quadratic]
+    if quadratic:
+        Q = np.array([s.Q for s in specs.values() if s.is_quadratic])
+        b = np.array([s.b for s in specs.values() if s.is_quadratic])[..., None]
+        V[quadratic] = 0.5 * np.einsum("kij,ij->ki", states @ Q, states) + (states @ b)[..., 0]
+    for i, s in enumerate(specs.values()):
+        if not s.is_quadratic:
+            V[i] = [s.value(z) for z in states]
+    drift = np.abs(V - V[:, :1]).max(axis=1) / (1.0 + np.abs(V[:, 0]))
+    return dict(zip(specs, V)), dict(zip(specs, drift.tolist()))
 
 
 def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,

@@ -48,18 +48,20 @@ def read_json(source, what: str):
 
 @contextlib.contextmanager
 def _output(path: str):
-    """``path`` opened for writing UTF-8 text; any OSError is an InputError."""
+    """``path`` opened for writing bytes; any OSError is an InputError."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "wb") as fh:
             yield fh
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(doc, path: str) -> None:
+    """``doc`` as ``json.dump(doc, fh, indent=2)`` text and a newline, in one
+    write: json.dump writes token by token.  The text is ASCII."""
+    text = json.dumps(doc, indent=2) + "\n"
     with _output(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text.encode())
 
 
 def _require(doc: dict, key: str, kind: type, where: str):
@@ -265,10 +267,10 @@ def trajectory_to_csv(record: TrajectoryRecord, path: str) -> None:
     columns = [record.times[:, None], record.states]
     columns += [record.invariants[name][:, None] for name in ["H"] + extras]
     with _output(path) as fh:
-        fh.buffer.write((",".join(header) + "\n").encode())  # bytes: the blocks are ASCII
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(record.times), CSV_BLOCK_ROWS):
-            block = np.hstack([col[start:start + CSV_BLOCK_ROWS] for col in columns])
-            fh.buffer.write(_csv_block(block))
+            block = np.concatenate([col[start:start + CSV_BLOCK_ROWS] for col in columns], axis=1)
+            fh.write(_csv_block(block))
 
 
 def summary_dict(record: TrajectoryRecord, wall_time_s: float, **meta) -> dict:

@@ -145,6 +145,18 @@ def csv_reference(record):
     return "".join(line + "\n" for line in lines)
 
 
+def monitor_per_spec(states, specs):
+    """Series and drifts of the specs one spec at a time, the form the monitor had
+    before its stacked pass: a quadratic spec's series is ``0.5 einsum("ij,ij->i",
+    states @ Q, states) + states @ b``, any other's ``spec.value`` row by row, and
+    each drift is ``max |v - v[0]| / (1 + |v[0]|)`` on its own series."""
+    series = {name: (0.5 * np.einsum("ij,ij->i", states @ s.Q, states) + states @ s.b
+                     if s.is_quadratic else np.array([s.value(z) for z in states]))
+              for name, s in specs.items()}
+    return series, {name: float(np.abs(v - v[0]).max() / (1.0 + abs(v[0])))
+                    for name, v in series.items()}
+
+
 def lie_poisson_field(C, sign, grad):
     """z_dot_i = sign * sum_{k,j} C[k, i, j] z_k grad(z)_j, by explicit loops."""
     d = C.shape[0]

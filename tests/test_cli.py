@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from mpmech import formats
-from mpmech.cli import main
+from mpmech.cli import BUILTIN_HAMILTONIANS, BUILTIN_INVARIANTS, main
+from mpmech.dynamics import integrate
+from mpmech.matched_pair import build_double
 from mpmech.sl2c import builtin_pairs
+
+from oracles import csv_reference
 
 
 @pytest.fixture
@@ -152,6 +156,52 @@ class TestSimulate:
         assert main(simulate_args(str(tmp_path / "r"))) == 2
         assert "input error: cannot write" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.summary.json"]
+
+    @pytest.mark.parametrize("hamiltonian", sorted(BUILTIN_HAMILTONIANS))
+    def test_tolerance_scale_is_read_on_every_call(self, tmp_path, monkeypatch, capsys,
+                                                   hamiltonian):
+        argv = simulate_args(str(tmp_path / "ok"), **{
+            "--pair": "e3_heavytop", "--hamiltonian": hamiltonian, "--t-end": "0.01",
+            "--invariants": ",".join(BUILTIN_INVARIANTS)})
+        assert main(argv) == 0  # builds and caches the specs
+        makers = [BUILTIN_HAMILTONIANS[hamiltonian], *BUILTIN_INVARIANTS.values()]
+        specs = [make(3, 3) for make in makers]
+        before = [(s.Q.tobytes(), s.b.tobytes()) for s in specs]
+        for scale in ("nan", "0", "abc"):
+            monkeypatch.setenv("MPM_TOLERANCE_SCALE", scale)
+            argv[-1] = str(tmp_path / scale)
+            assert main(argv) == 2
+            assert "input error: MPM_TOLERANCE_SCALE" in capsys.readouterr().err
+        monkeypatch.delenv("MPM_TOLERANCE_SCALE")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.csv", "ok.summary.json"]
+        assert main(argv) == 0
+        assert all(make(3, 3) is spec for make, spec in zip(makers, specs))
+        assert [(s.Q.tobytes(), s.b.tobytes()) for s in specs] == before
+        for s in specs:
+            for array in (s.Q, s.b):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+
+    @pytest.mark.parametrize("steps", [1, 200])
+    def test_short_heavy_top_files_are_golden(self, tmp_path, steps):
+        meta = {"pair": "e3_heavytop", "hamiltonian": "heavy_top", "mode": "lp",
+                "convention": "right", "dt": 0.05, "t_end": 0.05 * steps, "seed": 3}
+        prefix = str(tmp_path / "ht")
+        argv = simulate_args(prefix, **{
+            "--pair": "e3_heavytop", "--hamiltonian": "heavy_top", "--dt": repr(meta["dt"]),
+            "--t-end": repr(meta["t_end"]), "--initial": "0.3,-0.5,0.8,0.1,0.2,0.9",
+            "--invariants": "mu_norm2,nu_norm2,mu_dot_nu", "--seed": "3"})
+        assert main(argv) == 0
+        record = integrate(build_double(builtin_pairs()["e3_heavytop"]),
+                           BUILTIN_HAMILTONIANS["heavy_top"](3, 3),
+                           [0.3, -0.5, 0.8, 0.1, 0.2, 0.9], meta["dt"], meta["t_end"],
+                           invariants={name: BUILTIN_INVARIANTS[name](3, 3)
+                                       for name in ("mu_norm2", "nu_norm2", "mu_dot_nu")})
+        assert len(record.times) == steps + 1
+        assert open(prefix + ".csv", "rb").read() == csv_reference(record).encode()
+        text = open(prefix + ".summary.json", "rb").read().decode()
+        wall = json.loads(text)["wall_time_s"]
+        assert text == json.dumps(formats.summary_dict(record, wall, **meta), indent=2) + "\n"
 
     def test_wrong_initial_length_rejected(self, tmp_path):
         argv = simulate_args(str(tmp_path / "r"), **{"--initial": "1,0,0"})

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from mpmech import formats
-from mpmech.cli import builtin_hamiltonian, main
+from mpmech.cli import BUILTIN_INVARIANTS, builtin_hamiltonian, main
 from mpmech.dynamics import (
     HamiltonianSpec,
     LagrangianSpec,
     TrajectoryRecord,
+    _invariant_specs,
     _monitor,
     integrate,
     integrate_ep,
@@ -20,7 +21,7 @@ from mpmech.errors import InputError
 from mpmech.lie_core import LieAlgebra
 from mpmech.matched_pair import build_double
 
-from oracles import csv_reference, euler_poincare_five_term
+from oracles import csv_reference, euler_poincare_five_term, monitor_per_spec
 from test_cli import simulate_args
 from test_lie_core import corrupted_su2
 
@@ -93,6 +94,28 @@ class TestVectorizedMonitor:
         series, _ = _monitor(states, {"H": spec})
         ref = np.array([spec.value(z) for z in states])
         assert np.all(np.abs(series["H"] - ref) <= 1e-15 * np.abs(ref))
+
+    @pytest.mark.parametrize("rows", [1, 2, 257])
+    @pytest.mark.parametrize("pair", ["sl2c_derived", "e3_heavytop"])
+    def test_stacked_pass_has_the_per_spec_bits(self, pairs, pair, rows, rng):
+        A = rng.standard_normal((6, 6))
+        invariants = {"mu_norm2": BUILTIN_INVARIANTS["mu_norm2"](3, 3),
+                      "box": HamiltonianSpec.blackbox(lambda z: float(z @ A @ z), 6),
+                      "form": HamiltonianSpec.quadratic(A + A.T, rng.standard_normal(6)),
+                      "call": lambda mu, nu: float(mu @ nu) ** 2,
+                      "mu_dot_nu": BUILTIN_INVARIANTS["mu_dot_nu"](3, 3)}
+        double, spec = build_double(pairs[pair]), builtin_hamiltonian("heavy_top", 3, 3)
+        rec = integrate(double, spec, [0.3, -0.5, 0.8, 0.1, 0.2, 0.9], 0.05,
+                        0.05 * max(rows - 1, 1), invariants=invariants)
+        states = rec.states[:rows]  # integrate's own rows: a strided view
+        specs = _invariant_specs(double.split, spec, invariants)
+        series, drift = _monitor(states, specs)
+        ref_series, ref_drift = monitor_per_spec(states, specs)
+        assert list(series) == list(ref_series) == ["H", *invariants]
+        for name, ref in ref_series.items():
+            assert series[name].tobytes() == ref.tobytes(), name
+        assert np.array(list(drift.values())).tobytes() == np.array(list(ref_drift.values())).tobytes()
+        assert all(type(value) is float for value in drift.values())
 
     def test_linear_term_along_trajectory(self, e3_heavytop):
         spec = builtin_hamiltonian("heavy_top", 3, 3)
