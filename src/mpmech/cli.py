@@ -15,10 +15,10 @@ over 2**23 (``MAX_STEPS``) steps, and audits of over 2**20
 (``AUDIT_MAX_SAMPLES``) samples or with a negative seed.
 The environment variable MPM_TOLERANCE_SCALE multiplies every validation
 tolerance (default 1).  ``main`` may be called repeatedly in one process;
-every call reuses one parser, built on the first, and the built-in
-Hamiltonians and invariants are built and checked once per (name, dim g,
-dim h).  MPM_TOLERANCE_SCALE is still read on every call, when the pair is
-loaded, and a Hamiltonian file is read on every call.
+every call reuses one parser, built on the first, the built-in Hamiltonians
+and invariants are built and checked once per (name, dim g, dim h), and
+``audit`` builds its audit plan once.  MPM_TOLERANCE_SCALE is still read on
+every call, when the pair is loaded, and a Hamiltonian file is read on every call.
 """
 
 from __future__ import annotations
@@ -177,6 +177,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.json is not None and not os.path.basename(args.json):
+        raise InputError(f"--json needs a file name, got {args.json!r}")
     if args.target != "sl2c":
         raise InputError(f"unknown audit target {args.target!r}; available: sl2c")
     pairs = sl2c.builtin_pairs()
@@ -184,7 +186,7 @@ def cmd_audit(args) -> int:
                             samples=args.samples, seed=args.seed,
                             closed_forms=sl2c.sl2c_closed_forms())
     print(report.to_text())
-    if args.json:
+    if args.json is not None:
         formats.write_json(report.to_json_dict(), args.json)
         print(f"wrote {args.json}")
     return 0

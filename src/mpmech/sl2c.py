@@ -32,11 +32,12 @@ from .matched_pair import ClosedFormActions, MatchedPair, pair_from_double
 
 KHAT = np.array([0.0, 0.0, 1.0])
 KHAT.setflags(write=False)
+_NEXT, _LAST = np.array([1, 2, 0], np.intp), np.array([2, 0, 1], np.intp)  # _cross's gathers
 
 
 def _cross(a, b):
     """The cross product on the last axis, bitwise as numpy's (same products and subtraction)."""
-    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+    return a[..., _NEXT] * b[..., _LAST] - a[..., _LAST] * b[..., _NEXT]
 
 
 _EPS = _cross(np.eye(3)[:, None], np.eye(3)).transpose(2, 0, 1)  # [k, a, i]: (e_a x e_i)_k

@@ -314,3 +314,61 @@ def iwasawa_numpy(M, scale=1.0):
     U = M @ np.array([[s, 0.0], [-s * (a + 1j * b), s * (1.0 + c)]])
     failure = su2_check_numpy(U, scale)
     return ("validation", failure) if failure else (U, (a, b, c))
+
+
+def per_row_audit(de, pr, samples, seed, closed_forms=None, tol=1e-10, block=2 ** 16):
+    """The formula audit's lines as ``(name, max_deviation, status, witness, detail)``,
+    row by row as ``audit_formulas`` had them before its audit plan: every row calls
+    its own maps on both pairs, on the same draws and blocks of samples, and
+    condition 1 is read off the printed pair's validation report."""
+    from mpmech import matched_pair as mpm
+    from mpmech.lie_core import coadjoint
+
+    n, m = de.g.dim, de.h.dim
+    rng = np.random.default_rng(seed)
+    draws = [rng.standard_normal((samples, k)) for k in (m, n, n, m)]  # eta, xi, mu, nu
+    cf = closed_forms or mpm.ClosedFormActions()
+    C = mpm.build_double(de).algebra.C
+    C_plus = C.copy()
+    C_plus[:, :n, n:] *= -1.0
+
+    def rows(etas, xis, mus, nus):
+        yield "action |>", mpm.left_act(pr, etas, xis) - mpm.left_act(de, etas, xis)
+        yield "action <|", mpm.right_act(pr, etas, xis) - mpm.right_act(de, etas, xis)
+        for name, closed, exact, u, v in (("dual *<|", cf.co_left, mpm.co_left_act, mus, etas),
+                                          ("dual *|>", cf.co_right, mpm.co_right_act, xis, nus),
+                                          ("dual a*", cf.a_star, mpm.a_star, etas, nus),
+                                          ("dual b*", cf.b_star, mpm.b_star, xis, mus)):
+            yield name, (closed(u, v) if closed is not None else exact(de, u, v)) - exact(pr, u, v)
+        Z, G = np.hstack([mus, nus]), np.hstack([xis, etas])
+        canonical = coadjoint(C, Z, G)
+        if cf.lp_rhs is not None:
+            mu_dot, nu_dot = cf.lp_rhs(mus, nus, xis, etas)
+            yield "closed-form rhs (mu)", mu_dot - canonical[:, :n]
+            yield "closed-form rhs (nu)", nu_dot - canonical[:, n:]
+        else:
+            yield "canonical rhs (tensor sets)", coadjoint(mpm.build_double(pr).algebra.C, Z, G) - canonical
+        yield "canonical rhs energy rate", np.einsum("si,si->s", canonical, G)
+        if closed_forms is not None:
+            plus = coadjoint(C_plus, Z, G)
+            yield "plus-sign rhs vs canonical", plus - canonical
+            yield "plus-sign rhs energy rate", np.einsum("si,si->s", plus, G)
+
+    largest = {}
+    for start in range(0, samples, block):
+        for name, difference in rows(*(d[start:start + block] for d in draws)):
+            dev = np.abs(difference).max()
+            largest[name] = dev if name not in largest else np.maximum(largest[name], dev)
+    witnesses = {}
+    for name, printed, derived in (("action |>", pr.rho, de.rho), ("action <|", pr.sigma, de.sigma)):
+        a, i = np.unravel_index(int(np.abs(printed - derived).argmax()), printed.shape)[1:]
+        witnesses[name] = f"({pr.h.name_of(a)}, {pr.g.name_of(i)})"
+    lines = []
+    for name, dev in largest.items():
+        status = "MATCH" if dev <= tol else "MISMATCH"
+        detail = None
+        if name == "action <|" and status == "MISMATCH":
+            condition = mpm.validation_report(pr)[2]
+            detail = f"compatibility condition 1 defect {condition.value:g} at {condition.witness}"
+        lines.append((name, float(dev), status, witnesses.get(name), detail))
+    return lines

@@ -1,20 +1,32 @@
 """Bounded work arrays: the formula audit evaluates its rows over blocks of at
-most ``AUDIT_BLOCK_SAMPLES`` samples, and ``bracket`` contracts the transposed
+most ``AUDIT_BLOCK_SAMPLES`` samples from one audit plan per (derived, printed)
+pair, against the per-row reference, and ``bracket`` contracts the transposed
 structure constants that each ``LieAlgebra`` keeps once, contiguous and
 read-only, instead of copying them on every call."""
+
+import contextlib
+import gc
+import io
+import json
+import pathlib
+import weakref
 
 import numpy as np
 import pytest
 
 from mpmech import lie_core, matched_pair, sl2c
+from mpmech.cli import main
+from mpmech.errors import DimensionMismatch
 from mpmech.lie_core import bracket, coadjoint
 from mpmech.matched_pair import (
     AUDIT_BLOCK_SAMPLES,
     ClosedFormActions,
+    MatchedPair,
     audit_formulas,
     build_double,
 )
 
+from oracles import per_row_audit
 from test_validation_report import count_calls
 
 CASES = {  # (derived, printed, closed forms)
@@ -54,7 +66,7 @@ class TestAuditBlocks:
         per_block = len(calls)
         monkeypatch.setattr(matched_pair, "AUDIT_BLOCK_SAMPLES", 7)
         audit(pairs, "sl2c closed forms", 1000, 0)
-        assert per_block == 10  # eight action and dual maps and two fields
+        assert per_block == 7  # the four action maps in one call, four duals and two fields
         assert len(calls) == per_block * (1 + -(-1000 // 7))
 
     def test_a_nan_in_the_last_block_is_kept(self, pairs, monkeypatch):
@@ -74,6 +86,97 @@ class TestAuditBlocks:
         assert exact.line("dual *<|").status == "MATCH"
         assert [r for r in report.lines if r.name != line.name] == \
             [r for r in exact.lines if r.name != line.name]
+
+
+CLOSED_FORMS = ("co_left", "co_right", "a_star", "b_star", "lp_rhs")
+# (derived, printed, closed forms): the CASES above, each sl2c closed form alone, and the
+# heavy top against the derived pair with all of them
+ORACLE_CASES = {
+    **{case: (d, p, sl2c.sl2c_closed_forms() if closed else None)
+       for case, (d, p, closed) in CASES.items()},
+    **{f"{name} alone": ("sl2c_derived", "sl2c_printed",
+                         ClosedFormActions(**{name: getattr(sl2c.sl2c_closed_forms(), name)}))
+       for name in CLOSED_FORMS},
+    "heavy top, sl2c closed forms": ("e3_heavytop", "sl2c_derived", sl2c.sl2c_closed_forms()),
+}
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "audit_golden.json").read_text())
+
+
+def fresh(mp, validate=False):
+    return MatchedPair(mp.g, mp.h, mp.rho, mp.sigma, validate=validate)
+
+
+class TestAuditPlan:
+    @pytest.mark.parametrize("samples", [1, 7, 50, 1000, AUDIT_BLOCK_SAMPLES + 1])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_lines_are_the_per_row_audit(self, pairs, case, samples):
+        derived, printed, closed = ORACLE_CASES[case]
+        for seed in (0, 3):
+            report = audit_formulas(pairs[derived], pairs[printed], samples, seed, closed)
+            oracle = per_row_audit(pairs[derived], pairs[printed], samples, seed, closed)
+            assert len(report.lines) == len(oracle)
+            for line, (name, dev, status, witness, detail) in zip(report.lines, oracle):
+                assert (line.name, line.status, line.witness, line.detail) == \
+                    (name, status, witness, detail)
+                assert abs(line.max_deviation - dev) <= 1e-15 * dev
+                assert dev != 0.0 or line.max_deviation == 0.0
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_cli_output_is_golden(self, tmp_path, key):
+        """stdout and the --json bytes of ``mpmech audit sl2c``, as written before the plan."""
+        seed, samples = key.split()
+        path = tmp_path / "audit.json"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["audit", "sl2c", "--samples", samples, "--seed", seed,
+                         "--json", str(path)]) == 0
+        assert out.getvalue() == GOLDEN[key]["stdout"] + f"wrote {path}\n"
+        assert path.read_bytes() == GOLDEN[key]["json"].encode("ascii")
+
+    def test_plan_arrays_are_read_only(self, pairs):
+        derived = fresh(pairs["sl2c_derived"], validate=True)
+        audit_formulas(derived, pairs["sl2c_printed"], 10, 0, sl2c.sl2c_closed_forms())
+        tensors = derived._audit_plan.tensors
+        assert len(tensors) == 12
+        for T in tensors:
+            assert T.flags.c_contiguous
+            with pytest.raises(ValueError):
+                T[(0,) * T.ndim] = 1.0
+
+    def test_each_printed_pair_gets_its_own_report(self, pairs):
+        derived = fresh(pairs["sl2c_derived"], validate=True)
+        cf = sl2c.sl2c_closed_forms()
+        for printed in ("sl2c_printed", "e3_heavytop", "sl2c_printed", "sl2c_derived"):
+            report = audit_formulas(derived, pairs[printed], 50, 2, cf)
+            assert derived._audit_plan.printed is pairs[printed]
+            assert [(line.name, line.max_deviation, line.status, line.witness, line.detail)
+                    for line in report.lines] == per_row_audit(derived, pairs[printed], 50, 2, cf)
+
+    def test_one_plan_is_kept(self, pairs):
+        derived = fresh(pairs["sl2c_derived"], validate=True)
+        plans = []
+        for _ in range(200):
+            audit_formulas(derived, fresh(pairs["sl2c_printed"]), 1, 0, sl2c.sl2c_closed_forms())
+            plans.append(weakref.ref(derived._audit_plan))
+        gc.collect()
+        assert [ref() for ref in plans if ref() is not None] == [derived._audit_plan]
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (21, 3), (20, 3, 1)])
+    @pytest.mark.parametrize("name", CLOSED_FORMS[:4] + ("lp_rhs (mu_dot)", "lp_rhs (nu_dot)"))
+    def test_closed_forms_of_another_shape_are_rejected(self, pairs, name, shape):
+        """A result that would broadcast against the (20, 3) rows is a DimensionMismatch."""
+        cf = sl2c.sl2c_closed_forms()
+        wrong = np.ones(shape)
+        if name.startswith("lp_rhs"):
+            half = name.endswith("(nu_dot)")
+            closed = ClosedFormActions(lp_rhs=lambda *args: tuple(
+                wrong if k == half else part for k, part in enumerate(cf.lp_rhs(*args))))
+        else:
+            closed = ClosedFormActions(**{name: lambda u, v: wrong})
+        with pytest.raises(DimensionMismatch) as err:
+            audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"], 20, 1, closed)
+        assert str(err.value) == (f"closed form {name} returned shape {shape}, "
+                                  f"expected (20, 3)")
 
 
 class TestLeftConstants:

@@ -249,6 +249,16 @@ class TestAudit:
     def test_unknown_target(self):
         assert main(["audit", "so-what"]) == 2
 
+    @pytest.mark.parametrize("json_path", ["", "sub/"])
+    def test_json_without_a_file_name_rejected(self, tmp_path, monkeypatch, capsys, json_path):
+        """An empty --json path is rejected, as --out is, before the audit runs."""
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["audit", "sl2c", "--samples", "50", "--json", json_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "input error: --json needs a file name" in err
+        assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
+
 
 class TestDeriveAndFactor:
     def test_derive_builtin_round_trip(self, tmp_path):

@@ -152,15 +152,22 @@ class TestReport:
                     assert got.shape == (6,) and got.tobytes() == want.tobytes()
 
     def test_audit_detail_reads_condition_one_without_the_report(self, monkeypatch, pairs):
+        """The audit plan reads condition 1 once per printed pair, never through the report."""
+        printed = pairs["sl2c_printed"]
+        fresh = MatchedPair(printed.g, printed.h, printed.rho, printed.sigma, validate=False)
+        condition = validation_report(fresh)[2]
         reports = count_calls(monkeypatch, matched_pair, "validation_report")
         conditions = count_calls(monkeypatch, matched_pair, "_compatibility_checks")
-        report = audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"], samples=10,
+        first = audit_formulas(pairs["sl2c_derived"], fresh, samples=10,
+                               closed_forms=sl2c_closed_forms())
+        assert len(conditions) == 1
+        second = audit_formulas(pairs["sl2c_derived"], fresh, samples=10, seed=3,
                                 closed_forms=sl2c_closed_forms())
-        condition = validation_report(pairs["sl2c_printed"])[2]
-        assert report.line("action <|").detail == (
-            f"compatibility condition 1 defect {condition.value:g} at {condition.witness}")
+        assert len(conditions) == 1 and reports == []
+        for report in (first, second):
+            assert report.line("action <|").detail == (
+                f"compatibility condition 1 defect {condition.value:g} at {condition.witness}")
         assert condition.witness == "(f3, e1, e2)"
-        assert reports == [] and len(conditions) == 2  # the audit's and this test's
 
     @pytest.mark.parametrize("largest,bound", [(0.0, 0.5e-10), (1.0, 2e-10), (1e6 - 1.0, 50.0)])
     def test_bound_grows_as_the_square_of_the_scale(self, largest, bound):
