@@ -124,6 +124,16 @@ def _as_pair(x, split: tuple[int, int], what: str) -> tuple[np.ndarray, np.ndarr
 # Every argument is one vector or a stack of rows; a wrong last dimension is DimensionMismatch.
 # Each is lie_core.coadjoint(T, z, x) = sum_kj T[k, i, j] z_k x_j, T a transpose of rho or sigma.
 
+_TENSOR = {  # each map's T, which the audit plan reads too
+    "left_act": lambda mp: mp.rho.transpose(1, 0, 2),
+    "right_act": lambda mp: mp.sigma.transpose(1, 0, 2),
+    "co_left_act": lambda mp: mp.rho.transpose(0, 2, 1),
+    "a_star": lambda mp: mp.sigma.transpose(0, 2, 1),
+    "co_right_act": lambda mp: mp.sigma,
+    "b_star": lambda mp: mp.rho,
+}
+
+
 def _as_rows(v, dim: int, what: str) -> np.ndarray:
     arr = float_array(v, what)
     if arr.shape[-1:] != (dim,):
@@ -134,37 +144,37 @@ def _as_rows(v, dim: int, what: str) -> np.ndarray:
 def left_act(mp: MatchedPair, eta, xi) -> np.ndarray:
     """Left action of h on g: eta |> xi."""
     eta, xi = _as_rows(eta, mp.h.dim, "h vector"), _as_rows(xi, mp.g.dim, "g vector")
-    return coadjoint(mp.rho.transpose(1, 0, 2), eta, xi)
+    return coadjoint(_TENSOR["left_act"](mp), eta, xi)
 
 
 def right_act(mp: MatchedPair, eta, xi) -> np.ndarray:
     """Right action of g on h: eta <| xi."""
     eta, xi = _as_rows(eta, mp.h.dim, "h vector"), _as_rows(xi, mp.g.dim, "g vector")
-    return coadjoint(mp.sigma.transpose(1, 0, 2), eta, xi)
+    return coadjoint(_TENSOR["right_act"](mp), eta, xi)
 
 
 def co_left_act(mp: MatchedPair, mu, eta) -> np.ndarray:
     """Right action of h on g*, transpose of |>: <mu *<| eta, xi> = <mu, eta |> xi>."""
     mu, eta = _as_rows(mu, mp.g.dim, "g* vector"), _as_rows(eta, mp.h.dim, "h vector")
-    return coadjoint(mp.rho.transpose(0, 2, 1), mu, eta)
+    return coadjoint(_TENSOR["co_left_act"](mp), mu, eta)
 
 
 def a_star(mp: MatchedPair, eta, nu) -> np.ndarray:
     """Dual of xi -> eta <| xi, valued in g*: <a*_eta nu, xi> = <nu, eta <| xi>."""
     eta, nu = _as_rows(eta, mp.h.dim, "h vector"), _as_rows(nu, mp.h.dim, "h* vector")
-    return coadjoint(mp.sigma.transpose(0, 2, 1), nu, eta)
+    return coadjoint(_TENSOR["a_star"](mp), nu, eta)
 
 
 def co_right_act(mp: MatchedPair, xi, nu) -> np.ndarray:
     """Left action of g on h*, transpose of <|: <xi *|> nu, eta> = <nu, eta <| xi>."""
     xi, nu = _as_rows(xi, mp.g.dim, "g vector"), _as_rows(nu, mp.h.dim, "h* vector")
-    return coadjoint(mp.sigma, nu, xi)
+    return coadjoint(_TENSOR["co_right_act"](mp), nu, xi)
 
 
 def b_star(mp: MatchedPair, xi, mu) -> np.ndarray:
     """Dual of eta -> eta |> xi, valued in h*: <b*_xi mu, eta> = <mu, eta |> xi>."""
     xi, mu = _as_rows(xi, mp.g.dim, "g vector"), _as_rows(mu, mp.g.dim, "g* vector")
-    return coadjoint(mp.rho, mu, xi)
+    return coadjoint(_TENSOR["b_star"](mp), mu, xi)
 
 
 # -- compatibility -----------------------------------------------------------
@@ -339,40 +349,31 @@ class AuditReport:
         return asdict(self)
 
 
-@dataclass(frozen=True, eq=False)
 class _AuditPlan:
-    """What :func:`audit_formulas` reads of its two pairs, all read-only."""
+    """What :func:`audit_formulas` reads of its two pairs besides the draws, all read-only: the
+    contiguous T of the four actions (|> printed, |> derived, <| printed, <| derived, stacked
+    along coadjoint's output axis) and of the printed pair's four duals, ``C_plus``, the
+    action rows' witnesses and the condition-1 detail."""
 
-    printed: MatchedPair
-    tensors: tuple[np.ndarray, ...]  # actions, 4 stacked duals, printed's 4 duals, C, C_pr, C_plus
-    witnesses: dict[str, str]  # the action rows' (a, i): the largest entry of the difference
+    def __init__(self, de: MatchedPair, pr: MatchedPair):
+        n = de.g.dim
+        self.printed = pr
+        self.actions = np.ascontiguousarray(np.concatenate(
+            [_TENSOR[f](mp) for f in ("left_act", "right_act") for mp in (pr, de)], 1))
+        self.duals = [np.ascontiguousarray(_TENSOR[f](pr))
+                      for f in ("co_left_act", "co_right_act", "a_star", "b_star")]
+        self.C_plus = build_double(de).algebra.C.copy()  # its *<| and a* terms negated
+        self.C_plus[:, :n, n:] *= -1.0
+        for T in (self.actions, self.C_plus, *self.duals):
+            T.setflags(write=False)
+        self.witnesses = {name: f"({pr.h.name_of(a)}, {pr.g.name_of(i)})" for name, (_, (_, a, i))
+                          in (("action |>", _largest_entry(pr.rho - de.rho)),
+                              ("action <|", _largest_entry(pr.sigma - de.sigma)))}
 
     @functools.cached_property
-    def detail(self) -> str:  # of a mismatched action <| row, read on the first one
+    def detail(self) -> str:
         condition = _compatibility_checks(self.printed)[0]
         return f"compatibility condition 1 defect {condition.value:g} at {condition.witness}"
-
-
-def _audit_plan(de: MatchedPair, pr: MatchedPair) -> _AuditPlan:
-    if de._audit_plan is None or de._audit_plan.printed is not pr:
-        C, n = build_double(de).algebra.C, de.g.dim
-        C_plus = C.copy()
-        C_plus[:, :n, n:] *= -1.0
-        duals = [(mp.rho.transpose(0, 2, 1), mp.sigma, mp.sigma.transpose(0, 2, 1), mp.rho)
-                 for mp in (de, pr)]  # the T of coadjoint(T, z, x) of *<|, *|>, a*, b*
-        actions = [T.transpose(1, 0, 2) for T in (pr.rho, de.rho, pr.sigma, de.sigma)]
-        tensors = tuple(np.ascontiguousarray(T) for T in (
-            np.concatenate(actions, 1), *(np.concatenate(pair, 1) for pair in zip(*duals)),
-            *duals[1], C, build_double(pr).algebra.C, C_plus))
-        for T in tensors:
-            T.setflags(write=False)
-        witnesses = {}
-        for name, difference in (("action |>", pr.rho - de.rho),
-                                 ("action <|", pr.sigma - de.sigma)):
-            _, (_, a, i) = _largest_entry(difference)
-            witnesses[name] = f"({pr.h.name_of(a)}, {pr.g.name_of(i)})"
-        de._audit_plan = _AuditPlan(pr, tensors, witnesses)
-    return de._audit_plan
 
 
 def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
@@ -390,17 +391,14 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
     against the canonical, energy-conserving one on ``mp_derived``.
 
     Every row is evaluated on blocks of up to ``AUDIT_BLOCK_SAMPLES`` samples,
-    stacked one per row, and keeps its largest deviation max |a - b|, so the
-    memory held beyond the samples is bounded.  Each map, and each vector field
-    at the points ``Z = (mu, nu)`` with gradients ``G = (x, y)``, is one
-    :func:`~mpmech.lie_core.coadjoint` call.  The four action maps share one, their
-    tensors stacked along its output axis, as do the two pairs' duals of a map
-    with no closed form; each row is still reduced on its own.  The plus-sign
-    field negates the block ``C[:, :n, n:]`` (the *<| and a* terms).  What does
-    not depend on the draws is an audit plan, built once per (``mp_derived``,
-    ``mp_printed``) and kept in one slot on ``mp_derived`` until another printed
-    pair is audited: the read-only tensors of every row (the stacked maps, the
-    double's ``C`` and ``C_plus``), the action rows' witnesses and the condition-1 detail.
+    stacked one per row, and keeps its own largest deviation, so the memory held
+    beyond the samples themselves is bounded.  Each map and each vector field, at
+    the points ``Z = (mu, nu)`` with gradients ``G = (x, y)``, is one
+    :func:`~mpmech.lie_core.coadjoint` call, and the four action maps share one.
+    The plus-sign field negates the block ``C[:, :n, n:]`` (the *<| and a* terms).
+    What does not depend on the draws (the maps' tensors, ``C_plus``, the action
+    rows' witnesses and the condition-1 detail) is an audit plan, kept in one slot
+    on ``mp_derived`` for the last ``mp_printed`` it was audited against.
     """
     if (mp_derived.g.dim, mp_derived.h.dim) != (mp_printed.g.dim, mp_printed.h.dim):
         raise DimensionMismatch("audited pairs live on different algebras")
@@ -411,44 +409,44 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
     n, m = mp_derived.g.dim, mp_derived.h.dim
     rng = np.random.default_rng(seed)
     draws = [rng.standard_normal((samples, k)) for k in (m, n, n, m)]  # eta, xi, mu, nu
+    pr, de = mp_printed, mp_derived
     cf = closed_forms or ClosedFormActions()
-    plan = _audit_plan(mp_derived, mp_printed)
-    T = plan.tensors
+    plan = de._audit_plan
+    if plan is None or plan.printed is not pr:  # one plan, for the last printed pair
+        plan = de._audit_plan = _AuditPlan(de, pr)
 
     def gap(name, closed, exact):  # closed - exact, unless the closed form would be broadcast
-        if np.shape(closed) != exact.shape:
-            raise DimensionMismatch(f"closed form {name} returned shape {np.shape(closed)}, "
-                                    f"expected {exact.shape}")
-        return closed - exact
+        if np.shape(closed) == exact.shape:
+            return closed - exact
+        raise DimensionMismatch(f"{name}: the closed form has shape {np.shape(closed)}, "
+                                f"expected {exact.shape}")
 
     def deviations(etas, xis, mus, nus):  # each row's a - b on one block of samples
         # primitive actions: printed tensors against derived tensors
-        acts = coadjoint(T[0], etas, xis)
+        acts = coadjoint(plan.actions, etas, xis)
         yield "action |>", acts[:, :n] - acts[:, n:2 * n]
         yield "action <|", acts[:, 2 * n:2 * n + m] - acts[:, 2 * n + m:]
         # dual maps: closed forms against their defining pairing identities
-        for k, (name, attr, z, x, u, v) in enumerate((("dual *<|", "co_left", mus, etas, mus, etas),
-                                                      ("dual *|>", "co_right", nus, xis, xis, nus),
-                                                      ("dual a*", "a_star", nus, etas, etas, nus),
-                                                      ("dual b*", "b_star", mus, xis, xis, mus))):
-            closed = getattr(cf, attr)
-            exact = coadjoint(T[1 + k if closed is None else 5 + k], z, x)
-            h = exact.shape[1] // 2  # without a closed form: derived's map, then printed's
-            yield name, (exact[:, :h] - exact[:, h:] if closed is None
-                         else gap(attr, closed(u, v), exact))
-        del acts, exact  # freed before the fields allocate: held, they slowed 1,000-sample audits
+        for (name, closed, exact, u, v, z, x), T in zip((
+                ("dual *<|", cf.co_left, co_left_act, mus, etas, mus, etas),
+                ("dual *|>", cf.co_right, co_right_act, xis, nus, nus, xis),
+                ("dual a*", cf.a_star, a_star, etas, nus, nus, etas),
+                ("dual b*", cf.b_star, b_star, xis, mus, mus, xis)), plan.duals):
+            yield name, gap(name, closed(u, v) if closed is not None else exact(de, u, v),
+                            coadjoint(T, z, x))
+        del acts  # freed before the fields allocate: held, it slowed 1,000-sample audits
         # vector fields on the derived double; an energy rate is <mu_dot, x> + <nu_dot, y>
         Z, G = np.concatenate([mus, nus], axis=1), np.concatenate([xis, etas], axis=1)
-        canonical = coadjoint(T[9], Z, G)
+        canonical = coadjoint(build_double(de).algebra.C, Z, G)
         if cf.lp_rhs is not None:
             mu_dot, nu_dot = cf.lp_rhs(mus, nus, xis, etas)
-            yield "closed-form rhs (mu)", gap("lp_rhs (mu_dot)", mu_dot, canonical[:, :n])
-            yield "closed-form rhs (nu)", gap("lp_rhs (nu_dot)", nu_dot, canonical[:, n:])
+            yield "closed-form rhs (mu)", gap("closed-form rhs (mu)", mu_dot, canonical[:, :n])
+            yield "closed-form rhs (nu)", gap("closed-form rhs (nu)", nu_dot, canonical[:, n:])
         else:
-            yield "canonical rhs (tensor sets)", coadjoint(T[10], Z, G) - canonical
+            yield "canonical rhs (tensor sets)", coadjoint(build_double(pr).algebra.C, Z, G) - canonical
         yield "canonical rhs energy rate", np.einsum("si,si->s", canonical, G)
         if closed_forms is not None:
-            plus = coadjoint(T[-1], Z, G)
+            plus = coadjoint(plan.C_plus, Z, G)
             yield "plus-sign rhs vs canonical", plus - canonical
             yield "plus-sign rhs energy rate", np.einsum("si,si->s", plus, G)
 
@@ -458,6 +456,7 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
         # max |a - b| row by row, abs written over the fresh difference
         names, block = zip(*((name, np.abs(d, out=d).max()) for name, d in rows))
         largest = np.maximum(largest, block)  # keeps a NaN
+    largest = np.abs(largest)  # real, also where a closed form's complex rows kept |a - b| complex
     lines = [AuditLine(name, dev, "MATCH" if dev <= tol else "MISMATCH", plan.witnesses.get(name))
              for name, dev in zip(names, largest.tolist())]
     if lines[1].status == "MISMATCH":

@@ -5,6 +5,7 @@ structure constants that each ``LieAlgebra`` keeps once, contiguous and
 read-only, instead of copying them on every call."""
 
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -99,6 +100,8 @@ ORACLE_CASES = {
        for name in CLOSED_FORMS},
     "heavy top, sl2c closed forms": ("e3_heavytop", "sl2c_derived", sl2c.sl2c_closed_forms()),
 }
+ROW_OF = {"co_left": "dual *<|", "co_right": "dual *|>", "a_star": "dual a*", "b_star": "dual b*",
+          "lp_rhs (mu_dot)": "closed-form rhs (mu)", "lp_rhs (nu_dot)": "closed-form rhs (nu)"}
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "audit_golden.json").read_text())
 
 
@@ -136,9 +139,8 @@ class TestAuditPlan:
     def test_plan_arrays_are_read_only(self, pairs):
         derived = fresh(pairs["sl2c_derived"], validate=True)
         audit_formulas(derived, pairs["sl2c_printed"], 10, 0, sl2c.sl2c_closed_forms())
-        tensors = derived._audit_plan.tensors
-        assert len(tensors) == 12
-        for T in tensors:
+        plan = derived._audit_plan
+        for T in (plan.actions, plan.C_plus, *plan.duals):
             assert T.flags.c_contiguous
             with pytest.raises(ValueError):
                 T[(0,) * T.ndim] = 1.0
@@ -161,12 +163,23 @@ class TestAuditPlan:
         gc.collect()
         assert [ref() for ref in plans if ref() is not None] == [derived._audit_plan]
 
+    def test_complex_closed_forms_with_real_values_are_audited(self, pairs):
+        """A complex128 result with zero imaginary part reads as its real values."""
+        cf = sl2c.sl2c_closed_forms()
+        as_complex = dataclasses.replace(
+            cf, co_left=lambda mu, eta: cf.co_left(mu, eta).astype(complex),
+            lp_rhs=lambda *args: tuple(part.astype(complex) for part in cf.lp_rhs(*args)))
+        report = audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"], 50, 3, as_complex)
+        assert all(type(line.max_deviation) is float for line in report.lines)
+        assert report == audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"], 50, 3, cf)
+
     @pytest.mark.parametrize("shape", [(3,), (1, 3), (21, 3), (20, 3, 1)])
     @pytest.mark.parametrize("name", CLOSED_FORMS[:4] + ("lp_rhs (mu_dot)", "lp_rhs (nu_dot)"))
     def test_closed_forms_of_another_shape_are_rejected(self, pairs, name, shape):
         """A result that would broadcast against the (20, 3) rows is a DimensionMismatch."""
         cf = sl2c.sl2c_closed_forms()
         wrong = np.ones(shape)
+        row = ROW_OF[name]
         if name.startswith("lp_rhs"):
             half = name.endswith("(nu_dot)")
             closed = ClosedFormActions(lp_rhs=lambda *args: tuple(
@@ -175,8 +188,7 @@ class TestAuditPlan:
             closed = ClosedFormActions(**{name: lambda u, v: wrong})
         with pytest.raises(DimensionMismatch) as err:
             audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"], 20, 1, closed)
-        assert str(err.value) == (f"closed form {name} returned shape {shape}, "
-                                  f"expected (20, 3)")
+        assert str(err.value) == f"{row}: the closed form has shape {shape}, expected (20, 3)"
 
 
 class TestLeftConstants:
