@@ -434,7 +434,6 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
                 ("dual b*", cf.b_star, b_star, xis, mus, mus, xis)), plan.duals):
             yield name, gap(name, closed(u, v) if closed is not None else exact(de, u, v),
                             coadjoint(T, z, x))
-        del acts  # freed before the fields allocate: held, it slowed 1,000-sample audits
         # vector fields on the derived double; an energy rate is <mu_dot, x> + <nu_dot, y>
         Z, G = np.concatenate([mus, nus], axis=1), np.concatenate([xis, etas], axis=1)
         canonical = coadjoint(build_double(de).algebra.C, Z, G)
