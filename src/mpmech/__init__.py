@@ -51,21 +51,11 @@ from .dynamics import (
 )
 from .sl2c import (
     EmbeddedBasis,
-    KElement,
-    SU2Element,
     builtin_pairs,
     derive_actions_from_embedding,
-    group_left_act,
-    group_right_act,
     iwasawa_factor,
     k_algebra,
     k_basis,
-    k_inverse,
-    k_multiply,
-    k_to_matrix,
-    random_k_element,
-    random_sl2c,
-    random_su2,
     sl2c_closed_forms,
     standard_basis,
     su2_algebra,

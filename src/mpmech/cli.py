@@ -14,11 +14,14 @@ cannot be written or name no file, an invariant named twice, simulate grids
 over 2**23 (``MAX_STEPS``) steps, and audits of over 2**20
 (``AUDIT_MAX_SAMPLES``) samples or with a negative seed.
 The environment variable MPM_TOLERANCE_SCALE multiplies every validation
-tolerance (default 1).  ``main`` may be called repeatedly in one process;
-every call reuses one parser, built on the first, the built-in Hamiltonians
-and invariants are built and checked once per (name, dim g, dim h), and
-``audit`` builds its audit plan once.  MPM_TOLERANCE_SCALE is still read on
-every call, when the pair is loaded, and a Hamiltonian file is read on every call.
+tolerance (default 1).  ``main`` may be called repeatedly in one process:
+one parser is built on the first call, and a call is parsed in one pass by
+its command's subparser, the full parser taking only what that leaves (no or
+an unknown command, top-level flags, leftover arguments), so messages and
+exit codes are the full parser's.  The built-in Hamiltonians and invariants
+are built and checked once per (name, dim g, dim h), and ``audit`` builds its
+audit plan once.  MPM_TOLERANCE_SCALE is still read on every call, when the
+pair is loaded, and a Hamiltonian file is read on every call.
 """
 
 from __future__ import annotations
@@ -196,7 +199,7 @@ def cmd_derive(args) -> int:
     if args.builtin:
         if args.builtin != "sl2c":
             raise InputError(f"unknown built-in basis {args.builtin!r}; available: sl2c")
-        basis = sl2c.standard_basis()
+        mp = sl2c.builtin_pairs()["sl2c_derived"]  # derived from sl2c.standard_basis()
     else:
         doc = formats.read_json(args.basis, "basis file")
         if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in ("g", "h")):
@@ -207,7 +210,7 @@ def cmd_derive(args) -> int:
             formats.basis_names(doc, "g_names", "basis file"),
             formats.basis_names(doc, "h_names", "basis file"),
         )
-    mp = sl2c.derive_actions_from_embedding(basis)
+        mp = sl2c.derive_actions_from_embedding(basis)
     formats.dump_pair_document(mp, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -216,8 +219,7 @@ def cmd_derive(args) -> int:
 def cmd_factor(args) -> int:
     doc = formats.read_json(sys.stdin if args.matrix == "-" else args.matrix, "matrix")
     M = formats.matrix_from_json(doc)
-    unitary, triangular = sl2c.iwasawa_factor(M)
-    print(formats.factor_to_json(unitary.matrix, triangular))
+    print(formats.factor_to_json(*sl2c.iwasawa_factor(M)))
     return 0
 
 
@@ -229,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Matched-pair Lie algebra mechanics toolbox",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, for main's dispatch
 
     p = sub.add_parser("check", help="validate a pair (built-in name or tensor document)")
     p.add_argument("pair")
@@ -276,9 +279,22 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _parse(argv):
+    """``_parser().parse_args(argv)``: a command's own subparser parses the rest
+    as the full parser would; only what it leaves over goes through both."""
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -35,12 +35,14 @@ from .matched_pair import MatchedPair
 
 def read_json(source, what: str):
     """The JSON document in ``source``, a path or a text stream; an unreadable,
-    non-UTF-8, malformed or too deeply nested document is an InputError."""
+    non-UTF-8, malformed or too deeply nested document is an InputError.  A path
+    is read at once, as strict UTF-8 with universal newlines like text mode."""
     try:
         if not isinstance(source, str):
             return json.load(source)
-        with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(source, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except (OSError, ValueError, RecursionError) as exc:
         name = getattr(source, "name", source)
         raise InputError(f"cannot read {what} {name}: {exc}") from exc
@@ -165,10 +167,10 @@ def matrix_to_json(M: np.ndarray) -> list:
 _FACTOR_TEXT = json.dumps({"su2": [[[0, 0]] * 2] * 2, "k": [0] * 3}, indent=2).replace("0", "%s")
 
 
-def factor_to_json(U: np.ndarray, k) -> str:
-    """``json.dumps({"su2": matrix_to_json(U), "k": [k.a, k.b, k.c]}, indent=2)`` for finite
+def factor_to_json(U: np.ndarray, k: np.ndarray) -> str:
+    """``json.dumps({"su2": matrix_to_json(U), "k": k.tolist()}, indent=2)`` for finite
     numbers: that text, built once with a %s per number, filled as json writes them."""
-    numbers = [x for z in U.ravel().tolist() for x in (z.real, z.imag)] + [k.a, k.b, k.c]
+    numbers = [x for z in U.ravel().tolist() for x in (z.real, z.imag)] + k.tolist()
     return _FACTOR_TEXT % tuple(map(float.__repr__, numbers))
 
 

@@ -15,6 +15,11 @@ embedded bases by solving a real linear system.  A second, closed-form
 tensor set circulating for this example ("sl2c_printed") uses the opposite
 orientation for the action of su(2) on K's algebra; it fails the
 compatibility conditions and ships only as an audit target.
+
+At group level the factors are plain read-only arrays: :func:`iwasawa_factor`
+returns U in SU(2) as a 2x2 complex array and the point k = (a, b, c) of K,
+K(k) = (1/sqrt(1+c)) [[1+c, 0], [a+ib, 1]], as a float array of length 3;
+:func:`group_act` takes and returns the same arrays.
 """
 
 from __future__ import annotations
@@ -78,84 +83,37 @@ def k_basis() -> list[np.ndarray]:
 
 # -- group elements -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class KElement:
-    """A point (a, b, c) of the triangular factor; requires finite a, b, c
-    and c > -1."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if not (abs(self.a) < np.inf and abs(self.b) < np.inf and -1.0 < self.c < np.inf):
-            raise InputError(f"K element needs finite a, b and c > -1, got "
-                             f"({self.a}, {self.b}, {self.c})")
+def _require_k(a: float, b: float, c: float) -> None:
+    """(a, b, c) must be a point of K: finite a, b and c > -1."""
+    if not (abs(a) < math.inf and abs(b) < math.inf and -1.0 < c < math.inf):
+        raise InputError(f"K element needs finite a, b and c > -1, got ({a}, {b}, {c})")
 
 
-@dataclass(frozen=True)
-class SU2Element:
-    """A 2x2 special unitary matrix, checked within ``1e-12 * tolerance_scale()`` on
-    its entries as Python complex scalars (cheaper than numpy calls at 2x2); moduli
-    by ``math.hypot``, as ``abs`` raises past the float range."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        M = float_array(self.matrix, "SU(2) element", complex)
-        if M.shape != (2, 2):
-            raise InputError(f"SU(2) element must be 2x2, got {M.shape}")
-        (a, b), (c, d) = M.tolist()
-        tol = 1e-12 * tolerance_scale()
-        # M^dagger M - I; its lower-left entry is the conjugate of the upper-right one
-        gram = (a.conjugate() * a + c.conjugate() * c - 1.0, a.conjugate() * b + c.conjugate() * d,
-                b.conjugate() * b + d.conjugate() * d - 1.0)
-        if not all(math.hypot(z.real, z.imag) <= tol for z in gram):
-            raise ValidationError("matrix is not unitary")
-        det = a * d - b * c
-        if not math.hypot(det.real - 1.0, det.imag) <= tol:
-            raise ValidationError("matrix does not have unit determinant")
-        M.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
+def _require_su2(a: complex, b: complex, c: complex, d: complex, tol: float) -> None:
+    """[[a, b], [c, d]] must be special unitary within ``tol`` on its entries, as Python
+    complex scalars (cheaper than numpy calls at 2x2); moduli by ``math.hypot``, as
+    ``abs`` raises past the float range."""
+    # M^dagger M - I; its lower-left entry is the conjugate of the upper-right one
+    gram = (a.conjugate() * a + c.conjugate() * c - 1.0, a.conjugate() * b + c.conjugate() * d,
+            b.conjugate() * b + d.conjugate() * d - 1.0)
+    if not all(math.hypot(z.real, z.imag) <= tol for z in gram):
+        raise ValidationError("matrix is not unitary")
+    det = a * d - b * c
+    if not math.hypot(det.real - 1.0, det.imag) <= tol:
+        raise ValidationError("matrix does not have unit determinant")
 
 
-def k_to_matrix(k: KElement) -> np.ndarray:
-    """Matrix form (1/sqrt(1+c)) [[1+c, 0], [a+ib, 1]]; determinant is 1."""
-    s = 1.0 / np.sqrt(1.0 + k.c)
-    return np.array([[s * (1.0 + k.c), 0.0], [s * (k.a + 1j * k.b), s]])
+def iwasawa_factor(M) -> tuple[np.ndarray, np.ndarray]:
+    """Factor a determinant-1 matrix as U @ K(k), returned as read-only arrays:
+    U in SU(2), 2x2 complex, and k = (a, b, c), K(k) as the module docstring says.
 
-
-def k_multiply(k1: KElement, k2: KElement) -> KElement:
-    """Group law (a1,b1,c1)*(a2,b2,c2) = (a1,b1,c1)(1+c2) + (a2,b2,c2).
-
-    Matches the matrix product: k_to_matrix(k1 * k2) = k_to_matrix(k1) @
-    k_to_matrix(k2).  The result keeps 1+c = (1+c1)(1+c2) > 0.
-    """
-    w = 1.0 + k2.c
-    return KElement(k1.a * w + k2.a, k1.b * w + k2.b, k1.c * w + k2.c)
-
-
-def k_inverse(k: KElement) -> KElement:
-    s = 1.0 / (1.0 + k.c)
-    return KElement(-k.a * s, -k.b * s, -k.c * s)
-
-
-def _k_matrix_inverse(k: KElement) -> np.ndarray:
-    # unit determinant: inverse by adjugate
-    s = 1.0 / np.sqrt(1.0 + k.c)
-    return np.array([[s, 0.0], [-s * (k.a + 1j * k.b), s * (1.0 + k.c)]])
-
-
-def iwasawa_factor(M) -> tuple[SU2Element, KElement]:
-    """Factor a determinant-1 matrix as (unitary) @ (triangular).
-
-    The triangular factor is read off the positive-definite product
-    P = M^dagger M: c = 1/P22 - 1 and a + ib = P21/P22, which avoids
-    Gram-Schmidt cancellation for near-identity input; the unitary factor is
-    then M times the inverse triangular matrix, a numpy product like P: their
-    rounding fixes the factors' bits (and, past the float range, the verdict of
-    :class:`SU2Element`), while the checks run on the entries as Python complex
-    scalars.  P22, 1/P22 or P21/P22 past the float range is an InputError.
+    k is read off the positive-definite product P = M^dagger M: c = 1/P22 - 1
+    and a + ib = P21/P22, which avoids Gram-Schmidt cancellation for
+    near-identity input; U is then M K(k)^-1, a numpy product like P: their
+    rounding fixes the factors' bits, while the checks run on the entries as
+    Python complex scalars.  A determinant off 1 by over 1e-10, or P22, 1/P22 or
+    P21/P22 past the float range, is an InputError; U off SU(2) by over 1e-12 a
+    ValidationError (both bounds times ``tolerance_scale()``).
     """
     M = float_array(M, "matrix", complex)
     if M.shape != (2, 2):
@@ -163,8 +121,9 @@ def iwasawa_factor(M) -> tuple[SU2Element, KElement]:
     (a, b), (c, d) = M.tolist()
     if not all(map(cmath.isfinite, (a, b, c, d))):
         raise InputError("non-finite entries in matrix")
+    scale = tolerance_scale()
     det = a * d - b * c
-    if not math.hypot(det.real - 1.0, det.imag) <= 1e-10 * tolerance_scale():
+    if not math.hypot(det.real - 1.0, det.imag) <= 1e-10 * scale:
         raise InputError(f"matrix determinant {det} is not 1")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a test
         (_, _), (p21, p22) = (M.conj().T @ M).tolist()  # only P21 and P22 are used
@@ -172,24 +131,29 @@ def iwasawa_factor(M) -> tuple[SU2Element, KElement]:
     if not 0.0 < p22 < math.inf:
         raise InputError(f"matrix cannot be factored in double precision (P22 = {p22})")
     s = 1.0 / p22  # a + ib = P21 / P22 as numpy divides by a real, zero signs included
-    b_factor = KElement((p21.real + p21.imag * 0.0) * s, (p21.imag - p21.real * 0.0) * s, s - 1.0)
-    a_factor = SU2Element(M @ _k_matrix_inverse(b_factor))
-    return a_factor, b_factor
+    ka, kb, kc = (p21.real + p21.imag * 0.0) * s, (p21.imag - p21.real * 0.0) * s, s - 1.0
+    _require_k(ka, kb, kc)
+    r = 1.0 / np.sqrt(1.0 + kc)
+    U = M @ np.array([[r, 0.0], [-r * (ka + 1j * kb), r * (1.0 + kc)]])
+    _require_su2(*U.ravel().tolist(), 1e-12 * scale)
+    k = np.array([ka, kb, kc])
+    U.setflags(write=False)
+    k.setflags(write=False)
+    return U, k
 
 
-def group_act(h: KElement, g: SU2Element) -> tuple[SU2Element, KElement]:
-    """Mutual group actions by refactoring: k(h) @ g = (h |> g) @ k(h <| g)."""
-    return iwasawa_factor(k_to_matrix(h) @ g.matrix)
-
-
-def group_left_act(h: KElement, g: SU2Element) -> SU2Element:
-    """h |> g: unitary part of the refactored product k(h) @ g."""
-    return group_act(h, g)[0]
-
-
-def group_right_act(h: KElement, g: SU2Element) -> KElement:
-    """h <| g: triangular part of the refactored product k(h) @ g."""
-    return group_act(h, g)[1]
+def group_act(k, U) -> tuple[np.ndarray, np.ndarray]:
+    """Mutual group actions by refactoring, for k = (a, b, c) in K and U in SU(2)
+    as :func:`iwasawa_factor` returns them: K(k) @ U = (k |> U) @ K(k <| U).
+    k and U are checked as the factors are."""
+    k, U = float_array(k, "K element"), float_array(U, "SU(2) element", complex)
+    if k.shape != (3,) or U.shape != (2, 2):
+        raise InputError(f"expected k of shape (3,) and a 2x2 U, got {k.shape} and {U.shape}")
+    a, b, c = k.tolist()
+    _require_k(a, b, c)
+    _require_su2(*U.ravel().tolist(), 1e-12 * tolerance_scale())
+    s = 1.0 / np.sqrt(1.0 + c)
+    return iwasawa_factor(np.array([[s * (1.0 + c), 0.0], [s * (a + 1j * b), s]]) @ U)
 
 
 # -- deriving action tensors from an embedding -------------------------------
@@ -331,26 +295,3 @@ def sl2c_closed_forms() -> ClosedFormActions:
         return mu_dot, nu_dot
 
     return ClosedFormActions(co_left, co_right, a_star_cf, b_star_cf, lp_rhs)
-
-
-# -- seeded random sampling ---------------------------------------------------
-
-def random_su2(rng: np.random.Generator) -> SU2Element:
-    """Draw a special unitary matrix: normalize a complex normal pair
-    (w, v) and complete it symplectically."""
-    w = complex(rng.standard_normal() + 1j * rng.standard_normal())
-    v = complex(rng.standard_normal() + 1j * rng.standard_normal())
-    s = np.sqrt(abs(w) ** 2 + abs(v) ** 2)
-    w, v = w / s, v / s
-    return SU2Element(np.array([[w, v], [-np.conj(v), np.conj(w)]]))
-
-
-def random_k_element(rng: np.random.Generator) -> KElement:
-    """Draw a triangular-factor element; 1 + c is lognormal, hence positive."""
-    a, b = rng.standard_normal(2)
-    return KElement(float(a), float(b), float(np.exp(rng.standard_normal()) - 1.0))
-
-
-def random_sl2c(rng: np.random.Generator) -> np.ndarray:
-    """Draw a determinant-1 matrix as (random unitary) @ (random triangular)."""
-    return random_su2(rng).matrix @ k_to_matrix(random_k_element(rng))

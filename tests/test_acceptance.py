@@ -25,21 +25,22 @@ from mpmech.matched_pair import (
     validation_report,
 )
 from mpmech.sl2c import (
-    SU2Element,
     builtin_pairs,
-    group_left_act,
-    group_right_act,
     iwasawa_factor,
     k_basis,
+    sl2c_closed_forms,
+    su2_basis,
+)
+
+from group_elements import (
+    group_left_act,
+    group_right_act,
     k_multiply,
     k_to_matrix,
     random_k_element,
     random_sl2c,
     random_su2,
-    sl2c_closed_forms,
-    su2_basis,
 )
-
 from oracles import commutator_projection, semidirect_lp_rhs
 
 P0 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
@@ -168,49 +169,42 @@ def test_criterion_08_poisson_rank(pairs):
 
 
 def test_criterion_09_group_level():
-    from mpmech.sl2c import KElement
-
     rng = np.random.default_rng(90)
     recon = 0.0
     laws = 0.0
     homo = 0.0
-    identity = SU2Element(np.eye(2, dtype=complex))
-    k_identity = KElement(0.0, 0.0, 0.0)
-
-    def k_coords(k):
-        return np.array([k.a, k.b, k.c])
+    identity = np.eye(2, dtype=complex)
+    k_identity = np.zeros(3)
 
     for _ in range(1000):
         M = random_sl2c(rng)
         A, B = iwasawa_factor(M)
-        recon = max(recon, float(np.abs(A.matrix @ k_to_matrix(B) - M).max()))
+        recon = max(recon, float(np.abs(A @ k_to_matrix(B) - M).max()))
 
         h, h2 = random_k_element(rng), random_k_element(rng)
         g, g2 = random_su2(rng), random_su2(rng)
 
         # law 1: h |> (g1 g2) = (h |> g1) ((h <| g1) |> g2)
-        lhs = group_left_act(h, SU2Element(g.matrix @ g2.matrix)).matrix
-        rhs = (group_left_act(h, g).matrix
-               @ group_left_act(group_right_act(h, g), g2).matrix)
+        lhs = group_left_act(h, g @ g2)
+        rhs = (group_left_act(h, g)
+               @ group_left_act(group_right_act(h, g), g2))
         laws = max(laws, float(np.abs(lhs - rhs).max()))
 
         # law 2: (h1 h2) |> g = h1 |> (h2 |> g)
-        lhs = group_left_act(k_multiply(h, h2), g).matrix
-        rhs = group_left_act(h, group_left_act(h2, g)).matrix
+        lhs = group_left_act(k_multiply(h, h2), g)
+        rhs = group_left_act(h, group_left_act(h2, g))
         laws = max(laws, float(np.abs(lhs - rhs).max()))
 
         # law 3: (h1 h2) <| g = (h1 <| (h2 |> g)) * (h2 <| g)
-        lhs = k_coords(group_right_act(k_multiply(h, h2), g))
-        rhs = k_coords(k_multiply(group_right_act(h, group_left_act(h2, g)),
-                                  group_right_act(h2, g)))
+        lhs = group_right_act(k_multiply(h, h2), g)
+        rhs = k_multiply(group_right_act(h, group_left_act(h2, g)), group_right_act(h2, g))
         laws = max(laws, float(np.abs(lhs - rhs).max()))
 
         # law 4: h |> e_G = e_G
-        laws = max(laws, float(np.abs(group_left_act(h, identity).matrix
+        laws = max(laws, float(np.abs(group_left_act(h, identity)
                                       - np.eye(2)).max()))
         # law 5: e_H <| g = e_H
-        laws = max(laws, float(np.abs(
-            k_coords(group_right_act(k_identity, g))).max()))
+        laws = max(laws, float(np.abs(group_right_act(k_identity, g)).max()))
 
         homo = max(homo, float(np.abs(
             k_to_matrix(k_multiply(h, h2))

@@ -7,7 +7,7 @@ from mpmech import formats
 from mpmech.cli import BUILTIN_HAMILTONIANS, BUILTIN_INVARIANTS, main
 from mpmech.dynamics import integrate
 from mpmech.matched_pair import build_double
-from mpmech.sl2c import builtin_pairs
+from mpmech.sl2c import builtin_pairs, derive_actions_from_embedding, standard_basis
 
 from oracles import csv_reference
 
@@ -265,6 +265,29 @@ class TestDeriveAndFactor:
         doc = tmp_path / "pair.json"
         assert main(["derive", "--builtin", "sl2c", "--out", str(doc)]) == 0
         assert main(["check", str(doc)]) == 0
+
+    def test_derive_builtin_writes_the_builtin_pair(self, tmp_path, monkeypatch):
+        """The built-in pair is the derivation from the standard basis, so the
+        document has its bytes, and no call solves the least-squares system again."""
+        want = tmp_path / "want.json"
+        formats.dump_pair_document(derive_actions_from_embedding(standard_basis()), str(want))
+        builtin_pairs()
+        calls, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(a) or lstsq(*a, **kw))
+        for name in ("first.json", "second.json"):
+            assert main(["derive", "--builtin", "sl2c", "--out", str(tmp_path / name)]) == 0
+            assert (tmp_path / name).read_bytes() == want.read_bytes()
+        assert calls == []
+
+    @pytest.mark.parametrize("scale", ["nan", "0", "abc"])
+    def test_derive_builtin_reads_the_tolerance_scale(self, tmp_path, monkeypatch, capsys, scale):
+        out = tmp_path / "pair.json"
+        assert main(["derive", "--builtin", "sl2c", "--out", str(out)]) == 0
+        out.unlink()
+        monkeypatch.setenv("MPM_TOLERANCE_SCALE", scale)
+        assert main(["derive", "--builtin", "sl2c", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("input error: MPM_TOLERANCE_SCALE ")
+        assert not out.exists()
 
     def test_derive_from_basis_file(self, tmp_path):
         from mpmech.sl2c import k_basis, su2_basis

@@ -18,12 +18,12 @@ from mpmech.sl2c import (
     derive_actions_from_embedding,
     k_algebra,
     k_basis,
-    random_sl2c,
     standard_basis,
     su2_algebra,
     su2_basis,
 )
 
+from group_elements import random_sl2c
 from oracles import commutator_projection, condition_tensors
 from test_validation_report import count_calls
 

@@ -1,10 +1,10 @@
-"""The ``factor`` path on Python scalars: ``iwasawa_factor`` and ``SU2Element``
-check finiteness, the determinant and unitarity on the four entries as Python
-complex numbers, ``cmd_factor`` prints through one precomputed JSON template,
-and ``matrix_from_json`` checks shapes on plain lists.  Checked against the
-numpy forms they replaced (``oracles.iwasawa_numpy`` and ``su2_check_numpy``):
-the same factors bit for bit, the same verdicts and messages, and the same
-stdout bytes as ``json.dumps(doc, indent=2)``."""
+"""The ``factor`` path on Python scalars: ``iwasawa_factor`` checks finiteness,
+the determinant and, on its unitary factor, unitarity (``sl2c._require_su2``)
+on the four entries as Python complex numbers, ``cmd_factor`` prints through
+one precomputed JSON template, and ``matrix_from_json`` checks shapes on plain
+lists.  Checked against the numpy forms they replaced (``oracles.iwasawa_numpy``
+and ``su2_check_numpy``): the same factors bit for bit, the same verdicts and
+messages, and the same stdout bytes as ``json.dumps(doc, indent=2)``."""
 
 import io
 import json
@@ -15,12 +15,15 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from mpmech import formats
+from mpmech import formats, sl2c
 from mpmech.cli import main
 from mpmech.errors import InputError, ValidationError
-from mpmech.sl2c import SU2Element, iwasawa_factor, random_sl2c, random_su2
+from mpmech.lie_core import tolerance_scale
+from mpmech.sl2c import group_act, iwasawa_factor
 
+from group_elements import k_to_matrix, random_k_element, random_sl2c, random_su2
 from oracles import iwasawa_numpy, su2_check_numpy
+from test_validation_report import count_calls
 
 
 def run_factor(M):
@@ -40,6 +43,11 @@ def expected_stdout(M):
     of ``M`` as read back from its JSON text."""
     U, (a, b, c) = iwasawa_numpy(formats.matrix_from_json(json.loads(json.dumps(formats.matrix_to_json(M)))))
     return json.dumps({"su2": formats.matrix_to_json(U), "k": [a, b, c]}, indent=2) + "\n"
+
+
+def su2_check(V):
+    """The SU(2) check ``iwasawa_factor`` runs on its unitary factor, run on ``V``."""
+    sl2c._require_su2(*np.asarray(V, dtype=complex).ravel().tolist(), 1e-12 * tolerance_scale())
 
 
 def same_bits(a, b):
@@ -70,7 +78,7 @@ def assert_same_outcome(M):
     else:
         assert got is None
         U, k = iwasawa_factor(M)
-        assert same_bits(U.matrix, ref[0]) and same_bits([k.a, k.b, k.c], ref[1])
+        assert same_bits(U, ref[0]) and same_bits(k, ref[1])
 
 
 # matrices whose factors hold -0.0, whole numbers or entries near 1e-300
@@ -112,7 +120,7 @@ class TestFactorStdout:
     def test_template_is_json_indent_2(self):
         numbers = [0.1 * k - 0.5 for k in range(6)] + [-0.0, 1.0, 1e-300, 5e-324, -0.0]
         U = np.array(numbers[0:8:2]) + 1j * np.array(numbers[1:8:2])
-        k = type("K", (), dict(zip("abc", numbers[8:])))
+        k = np.array(numbers[8:])
         doc = {"su2": formats.matrix_to_json(U.reshape(2, 2)), "k": numbers[8:]}
         assert formats.factor_to_json(U.reshape(2, 2), k) == json.dumps(doc, indent=2)
 
@@ -128,8 +136,8 @@ class TestFactorsAgainstNumpy:
                 M = (A / np.sqrt(np.linalg.det(A))).astype(complex)
             U, k = iwasawa_factor(M)
             U_ref, abc = iwasawa_numpy(M)
-            assert same_bits(U.matrix, U_ref)
-            assert same_bits([k.a, k.b, k.c], abc)
+            assert same_bits(U, U_ref)
+            assert same_bits(k, abc)
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6, 1e150])
     def test_rejections_match(self, scale):
@@ -156,8 +164,8 @@ class TestFactorsAgainstNumpy:
         M = np.array([[1.0, 0.0], [c, 1.0]])
         assert iwasawa_numpy(M) == ("input", "matrix determinant 0j is not 1")
         U, k = iwasawa_factor(M)
-        assert same_bits(U.matrix, np.eye(2, dtype=complex))
-        assert (k.a, k.b, k.c) == (c.real, c.imag, 0.0)
+        assert same_bits(U, np.eye(2, dtype=complex))
+        assert tuple(k) == (c.real, c.imag, 0.0)
 
 
 class TestSU2Verdicts:
@@ -166,10 +174,10 @@ class TestSU2Verdicts:
         rng = np.random.default_rng(1504)
         verdicts = set()
         for _ in range(300):
-            U = random_su2(rng).matrix
+            U = random_su2(rng)
             E = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             V = U + eps * E / np.abs(E).max()
-            got = verdict(lambda: SU2Element(V))
+            got = verdict(lambda: su2_check(V))
             ref = su2_check_numpy(V)
             assert got == (None if ref is None else ("validation", ref))
             verdicts.add(got)
@@ -180,34 +188,34 @@ class TestSU2Verdicts:
                                        complex(0, np.inf), np.nan, complex(np.nan, 1.0)])
     def test_huge_and_non_finite_entries(self, value):
         rng = np.random.default_rng(1505)
-        for base in (np.eye(2, dtype=complex), random_su2(rng).matrix):
+        for base in (np.eye(2, dtype=complex), random_su2(rng)):
             for i, j in np.ndindex(2, 2):
                 V = base.copy()
                 V[i, j] = value
                 ref = su2_check_numpy(V)
                 assert ref is not None
-                assert verdict(lambda: SU2Element(V)) == ("validation", ref)
+                assert verdict(lambda: su2_check(V)) == ("validation", ref)
 
     def test_unit_determinant_is_checked(self):
         V = np.diag([1.0, 1j])  # unitary, determinant i
         assert su2_check_numpy(V) == "matrix does not have unit determinant"
-        assert verdict(lambda: SU2Element(V)) == ("validation", su2_check_numpy(V))
+        assert verdict(lambda: su2_check(V)) == ("validation", su2_check_numpy(V))
 
 
 class TestToleranceScale:
     def test_scale_widens_the_unitarity_check(self, monkeypatch):
         V = np.eye(2) + np.array([[2e-12, 0.0], [0.0, 0.0]])
         with pytest.raises(ValidationError, match="not unitary"):
-            SU2Element(V)
+            group_act(np.zeros(3), V)
         monkeypatch.setenv("MPM_TOLERANCE_SCALE", "100")
-        SU2Element(V)
+        group_act(np.zeros(3), V)
 
     def test_scale_widens_the_unit_determinant_check(self, monkeypatch):
         V = np.diag([1.0, np.exp(2e-12j)])  # unitary to rounding, determinant off by 2e-12
         with pytest.raises(ValidationError, match="unit determinant"):
-            SU2Element(V)
+            group_act(np.zeros(3), V)
         monkeypatch.setenv("MPM_TOLERANCE_SCALE", "100")
-        SU2Element(V)
+        group_act(np.zeros(3), V)
 
     def test_scale_widens_the_determinant_check(self, monkeypatch):
         M = np.diag([1.0 + 5e-10, 1.0]).astype(complex)
@@ -215,14 +223,49 @@ class TestToleranceScale:
             iwasawa_factor(M)
         monkeypatch.setenv("MPM_TOLERANCE_SCALE", "1e4")  # the unitary factor keeps the 5e-10
         U, k = iwasawa_factor(M)
-        assert same_bits(U.matrix, iwasawa_numpy(M, 1e4)[0])
+        assert same_bits(U, iwasawa_numpy(M, 1e4)[0])
 
     def test_bad_scale_is_an_input_error(self, monkeypatch):
         monkeypatch.setenv("MPM_TOLERANCE_SCALE", "nan")
         with pytest.raises(InputError, match="MPM_TOLERANCE_SCALE"):
             iwasawa_factor(np.eye(2))
         with pytest.raises(InputError, match="MPM_TOLERANCE_SCALE"):
-            SU2Element(np.eye(2))
+            group_act(np.zeros(3), np.eye(2))
+
+
+class TestArrayFactors:
+    def test_factors_are_read_only_arrays(self):
+        U, k = iwasawa_factor(random_sl2c(np.random.default_rng(1506)))
+        assert (U.shape, U.dtype, k.shape, k.dtype) == ((2, 2), complex, (3,), float)
+        for factor in (U, k):
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0] = 0.0
+
+    def test_one_scale_read_and_one_conversion(self, monkeypatch):
+        M = random_sl2c(np.random.default_rng(1507))
+        reads = count_calls(monkeypatch, sl2c, "tolerance_scale")
+        conversions = count_calls(monkeypatch, sl2c, "float_array")
+        iwasawa_factor(M)
+        assert (len(reads), len(conversions)) == (1, 1)
+
+    def test_group_act_refactors_the_product(self):
+        rng = np.random.default_rng(1508)
+        for _ in range(50):
+            k, U = random_k_element(rng), random_su2(rng)
+            acted, rest = group_act(k, U)
+            want = iwasawa_factor(k_to_matrix(k) @ U)
+            assert same_bits(acted, want[0]) and same_bits(rest, want[1])
+
+    @pytest.mark.parametrize("k, U, message", [
+        ((0.0, 0.0), np.eye(2), "expected k of shape (3,) and a 2x2 U, got (2,) and (2, 2)"),
+        ((0.0, 0.0, 0.0), np.eye(3), "expected k of shape (3,) and a 2x2 U, got (3,) and (3, 3)"),
+        ((0.0, np.nan, 0.0), np.eye(2), "K element needs finite a, b and c > -1, got (0.0, nan, 0.0)"),
+    ])
+    def test_group_act_checks_its_arrays(self, k, U, message):
+        with pytest.raises(InputError) as info:
+            group_act(k, U)
+        assert str(info.value) == message
 
 
 class TestMatrixFromJson:

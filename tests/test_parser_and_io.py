@@ -10,12 +10,13 @@ import warnings
 import numpy as np
 import pytest
 
-from mpmech import cli
+from mpmech import cli, formats
 from mpmech.cli import build_parser, main
 from mpmech.dynamics import MAX_STEPS, HamiltonianSpec, LagrangianSpec, _grid, legendre
 from mpmech.errors import DegenerateMetricError, InputError
 
 from test_cli import simulate_args
+from test_validation_report import count_calls
 
 IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
 
@@ -93,6 +94,65 @@ class TestParserReuse:
         assert cli._parser() not in (first, second)
 
 
+def dispatch_table(tmp_path, matrix):
+    """Argvs for each command: a valid call, a missing required argument, a bad
+    type, an unknown option, an extra positional and -h; then argvs with no
+    command, an unknown one and top-level flags."""
+    out = str(tmp_path / "out")
+    valid = {
+        "check": ["check", "e3_heavytop"],
+        "simulate": simulate_args(out, **{"--dt": "0.1", "--t-end": "0.2"}),
+        "audit": ["audit", "sl2c", "--samples", "5"],
+        "derive": ["derive", "--builtin", "sl2c", "--out", out + ".json"],
+        "factor": ["factor", matrix],
+    }
+    missing = {"check": ["check"], "simulate": ["simulate", "--pair", "e3_heavytop"],
+               "audit": ["audit"], "derive": ["derive", "--out", out], "factor": ["factor"]}
+    table = []
+    for name, argv in valid.items():
+        table += [argv, missing[name], argv + ["--samples", "x"], argv + ["--no-such-option"],
+                  argv + ["extra"], [name, "-h"], [name, "--help"], argv + ["-h"],
+                  [name, "--", "x"], argv + ["--", "extra"]]
+    return table + [[], ["-h"], ["--help"], ["no-such-command"], ["-h", "factor"],
+                    ["--no-such-option", "check"], ["fact", matrix],
+                    ["audit", "sl2c", "--samples", "-5"], ["audit", "sl2c", "--samp", "5"]]
+
+
+class TestDispatch:
+    """``main`` parses a command's arguments with that command's subparser alone;
+    every argv must give the exit code, stdout and stderr of the full parser."""
+
+    def test_table_matches_the_full_parser(self, monkeypatch, tmp_path, identity_matrix):
+        table = dispatch_table(tmp_path, identity_matrix)
+        monkeypatch.setenv("COLUMNS", "80")
+        fast = [run(argv) for argv in table]
+        monkeypatch.setattr(cli._parser(), "commands", {})  # every argv through the full parser
+        full = [run(argv) for argv in table]
+        for argv, got, want in zip(table, fast, full):
+            assert got == want, argv
+        codes = {rc for rc, _, _ in full}
+        assert codes == {0, 2}
+
+    def test_the_table_reaches_each_outcome(self, tmp_path, identity_matrix):
+        results = {tuple(argv): run(argv) for argv in dispatch_table(tmp_path, identity_matrix)}
+        assert results[()][0] == 2 and "required: command" in results[()][2]
+        assert results[("--help",)][:2] == (0, results[("-h",)][1])
+        assert results[("check", "-h")][1].startswith("usage: mpmech check")
+        rc, out, err = results[("factor", identity_matrix, "extra")]
+        assert (rc, out) == (2, "") and err.endswith("mpmech: error: unrecognized arguments: extra\n")
+        assert "invalid int value: 'x'" in results[("audit", "sl2c", "--samples", "5", "--samples", "x")][2]
+        assert "invalid choice: 'fact'" in results[("fact", identity_matrix)][2]
+
+    def test_a_command_is_parsed_once(self, monkeypatch, identity_matrix):
+        parser = cli._parser()
+        calls = count_calls(monkeypatch, parser, "parse_known_args")
+        sub = count_calls(monkeypatch, parser.commands["factor"], "parse_known_args")
+        assert run(["factor", identity_matrix])[0] == 0
+        assert (len(calls), len(sub)) == (0, 1)
+        assert run(["factor", identity_matrix, "extra"])[0] == 2
+        assert (len(calls), len(sub)) == (1, 3)  # leftovers: the full parser parses again
+
+
 UNDECODABLE = b'{"Q": "\xff\xfe"}'
 OVER_NESTED = "[" * 100_000 + "]" * 100_000
 
@@ -144,6 +204,56 @@ class TestFileContract:
         rc, _, err = run(["factor", "-"])
         assert rc == 2
         assert err.startswith("input error: cannot read matrix ")
+
+
+def text_mode_read(path):
+    """What ``read_json`` read a path with before: ``json.load`` on a text-mode
+    file, as its document or its error message."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReadJson:
+    """``read_json`` reads a path in one binary read, decoded as strict UTF-8 with
+    universal newlines: the documents and messages of the text-mode reader."""
+
+    @pytest.mark.parametrize("data, message", [
+        (b"[[1, 0],\r\n [0, ]]", "Expecting value: line 2 column 6 (char 14)"),
+        (b"[[1, 0],\r [0, ]]", "Expecting value: line 2 column 6 (char 14)"),
+        (b"[[1, 0],\r\r\n\n [0, ]]", "Expecting value: line 4 column 6 (char 16)"),
+        (b"\xef\xbb\xbf[[1, 0], [0, 1]]",
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (b'[[1, 0],\r\n [0, "\xff"]]',
+         "'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"),
+    ])
+    def test_messages_are_the_text_mode_readers(self, tmp_path, data, message):
+        path = tmp_path / "m.json"
+        path.write_bytes(data)
+        assert text_mode_read(path) == message
+        with pytest.raises(InputError) as info:
+            formats.read_json(str(path), "matrix")
+        assert str(info.value) == f"cannot read matrix {path}: {message}"
+        rc, out, err = run(["factor", str(path)])
+        assert (rc, out, err) == (2, "", f"input error: cannot read matrix {path}: {message}\n")
+
+    @pytest.mark.parametrize("data", [b"[[1, 0],\r\n [0, 1]]\r\n", b'["a",\r"b"\r\n]',
+                                      b'{"k":\r\r\n[0.5, "\xc3\xa9"]}\r', b"[]"])
+    def test_documents_are_the_text_mode_readers(self, tmp_path, data):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        assert formats.read_json(str(path), "doc") == text_mode_read(path)
+
+    def test_factor_reads_stdin_as_text(self, monkeypatch, identity_matrix):
+        buffer = io.BytesIO(b"[[1, 0],\r\n [0, ]]")
+        buffer.name = "<stdin>"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(buffer, encoding="utf-8"))
+        assert run(["factor", "-"]) == (2, "", "input error: cannot read matrix <stdin>: "
+                                               "Expecting value: line 2 column 6 (char 14)\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"[[1, 0],\r\n [0, 1]]\r\n")))
+        assert run(["factor", "-"]) == run(["factor", identity_matrix])
 
 
 class TestStepCountAndSymmetrize:

@@ -5,27 +5,27 @@ from mpmech.errors import EmbeddingError, InputError, ValidationError
 from mpmech.matched_pair import build_double
 from mpmech.sl2c import (
     EmbeddedBasis,
-    KElement,
-    SU2Element,
     derive_actions_from_embedding,
     group_act,
-    group_left_act,
-    group_right_act,
     iwasawa_factor,
     k_basis,
+    standard_basis,
+    su2_basis,
+)
+
+from group_elements import (
+    group_left_act,
+    group_right_act,
     k_inverse,
     k_multiply,
     k_to_matrix,
     random_k_element,
     random_sl2c,
     random_su2,
-    standard_basis,
-    su2_basis,
 )
-
 from oracles import commutator_projection
 
-K_ID = KElement(0.0, 0.0, 0.0)
+K_ID = np.zeros(3)
 
 
 class TestKGroup:
@@ -33,7 +33,7 @@ class TestKGroup:
         assert np.abs(k_to_matrix(K_ID) - np.eye(2)).max() == 0.0
 
     def test_matrix_example(self):
-        M = k_to_matrix(KElement(0.0, 0.0, 3.0))
+        M = k_to_matrix((0.0, 0.0, 3.0))
         assert np.allclose(M, [[2.0, 0.0], [0.0, 0.5]])
 
     def test_unit_determinant(self, rng):
@@ -42,19 +42,19 @@ class TestKGroup:
             assert abs(np.linalg.det(k_to_matrix(k)) - 1.0) <= 1e-12
 
     def test_product_example(self):
-        out = k_multiply(KElement(1.0, 0.0, 0.0), KElement(0.0, 0.0, 1.0))
-        assert (out.a, out.b, out.c) == (2.0, 0.0, 1.0)
+        out = k_multiply((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        assert tuple(out) == (2.0, 0.0, 1.0)
 
     def test_identity_laws(self, rng):
         k = random_k_element(rng)
         for out in (k_multiply(k, K_ID), k_multiply(K_ID, k)):
-            assert np.allclose([out.a, out.b, out.c], [k.a, k.b, k.c], atol=1e-15)
+            assert np.allclose(out, k, atol=1e-15)
 
     def test_inverse(self, rng):
         for _ in range(100):
             k = random_k_element(rng)
             out = k_multiply(k, k_inverse(k))
-            assert np.abs([out.a, out.b, out.c]).max() <= 1e-12
+            assert np.abs(out).max() <= 1e-12
 
     def test_matrix_homomorphism(self, rng):
         for _ in range(1000):
@@ -68,64 +68,63 @@ class TestKGroup:
             k1, k2, k3 = (random_k_element(rng) for _ in range(3))
             a = k_multiply(k_multiply(k1, k2), k3)
             b = k_multiply(k1, k_multiply(k2, k3))
-            assert np.abs(np.subtract([a.a, a.b, a.c], [b.a, b.b, b.c])).max() <= 1e-12
+            assert np.abs(np.subtract(a, b)).max() <= 1e-12
 
     def test_domain_boundary(self):
         with pytest.raises(InputError):
-            KElement(0.0, 0.0, -1.0)
+            group_act((0.0, 0.0, -1.0), np.eye(2))
 
 
 class TestSU2:
     def test_sampler_is_special_unitary(self, rng):
         for _ in range(200):
-            g = random_su2(rng)
-            M = g.matrix
+            M = random_su2(rng)
             assert np.abs(M.conj().T @ M - np.eye(2)).max() <= 1e-12
             assert abs(np.linalg.det(M) - 1.0) <= 1e-12
 
     def test_sampler_deterministic(self):
-        a = random_su2(np.random.default_rng(5)).matrix
-        b = random_su2(np.random.default_rng(5)).matrix
+        a = random_su2(np.random.default_rng(5))
+        b = random_su2(np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
-            SU2Element(np.array([[2.0, 0.0], [0.0, 0.5]]))
+            group_act(K_ID, np.array([[2.0, 0.0], [0.0, 0.5]]))
 
 
 class TestIwasawa:
     def test_identity(self):
         A, B = iwasawa_factor(np.eye(2, dtype=complex))
-        assert np.abs(A.matrix - np.eye(2)).max() <= 1e-15
-        assert (B.a, B.b, B.c) == (0.0, 0.0, 0.0)
+        assert np.abs(A - np.eye(2)).max() <= 1e-15
+        assert tuple(B) == (0.0, 0.0, 0.0)
 
     def test_unitary_input_is_its_own_factor(self, rng):
         for _ in range(100):
             g = random_su2(rng)
-            A, B = iwasawa_factor(g.matrix)
-            assert np.abs(A.matrix - g.matrix).max() <= 1e-12
-            assert np.abs([B.a, B.b, B.c]).max() <= 1e-12
+            A, B = iwasawa_factor(g)
+            assert np.abs(A - g).max() <= 1e-12
+            assert np.abs(B).max() <= 1e-12
 
     def test_diagonal_example(self):
         A, B = iwasawa_factor(np.diag([2.0, 0.5]).astype(complex))
-        assert np.abs(A.matrix - np.eye(2)).max() <= 1e-12
-        assert np.allclose([B.a, B.b, B.c], [0.0, 0.0, 3.0])
+        assert np.abs(A - np.eye(2)).max() <= 1e-12
+        assert np.allclose(B, [0.0, 0.0, 3.0])
 
     def test_reconstruction_residual(self, rng):
         worst = 0.0
         for _ in range(1000):
             M = random_sl2c(rng)
             A, B = iwasawa_factor(M)
-            worst = max(worst, float(np.abs(A.matrix @ k_to_matrix(B) - M).max()))
+            worst = max(worst, float(np.abs(A @ k_to_matrix(B) - M).max()))
         assert worst <= 1e-12
 
     def test_uniqueness(self, rng):
         for _ in range(200):
             g = random_su2(rng)
             k = random_k_element(rng)
-            A, B = iwasawa_factor(g.matrix @ k_to_matrix(k))
-            assert np.abs(A.matrix - g.matrix).max() <= 1e-10
-            assert np.abs(np.subtract([B.a, B.b, B.c], [k.a, k.b, k.c])).max() <= 1e-10
+            A, B = iwasawa_factor(g @ k_to_matrix(k))
+            assert np.abs(A - g).max() <= 1e-10
+            assert np.abs(np.subtract(B, k)).max() <= 1e-10
 
     def test_rejects_wrong_determinant(self):
         with pytest.raises(InputError):
@@ -135,27 +134,26 @@ class TestIwasawa:
 class TestGroupActions:
     def test_unit_acts_trivially(self, rng):
         g = random_su2(rng)
-        assert np.abs(group_left_act(K_ID, g).matrix - g.matrix).max() <= 1e-12
+        assert np.abs(group_left_act(K_ID, g) - g).max() <= 1e-12
         out = group_right_act(K_ID, g)
-        assert np.abs([out.a, out.b, out.c]).max() <= 1e-12
+        assert np.abs(out).max() <= 1e-12
 
     def test_identity_element_laws(self, rng):
-        e = SU2Element(np.eye(2, dtype=complex))
+        e = np.eye(2, dtype=complex)
         h = random_k_element(rng)
         acted, remainder = group_act(h, e)
-        assert np.abs(acted.matrix - np.eye(2)).max() <= 1e-12
-        assert np.allclose([remainder.a, remainder.b, remainder.c],
-                           [h.a, h.b, h.c], atol=1e-12)
+        assert np.abs(acted - np.eye(2)).max() <= 1e-12
+        assert np.allclose(remainder, h, atol=1e-12)
 
     def test_product_compatibility(self, rng):
         for _ in range(200):
             h = random_k_element(rng)
             g1, g2 = random_su2(rng), random_su2(rng)
-            lhs = group_left_act(h, SU2Element(g1.matrix @ g2.matrix))
+            lhs = group_left_act(h, g1 @ g2)
             step1 = group_left_act(h, g1)
             step2 = group_left_act(group_right_act(h, g1), g2)
-            rhs = step1.matrix @ step2.matrix
-            assert np.abs(lhs.matrix - rhs).max() <= 1e-10
+            rhs = step1 @ step2
+            assert np.abs(lhs - rhs).max() <= 1e-10
 
 
 class TestDeriveActions:

@@ -36,7 +36,7 @@ from mpmech.matched_pair import (
     right_act,
     validation_report,
 )
-from mpmech.sl2c import KElement, builtin_pairs, iwasawa_factor, sl2c_closed_forms
+from mpmech.sl2c import builtin_pairs, group_act, iwasawa_factor, sl2c_closed_forms
 
 from test_cli import simulate_args
 from test_homogeneous_kernel import UNEQUAL_DOC
@@ -237,7 +237,7 @@ class TestInputContract:
     @pytest.mark.parametrize("abc", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, np.inf)])
     def test_k_element_needs_finite_coordinates(self, abc):
         with pytest.raises(InputError):
-            KElement(*abc)
+            group_act(abc, np.eye(2))
 
     @pytest.mark.parametrize("samples", ["-1", "0"])
     def test_audit_needs_a_positive_sample_count(self, samples, pairs):
