@@ -12,16 +12,12 @@ the float range (such as a 400-digit JSON integer), NaN or infinite entries in
 tensors, Hamiltonians, initial states and matrix bases, output paths that
 cannot be written or name no file, an invariant named twice, simulate grids
 over 2**23 (``MAX_STEPS``) steps, and audits of over 2**20
-(``AUDIT_MAX_SAMPLES``) samples or with a negative seed.
-The environment variable MPM_TOLERANCE_SCALE multiplies every validation
-tolerance (default 1).  ``main`` may be called repeatedly in one process:
-one parser is built on the first call, and a call is parsed in one pass by
-its command's subparser, the full parser taking only what that leaves (no or
-an unknown command, top-level flags, leftover arguments), so messages and
-exit codes are the full parser's.  The built-in Hamiltonians and invariants
-are built and checked once per (name, dim g, dim h), and ``audit`` builds its
-audit plan once.  MPM_TOLERANCE_SCALE is still read on every call, when the
-pair is loaded, and a Hamiltonian file is read on every call.
+(``AUDIT_MAX_SAMPLES``) samples or with a negative seed.  ``simulate --mode
+ep`` passes the Hamiltonian and the initial velocities to
+:func:`~mpmech.dynamics.integrate_ep` unchanged, and its conditions on them
+are that function's.  The environment variable MPM_TOLERANCE_SCALE multiplies
+every validation tolerance (default 1).  ``main`` may be called repeatedly in
+one process.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ import time
 import numpy as np
 
 from . import formats, sl2c
-from .dynamics import HamiltonianSpec, LagrangianSpec, integrate, integrate_ep
+from .dynamics import HamiltonianSpec, integrate, integrate_ep
 from .errors import InputError, IntegrationError, ValidationError
 from .lie_core import _require_finite
 from .matched_pair import MatchedPair, audit_formulas, build_double, validation_report
@@ -97,13 +93,8 @@ def load_hamiltonian(name_or_path: str, n: int, m: int) -> HamiltonianSpec:
     if not isinstance(doc, dict) or "Q" not in doc:
         raise InputError("Hamiltonian file must be an object with a 'Q' matrix")
     b = doc.get("b")
-    spec = HamiltonianSpec.quadratic(formats.float_array(doc["Q"], "Q"),
+    return HamiltonianSpec.quadratic(formats.float_array(doc["Q"], "Q"),
                                      None if b is None else formats.float_array(b, "b"))
-    if spec.dim != n + m:
-        raise InputError(
-            f"Hamiltonian dimension {spec.dim} does not match the pair ({n + m})"
-        )
-    return spec
 
 
 def parse_initial(text: str, dim: int) -> np.ndarray:
@@ -151,16 +142,7 @@ def cmd_simulate(args) -> int:
         record = integrate(build_double(mp), spec, z0, args.dt, args.t_end,
                            args.convention, invariants)
     else:
-        if not spec.is_quadratic or np.abs(spec.b).max() > 0:
-            raise InputError("ep mode needs a quadratic Hamiltonian with no linear term")
-        Q = spec.Q
-        if np.abs(Q[:n, n:]).max() > 0:
-            raise InputError("ep mode needs a block-diagonal quadratic form")
-        try:
-            lagrangian = LagrangianSpec(np.linalg.inv(Q[:n, :n]), np.linalg.inv(Q[n:, n:]))
-        except np.linalg.LinAlgError as exc:
-            raise InputError(f"ep mode needs nonsingular diagonal blocks: {exc}") from exc
-        record = integrate_ep(mp, lagrangian, z0, args.dt, args.t_end, invariants)
+        record = integrate_ep(mp, spec, z0, args.dt, args.t_end, invariants)
     wall = time.perf_counter() - start
 
     csv_path, summary_path = args.out + ".csv", args.out + ".summary.json"

@@ -24,7 +24,6 @@ from .matched_pair import (
     DoubleAlgebra,
     MatchedPair,
     _as_pair,
-    _require_validated,
     build_double,
 )
 
@@ -267,9 +266,10 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
     ``G[k, i, :d] = sign (C Q)[k, i]``, ``G[k, i, d] = sign (C b)[k, i]``, 0
     elsewhere, and the field is ``(y @ G).reshape(D, D) @ y``, last component 0.
     A black box runs ``(z @ sign C).reshape(d, d) @ gradient(spec, z)``.  "H" is
-    the Hamiltonian; see :data:`InvariantMap`.
+    the Hamiltonian; see :data:`InvariantMap`.  It validates ``double.source``
+    (ValidationError naming the failed checks) and checks ``spec.dim``.
     """
-    _require_validated(double)
+    double.source.validate()
     sign = convention_sign(convention)
     z0 = np.concatenate(_as_pair(p0, double.split, "dual point"))
     if spec.dim != z0.size:
@@ -291,21 +291,31 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
     return TrajectoryRecord(times, states, double.split, series, drift)
 
 
-def integrate_ep(mp: MatchedPair, lagrangian: LagrangianSpec, state0, dt: float,
+def integrate_ep(mp: MatchedPair, energy: HamiltonianSpec, velocities0, dt: float,
                  t_end: float, invariants: InvariantMap | None = None) -> TrajectoryRecord:
-    """Integrate the Euler-Poincare flow of a quadratic Lagrangian.
+    """Integrate the Euler-Poincare flow whose Legendre Hamiltonian is ``energy``
+    (for metric blocks, ``legendre(lagrangian)``).
 
     The Euler-Poincare equations are the left Lie-Poisson equations of the
-    Legendre Hamiltonian, so this runs :func:`integrate` in the left
-    convention on the double of ``mp``, from the momenta
-    ``(M_g xi0, M_h eta0)``.  Velocities, the gradient of that Hamiltonian,
-    are stored alongside the momenta; "H" holds the kinetic energy.
+    Legendre Hamiltonian, so this runs :func:`integrate` in the left convention
+    on the double of ``mp``, from the momenta ``solve(Q, velocities0)``.  The
+    velocities ``states @ Q`` are stored alongside the momenta; "H" holds the
+    kinetic energy.  It validates ``mp`` and checks ``energy``: dimension n + m
+    (DimensionMismatch), no linear term and no coupling block ``Q[:n, n:]``
+    (InputError), ``Q`` positive definite (DegenerateMetricError), and finite
+    momenta (InputError).
     """
-    xi0, eta0 = _as_pair(state0, (mp.g.dim, mp.h.dim), "initial velocities")
+    v0 = np.concatenate(_as_pair(velocities0, (mp.g.dim, mp.h.dim), "initial velocities"))
     mp.validate()
-    if lagrangian.metric_g.shape[0] != mp.g.dim or lagrangian.metric_h.shape[0] != mp.h.dim:
-        raise DimensionMismatch("Lagrangian metric blocks do not match the pair")
-    z0 = np.concatenate([lagrangian.metric_g @ xi0, lagrangian.metric_h @ eta0])
-    energy = legendre(lagrangian)
+    n, d = mp.g.dim, v0.size
+    if energy.dim != d:
+        raise DimensionMismatch(f"Hamiltonian dimension {energy.dim} does not match the pair ({d})")
+    if not energy.is_quadratic or np.any(energy.b) or np.any(energy.Q[:n, n:]):
+        raise InputError("Euler-Poincare needs a quadratic form with no linear term or g-h block")
+    try:
+        np.linalg.cholesky(energy.Q)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetricError("the quadratic form is not positive definite") from exc
+    z0 = _require_finite(np.linalg.solve(energy.Q, v0), "initial momenta")
     record = integrate(build_double(mp), energy, z0, dt, t_end, "left", invariants)
     return replace(record, velocities=record.states @ energy.Q)

@@ -22,7 +22,8 @@ class EmbeddingError(InputError):
 
 
 class DegenerateMetricError(InputError):
-    """A Lagrangian metric block is singular or not positive definite."""
+    """A form is not positive definite: a metric block (``LagrangianSpec``) or
+    the quadratic Hamiltonian of an Euler-Poincare flow (``integrate_ep``)."""
 
 
 class ValidationError(Error):

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lie_core
-from .errors import DimensionMismatch, EmbeddingError, InputError, ValidationError
+from .errors import DimensionMismatch, EmbeddingError, InputError
 from .lie_core import (
     Check,
     LieAlgebra,
@@ -249,13 +249,6 @@ def pair_from_double(C, n: int, g_names: Sequence[str] | None,
                        C[:n, n:, :n], C[n:, n:, :n])
 
 
-def _require_validated(double: DoubleAlgebra) -> None:
-    if not double.source.validated:
-        raise ValidationError(
-            "double algebra built from an unvalidated pair; call validate() first"
-        )
-
-
 def matched_lp_rhs(double: DoubleAlgebra, p, grad_h, convention: str = "right") -> np.ndarray:
     """Lie-Poisson vector field on the dual of the double, as one flat vector:
     ``rhs[:n]`` is mu_dot and ``rhs[n:]`` is nu_dot, n = dim g.  ``p`` and
@@ -270,9 +263,10 @@ def matched_lp_rhs(double: DoubleAlgebra, p, grad_h, convention: str = "right") 
         mu_dot = ad*_X mu - mu *<| Y - a*_Y nu
         nu_dot = ad*_Y nu + X *|> nu + b*_X mu
 
-    "left" is the pointwise negation.
+    "left" is the pointwise negation.  It validates ``double.source`` first
+    (ValidationError naming the failed checks).
     """
-    _require_validated(double)
+    double.source.validate()
     z = np.concatenate(_as_pair(p, double.split, "dual point"))
     grad = np.concatenate(_as_pair(grad_h, double.split, "grad H"))
     return lie_poisson_rhs(double.algebra, z, grad, convention)
@@ -378,8 +372,7 @@ class _AuditPlan:
 
 def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
                    samples: int = 1000, seed: int = 0,
-                   closed_forms: ClosedFormActions | None = None,
-                   tol: float = AUDIT_TOLERANCE) -> AuditReport:
+                   closed_forms: ClosedFormActions | None = None) -> AuditReport:
     """Reconcile two tensor sets, and optionally closed-form expressions.
 
     The action rows compare the two pairs' tensors directly.  The dual rows
@@ -456,8 +449,8 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
         names, block = zip(*((name, np.abs(d, out=d).max()) for name, d in rows))
         largest = np.maximum(largest, block)  # keeps a NaN
     largest = np.abs(largest)  # real, also where a closed form's complex rows kept |a - b| complex
-    lines = [AuditLine(name, dev, "MATCH" if dev <= tol else "MISMATCH", plan.witnesses.get(name))
-             for name, dev in zip(names, largest.tolist())]
+    lines = [AuditLine(name, dev, "MATCH" if dev <= AUDIT_TOLERANCE else "MISMATCH",
+                       plan.witnesses.get(name)) for name, dev in zip(names, largest.tolist())]
     if lines[1].status == "MISMATCH":
         lines[1] = replace(lines[1], detail=plan.detail)
-    return AuditReport(samples, seed, tol, tuple(lines))
+    return AuditReport(samples, seed, AUDIT_TOLERANCE, tuple(lines))

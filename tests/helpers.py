@@ -1,0 +1,69 @@
+"""Helpers shared by the test modules, which import them from here and never
+from one another: call counting, ``simulate`` argv, seeded pairs, a corrupted
+su(2) and a document of a pair with dim g != dim h."""
+
+import numpy as np
+
+from mpmech.lie_core import LieAlgebra
+from mpmech.matched_pair import MatchedPair
+from mpmech.sl2c import su2_algebra
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def simulate_args(out_prefix, **overrides):
+    args = {
+        "--pair": "sl2c_derived",
+        "--hamiltonian": "quadratic_identity",
+        "--initial": "1,0,0,0,1,0",
+        "--dt": "0.001",
+        "--t-end": "1",
+        "--invariants": "nu_norm2,mu_dot_nu",
+        "--seed": "0",
+        "--out": out_prefix,
+    }
+    args.update(overrides)
+    argv = ["simulate"]
+    for key, value in args.items():
+        if value is not None:
+            argv += [key, value]
+    return argv
+
+
+def random_antisymmetric(rng, dim):
+    A = rng.standard_normal((dim, dim, dim))
+    return A - A.transpose(0, 2, 1)
+
+
+def random_pair(seed, n, m):
+    """Seeded tensors with no relation between them, kept unvalidated."""
+    rng = np.random.default_rng(seed)
+    g = LieAlgebra(random_antisymmetric(rng, n), [f"e{i + 1}" for i in range(n)], validate=False)
+    h = LieAlgebra(random_antisymmetric(rng, m), [f"f{a + 1}" for a in range(m)], validate=False)
+    return MatchedPair(g, h, rng.standard_normal((n, m, n)), rng.standard_normal((m, m, n)),
+                       validate=False)
+
+
+def corrupted_su2():
+    # [e1, e2] picks up a spurious e1 component; the (e1, e2, e3) Jacobiator
+    # is then [e3, e1] = e2, a unit defect
+    C = su2_algebra().C.copy()
+    C[0, 0, 1] = 1.0
+    C[0, 1, 0] = -1.0
+    return C
+
+
+UNEQUAL_DOC = {"g": {"dim": 1, "C": [[[0.0]]]},
+               "h": {"dim": 2, "C": np.zeros((2, 2, 2)).tolist()},
+               "rho": np.zeros((1, 2, 1)).tolist(),
+               "sigma": np.zeros((2, 2, 1)).tolist()}

@@ -146,7 +146,7 @@ def test_criterion_06_casimirs_and_semidirect(pairs):
 def test_criterion_07_euler_poincare_legendre(pairs):
     mp = pairs["sl2c_derived"]
     lag = LagrangianSpec(np.eye(3), np.eye(3))
-    ep = integrate_ep(mp, lag, P0, 1e-3, 10.0)
+    ep = integrate_ep(mp, legendre(lag), P0, 1e-3, 10.0)
     lp = integrate(build_double(mp), legendre(lag), P0, 1e-3, 10.0, "left")
     dev = float(np.abs(ep.states - lp.states).max())
     report(7, "EP trajectory equals left Lie-Poisson trajectory of Legendre H",

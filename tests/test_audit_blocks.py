@@ -27,8 +27,8 @@ from mpmech.matched_pair import (
     build_double,
 )
 
+from helpers import count_calls
 from oracles import per_row_audit
-from test_validation_report import count_calls
 
 CASES = {  # (derived, printed, closed forms)
     "sl2c closed forms": ("sl2c_derived", "sl2c_printed", True),

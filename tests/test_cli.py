@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from mpmech.dynamics import integrate
 from mpmech.matched_pair import build_double
 from mpmech.sl2c import builtin_pairs, derive_actions_from_embedding, standard_basis
 
+from helpers import count_calls, simulate_args
 from oracles import csv_reference
 
 
@@ -59,25 +61,6 @@ class TestCheck:
         assert main(["check", "sl2c_printed"]) == 0
 
 
-def simulate_args(out_prefix, **overrides):
-    args = {
-        "--pair": "sl2c_derived",
-        "--hamiltonian": "quadratic_identity",
-        "--initial": "1,0,0,0,1,0",
-        "--dt": "0.001",
-        "--t-end": "1",
-        "--invariants": "nu_norm2,mu_dot_nu",
-        "--seed": "0",
-        "--out": out_prefix,
-    }
-    args.update(overrides)
-    argv = ["simulate"]
-    for key, value in args.items():
-        if value is not None:
-            argv += [key, value]
-    return argv
-
-
 class TestSimulate:
     def test_writes_csv_and_summary(self, tmp_path):
         prefix = str(tmp_path / "run")
@@ -126,6 +109,25 @@ class TestSimulate:
         assert main(argv) == 0
         summary = json.load(open(prefix + ".summary.json"))
         assert summary["drift"]["H"] <= 1e-8
+
+    def test_ep_mode_starts_from_the_files_form(self, tmp_path):
+        # perturbed block forms as in the ep_long benchmark: the first row holds the momenta
+        # solve(Q, v0) of the file's Q bit for bit, not of the inverse of its inverse
+        rng = np.random.default_rng(24)
+        for k in range(5):
+            Q = np.diag([1.0, 2.0, 3.0, 1.5, 2.5, 0.7])
+            for blk in (slice(0, 3), slice(3, 6)):
+                N = 1e-3 * rng.standard_normal((3, 3))
+                Q[blk, blk] += N + N.T
+            v0 = rng.standard_normal(6)
+            path, prefix = tmp_path / f"q{k}.json", str(tmp_path / f"ep{k}")
+            path.write_text(json.dumps({"Q": Q.tolist()}))
+            argv = simulate_args(prefix, **{"--mode": "ep", "--hamiltonian": str(path),
+                                            "--initial": None, "--t-end": "0.001"})
+            assert main(argv + ["--initial=" + ",".join(map(repr, v0.tolist()))]) == 0
+            rows = list(csv.reader(open(prefix + ".csv")))
+            first = np.array([float(cell) for cell in rows[1][1:7]])
+            assert first.tobytes() == np.linalg.solve(Q, v0).tobytes()
 
     def test_ep_mode_needs_block_quadratic(self, tmp_path):
         argv = simulate_args(str(tmp_path / "r"),
@@ -272,8 +274,7 @@ class TestDeriveAndFactor:
         want = tmp_path / "want.json"
         formats.dump_pair_document(derive_actions_from_embedding(standard_basis()), str(want))
         builtin_pairs()
-        calls, lstsq = [], np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(a) or lstsq(*a, **kw))
+        calls = count_calls(monkeypatch, np.linalg, "lstsq")
         for name in ("first.json", "second.json"):
             assert main(["derive", "--builtin", "sl2c", "--out", str(tmp_path / name)]) == 0
             assert (tmp_path / name).read_bytes() == want.read_bytes()

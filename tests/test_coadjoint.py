@@ -25,8 +25,8 @@ from mpmech.matched_pair import (
 )
 from mpmech.sl2c import KHAT
 
+from helpers import random_pair
 from oracles import euler_poincare_five_term, lie_poisson_field
-from test_double_blocks import random_pair
 
 BUILTINS = ("sl2c_derived", "sl2c_printed", "e3_heavytop")
 RANDOM_PAIRS = [(21, 3, 3), (22, 2, 4), (23, 4, 1), (24, 1, 1), (25, 5, 2)]
@@ -111,8 +111,8 @@ class TestEulerPoincareAgainstFiveTerms:
         assert not mp.validated
 
     def test_rejects_metric_blocks_of_the_wrong_size(self, sl2c_derived):
-        with pytest.raises(DimensionMismatch, match="Lagrangian metric blocks do not match"):
-            integrate_ep(sl2c_derived, LagrangianSpec(np.eye(2), np.eye(3)),
+        with pytest.raises(DimensionMismatch, match="Hamiltonian dimension 5 does not match"):
+            integrate_ep(sl2c_derived, legendre(LagrangianSpec(np.eye(2), np.eye(3))),
                          (np.ones(3), np.ones(3)), 0.1, 0.1)
 
 
@@ -219,10 +219,10 @@ class TestFlatTwoVector:
         record = integrate(build_double(line_pair), HamiltonianSpec.quadratic(np.eye(2)),
                            [1.0, 2.0], 0.1, 1.0)
         assert np.array_equal(record.states, np.tile([1.0, 2.0], (11, 1)))
-        lag = LagrangianSpec(np.eye(1), 2.0 * np.eye(1))
-        assert np.array_equal(integrate_ep(line_pair, lag, (3.0, 4.0), 0.1, 1.0).states[-1],
+        energy = legendre(LagrangianSpec(np.eye(1), 2.0 * np.eye(1)))
+        assert np.array_equal(integrate_ep(line_pair, energy, (3.0, 4.0), 0.1, 1.0).states[-1],
                               [3.0, 8.0])
-        record = integrate_ep(line_pair, lag, [3.0, 4.0], 0.1, 0.1)
+        record = integrate_ep(line_pair, energy, [3.0, 4.0], 0.1, 0.1)
         assert record.velocities[0].tolist() == [3.0, 4.0]
 
     def test_pairs_still_read_as_pairs(self, line_pair):

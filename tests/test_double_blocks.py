@@ -24,22 +24,8 @@ from mpmech.sl2c import (
 )
 
 from group_elements import random_sl2c
+from helpers import count_calls, random_antisymmetric, random_pair
 from oracles import commutator_projection, condition_tensors
-from test_validation_report import count_calls
-
-
-def random_antisymmetric(rng, dim):
-    A = rng.standard_normal((dim, dim, dim))
-    return A - A.transpose(0, 2, 1)
-
-
-def random_pair(seed, n, m):
-    """Seeded tensors with no relation between them, kept unvalidated."""
-    rng = np.random.default_rng(seed)
-    g = LieAlgebra(random_antisymmetric(rng, n), [f"e{i + 1}" for i in range(n)], validate=False)
-    h = LieAlgebra(random_antisymmetric(rng, m), [f"f{a + 1}" for a in range(m)], validate=False)
-    return MatchedPair(g, h, rng.standard_normal((n, m, n)), rng.standard_normal((m, m, n)),
-                       validate=False)
 
 
 PAIRS = {

@@ -175,8 +175,8 @@ class TestIntegrate:
                 integrate(build_double(sl2c_derived), HamiltonianSpec.quadratic(np.eye(6)),
                           P0, 1e-3, 200.0, invariants=invariants)
             else:
-                integrate_ep(sl2c_derived, LagrangianSpec(np.eye(3), np.eye(3)), P0, 1e-3, 200.0,
-                             invariants)
+                integrate_ep(sl2c_derived, legendre(LagrangianSpec(np.eye(3), np.eye(3))), P0,
+                             1e-3, 200.0, invariants)
 
     def test_blow_up_reports_last_good_time(self, sl2c_derived):
         double = build_double(sl2c_derived)
@@ -192,18 +192,18 @@ class TestIntegrate:
 class TestIntegrateEp:
     def test_zero_state_is_fixed(self, sl2c_derived):
         lag = LagrangianSpec(np.eye(3), np.eye(3))
-        rec = integrate_ep(sl2c_derived, lag, np.zeros(6), 0.1, 1.0)
+        rec = integrate_ep(sl2c_derived, legendre(lag), np.zeros(6), 0.1, 1.0)
         assert np.abs(rec.states).max() == 0.0
 
     def test_energy_drift_short_window(self, sl2c_derived):
         lag = LagrangianSpec(np.eye(3), np.eye(3))
-        rec = integrate_ep(sl2c_derived, lag, P0, 1e-3, 2.0)
+        rec = integrate_ep(sl2c_derived, legendre(lag), P0, 1e-3, 2.0)
         assert rec.drift["H"] <= 1e-10
 
     def test_matches_left_lie_poisson_flow(self, sl2c_derived):
         lag = LagrangianSpec(np.eye(3), np.eye(3))
         double = build_double(sl2c_derived)
-        ep = integrate_ep(sl2c_derived, lag, P0, 1e-3, 1.0)
+        ep = integrate_ep(sl2c_derived, legendre(lag), P0, 1e-3, 1.0)
         lp = integrate(double, legendre(lag), P0, 1e-3, 1.0, "left")
         assert np.abs(ep.states - lp.states).max() <= 1e-9
 
@@ -211,7 +211,7 @@ class TestIntegrateEp:
         Mg = np.diag([1.0, 2.0, 3.0])
         lag = LagrangianSpec(Mg, np.eye(3))
         state0 = rng.standard_normal(6)
-        rec = integrate_ep(sl2c_derived, lag, state0, 0.01, 0.1)
+        rec = integrate_ep(sl2c_derived, legendre(lag), state0, 0.01, 0.1)
         assert rec.velocities is not None
         recovered = rec.velocities[0]
         assert np.allclose(recovered[:3], state0[:3], atol=1e-12)

@@ -22,8 +22,8 @@ from mpmech.lie_core import tolerance_scale
 from mpmech.sl2c import group_act, iwasawa_factor
 
 from group_elements import k_to_matrix, random_k_element, random_sl2c, random_su2
+from helpers import count_calls
 from oracles import iwasawa_numpy, su2_check_numpy
-from test_validation_report import count_calls
 
 
 def run_factor(M):

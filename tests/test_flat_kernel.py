@@ -16,14 +16,14 @@ from mpmech.dynamics import (
     _monitor,
     integrate,
     integrate_ep,
+    legendre,
 )
 from mpmech.errors import InputError
 from mpmech.lie_core import LieAlgebra
 from mpmech.matched_pair import build_double
 
+from helpers import corrupted_su2, simulate_args
 from oracles import csv_reference, euler_poincare_five_term, monitor_per_spec
-from test_cli import simulate_args
-from test_lie_core import corrupted_su2
 
 P0 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
@@ -62,7 +62,7 @@ class TestEpAgainstComponentForm:
     def test_matches_independent_rk4(self, sl2c_derived, metrics):
         lag = LagrangianSpec(*metrics)
         dt, steps = 1e-3, 10_000
-        rec = integrate_ep(sl2c_derived, lag, P0, dt, steps * dt)
+        rec = integrate_ep(sl2c_derived, legendre(lag), P0, dt, steps * dt)
         ref = rk4_euler_poincare(sl2c_derived, lag, P0, dt, steps)
         assert rec.states.shape == ref.shape
         assert np.abs(rec.states - ref).max() <= 1e-9
@@ -211,11 +211,20 @@ class TestMalformedInputExits2:
     def test_simulate_flags(self, tmp_path, flags):
         assert main(simulate_args(str(tmp_path / "r"), **flags)) == 2
 
-    def test_indefinite_ep_block(self, tmp_path):
-        Q = np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]).tolist()
+    @pytest.mark.parametrize("ham", [
+        {"Q": np.eye(6).tolist(), "b": [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]},
+        {"Q": (np.eye(6) + 0.5 * np.eye(6, k=3) + 0.5 * np.eye(6, k=-3)).tolist()},
+        {"Q": np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 1.0]).tolist()},
+        {"Q": np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]).tolist()},
+        {"Q": np.eye(5).tolist()},
+        {"Q": np.diag([1e-320] * 6).tolist()},
+    ], ids=["linear_term", "coupling", "singular_block", "indefinite_block", "5x5",
+            "momenta_overflow"])
+    def test_ep_hamiltonian_file(self, tmp_path, ham):
         argv = simulate_args(str(tmp_path / "r"), **{
-            "--mode": "ep", "--hamiltonian": _write(tmp_path, "h.json", {"Q": Q})})
+            "--mode": "ep", "--hamiltonian": _write(tmp_path, "h.json", ham)})
         assert main(argv) == 2
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestSummary:

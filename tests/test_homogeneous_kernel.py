@@ -16,7 +16,7 @@ from mpmech.errors import DimensionMismatch, InputError
 from mpmech.lie_core import LieAlgebra
 from mpmech.matched_pair import build_double
 
-from test_cli import simulate_args
+from helpers import UNEQUAL_DOC, simulate_args
 
 STEP_TOL = 1e-12
 EP_Q = np.array([[1.0, 0.2, 0.0, 0.0, 0.0, 0.0],
@@ -147,12 +147,6 @@ class TestQuadraticInvariants:
                       invariants={"small": HamiltonianSpec.quadratic(np.eye(5))})
         with pytest.raises(InputError):
             integrate(double, spec, np.ones(6), 0.1, 1.0, invariants={"H": spec})
-
-
-UNEQUAL_DOC = {"g": {"dim": 1, "C": [[[0.0]]]},
-               "h": {"dim": 2, "C": np.zeros((2, 2, 2)).tolist()},
-               "rho": np.zeros((1, 2, 1)).tolist(),
-               "sigma": np.zeros((2, 2, 1)).tolist()}
 
 
 class TestMuDotNuUnequalDimensions:

@@ -13,16 +13,8 @@ from mpmech.lie_core import (
 )
 from mpmech.sl2c import k_algebra, su2_algebra
 
+from helpers import corrupted_su2
 from oracles import brute_jacobi_defect, k_ad_star
-
-
-def corrupted_su2():
-    # [e1, e2] picks up a spurious e1 component; the (e1, e2, e3) Jacobiator
-    # is then [e3, e1] = e2, a unit defect
-    C = su2_algebra().C.copy()
-    C[0, 0, 1] = 1.0
-    C[0, 1, 0] = -1.0
-    return C
 
 
 def rescaled_su2():

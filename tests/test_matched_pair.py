@@ -16,7 +16,7 @@ from mpmech.matched_pair import (
     right_act,
     validation_report,
 )
-from mpmech.dynamics import LagrangianSpec, integrate_ep
+from mpmech.dynamics import LagrangianSpec, integrate_ep, legendre
 from mpmech.sl2c import k_algebra, sl2c_closed_forms, su2_algebra
 
 from oracles import semidirect_lp_rhs
@@ -289,7 +289,7 @@ class TestEulerPoincare:
         lag = LagrangianSpec(np.eye(3), np.eye(3))
         p_dot = euler_poincare_field(sl2c_derived, lag, np.zeros(3), np.zeros(3))
         assert np.abs(p_dot).max() == 0.0
-        record = integrate_ep(sl2c_derived, lag, np.zeros(6), 0.1, 0.1)
+        record = integrate_ep(sl2c_derived, legendre(lag), np.zeros(6), 0.1, 0.1)
         assert np.abs(record.velocities).max() == 0.0
 
     def test_identity_metric_example(self, sl2c_derived):

@@ -15,8 +15,7 @@ from mpmech.cli import build_parser, main
 from mpmech.dynamics import MAX_STEPS, HamiltonianSpec, LagrangianSpec, _grid, legendre
 from mpmech.errors import DegenerateMetricError, InputError
 
-from test_cli import simulate_args
-from test_validation_report import count_calls
+from helpers import count_calls, simulate_args
 
 IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
 

@@ -28,9 +28,8 @@ from mpmech.matched_pair import build_double, matched_lp_rhs
 from mpmech.sl2c import EmbeddedBasis, group_act, iwasawa_factor, k_algebra, su2_algebra
 
 from group_elements import random_sl2c
+from helpers import count_calls, random_antisymmetric, random_pair
 from oracles import einsum_bracket, einsum_cobracket, einsum_jacobiator
-from test_double_blocks import random_antisymmetric, random_pair
-from test_validation_report import count_calls
 
 DIMS = range(1, 8)
 DOUBLES = [(51, 2, 4), (52, 4, 1), (53, 5, 2)]

@@ -25,8 +25,8 @@ from mpmech.matched_pair import (
 )
 from mpmech.sl2c import KHAT, _cross, su2_algebra
 
+from helpers import random_pair
 from oracles import EINSUM_MAPS, einsum_coadjoint
-from test_double_blocks import random_pair
 
 PAIRS = [(41, 2, 4), (42, 4, 1), (43, 5, 2)]
 # the factor (g or h) of each map's two arguments

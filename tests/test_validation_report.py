@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import mpmech
 from mpmech import formats, lie_core, matched_pair
 from mpmech.cli import main
-from mpmech.dynamics import _grid
+from mpmech.dynamics import HamiltonianSpec, _grid, integrate
 from mpmech.errors import InputError, ValidationError
 from mpmech.lie_core import (Check, LieAlgebra, ad_star, defect_bound, lie_poisson_rhs,
                               poisson_tensor)
@@ -38,11 +38,10 @@ from mpmech.matched_pair import (
 )
 from mpmech.sl2c import builtin_pairs, group_act, iwasawa_factor, sl2c_closed_forms
 
-from test_cli import simulate_args
-from test_homogeneous_kernel import UNEQUAL_DOC
-from test_lie_core import corrupted_su2
+from helpers import UNEQUAL_DOC, corrupted_su2, count_calls, simulate_args
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mpmech"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "mpmech"
 REMOVED_NAMES = ("compat_defect", "CompatDefect", "jacobi_defect", "kks_eval",
                  "matched_ad_star", "euler_poincare_rhs",
                  "DualPoint", "as_dual_point", "cobracket_eval", "matched_bracket_eval")
@@ -69,18 +68,6 @@ def write_json(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
-
-
-def count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args):
-        calls.append(name)
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 class TestReport:
@@ -139,8 +126,18 @@ class TestReport:
         validation_report(pairs["sl2c_printed"])
         assert len(conditions) == 1
 
+    def test_no_test_module_imports_another(self):
+        # shared helpers live in helpers.py; an import between test modules can be circular
+        imported = {f"{path.name} imports {name}" for path in sorted(TESTS.glob("test_*.py"))
+                    for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for name in ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                                 else [alias.name for alias in node.names])
+                    if name.split(".")[0].startswith("test_")}
+        assert imported == set()
+
     def test_matched_lp_rhs_is_the_flat_lie_poisson_rhs(self, pairs, rng):
-        with pytest.raises(ValidationError, match="unvalidated pair"):
+        with pytest.raises(ValidationError, match="compatibility condition 1"):
             matched_lp_rhs(build_double(pairs["sl2c_printed"]), np.zeros(6), np.zeros(6))
         for name in ("sl2c_derived", "e3_heavytop"):
             double = build_double(pairs[name])
@@ -150,6 +147,19 @@ class TestReport:
                 for p, grad in ((z, x), ((z[:3], z[3:]), (x[:3], x[3:]))):
                     got = matched_lp_rhs(double, p, grad, convention)
                     assert got.shape == (6,) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("flow", [
+        lambda double: integrate(double, HamiltonianSpec.quadratic(np.eye(6)), np.ones(6),
+                                 0.1, 0.1),
+        lambda double: matched_lp_rhs(double, np.ones(6), np.ones(6)),
+    ], ids=["integrate", "matched_lp_rhs"])
+    def test_flows_validate_their_pair(self, pairs, flow):
+        fresh = formats.pair_from_dict(formats.pair_to_dict(pairs["sl2c_derived"]))
+        assert not fresh.validated
+        flow(build_double(fresh))
+        assert fresh.validated
+        with pytest.raises(ValidationError, match="compatibility condition 1"):
+            flow(build_double(pairs["sl2c_printed"]))
 
     def test_audit_detail_reads_condition_one_without_the_report(self, monkeypatch, pairs):
         """The audit plan reads condition 1 once per printed pair, never through the report."""
