@@ -1,7 +1,8 @@
 """Matched-pair Lie algebra mechanics.
 
-Structure-constant Lie algebras, matched-pair validation and double-algebra
-assembly, Lie-Poisson and Euler-Poincare flows with invariant monitoring,
+Structure-constant Lie algebras; matched pairs, each with its validation and
+its double algebra (``MatchedPair.algebra``); Lie-Poisson and Euler-Poincare
+flows with invariant monitoring, which take the pair and flat (n + m,) vectors;
 and the SU(2)/triangular factorization of SL(2,C) as a fully worked example.
 """
 
@@ -28,12 +29,10 @@ from .matched_pair import (
     AuditLine,
     AuditReport,
     ClosedFormActions,
-    DoubleAlgebra,
     MatchedPair,
     a_star,
     audit_formulas,
     b_star,
-    build_double,
     co_left_act,
     co_right_act,
     left_act,

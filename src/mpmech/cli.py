@@ -35,7 +35,7 @@ from . import formats, sl2c
 from .dynamics import HamiltonianSpec, integrate, integrate_ep
 from .errors import InputError, IntegrationError, ValidationError
 from .lie_core import _require_finite
-from .matched_pair import MatchedPair, audit_formulas, build_double, validation_report
+from .matched_pair import MatchedPair, audit_formulas, validation_report
 
 
 def _pairing(n: int, m: int, first: str, second: str) -> HamiltonianSpec:
@@ -139,8 +139,7 @@ def cmd_simulate(args) -> int:
 
     start = time.perf_counter()
     if args.mode == "lp":
-        record = integrate(build_double(mp), spec, z0, args.dt, args.t_end,
-                           args.convention, invariants)
+        record = integrate(mp, spec, z0, args.dt, args.t_end, args.convention, invariants)
     else:
         record = integrate_ep(mp, spec, z0, args.dt, args.t_end, invariants)
     wall = time.perf_counter() - start

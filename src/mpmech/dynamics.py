@@ -19,13 +19,8 @@ from .errors import (
     InputError,
     IntegrationError,
 )
-from .lie_core import _as_vector, _require_finite, _symmetric_part, convention_sign
-from .matched_pair import (
-    DoubleAlgebra,
-    MatchedPair,
-    _as_pair,
-    build_double,
-)
+from .lie_core import _as_vector, _read_only, _require_finite, _symmetric_part, convention_sign
+from .matched_pair import MatchedPair
 
 FD_STEP = 1e-6  # central-difference step, scaled per component by 1 + |z_i|
 FINITE_BLOCK = 256  # RK4 steps between scans for a non-finite state
@@ -52,7 +47,7 @@ class HamiltonianSpec:
         Q = _symmetric_part(Q, "quadratic form")
         dim = Q.shape[0]
         b = np.array(_as_vector(np.zeros(dim) if b is None else b, dim, "linear term"))
-        _require_finite(b, "linear term").flags.writeable = False
+        _read_only(_require_finite(b, "linear term"))
         return cls(dim, Q, b, None)
 
     @classmethod
@@ -170,8 +165,8 @@ def _grid(dt: float, t_end: float) -> tuple[int, np.ndarray]:
     return steps, dt * np.arange(steps + 1)
 
 
-_RK4_WEIGHTS = np.array([1.0, 2.0, 1.0, 1.0]) / 3.0  # of the stages, prescaled by dt / 2, k2 by dt
-_RK4_WEIGHTS.flags.writeable = False
+# the weights of the RK4 stages, prescaled by dt / 2, k2 by dt
+_RK4_WEIGHTS = _read_only(np.array([1.0, 2.0, 1.0, 1.0]) / 3.0)
 
 
 def _run_rk4(T: np.ndarray, y0: np.ndarray, dt: float, steps: int,
@@ -255,10 +250,10 @@ def _monitor(states: np.ndarray, specs: dict[str, HamiltonianSpec]):
     return dict(zip(specs, V)), dict(zip(specs, drift.tolist()))
 
 
-def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
+def integrate(mp: MatchedPair, spec: HamiltonianSpec, p0, dt: float,
               t_end: float, convention: str = "right",
               invariants: InvariantMap | None = None) -> TrajectoryRecord:
-    """Integrate the Lie-Poisson flow of ``spec`` on the dual of ``double``.
+    """Integrate the Lie-Poisson flow of ``spec`` on the dual of ``mp.algebra``, the double.
 
     Fixed-step RK4 (:func:`_run_rk4`) on ``p_dot = M(p) grad H(p)`` (negated in
     the left convention), ``M(z)[i, j] = sum_k C[k, i, j] z_k``.  A quadratic spec
@@ -266,20 +261,18 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
     ``G[k, i, :d] = sign (C Q)[k, i]``, ``G[k, i, d] = sign (C b)[k, i]``, 0
     elsewhere, and the field is ``(y @ G).reshape(D, D) @ y``, last component 0.
     A black box runs ``(z @ sign C).reshape(d, d) @ gradient(spec, z)``.  "H" is
-    the Hamiltonian; see :data:`InvariantMap`.  It validates ``double.source``
-    (ValidationError naming the failed checks) and checks ``spec.dim``.
+    the Hamiltonian; see :data:`InvariantMap`.  It validates ``mp`` (ValidationError
+    naming the failed checks), reads ``p0`` as one flat (n + m,) vector and checks ``spec.dim``.
     """
-    double.source.validate()
+    mp.validate()
     sign = convention_sign(convention)
-    z0 = np.concatenate(_as_pair(p0, double.split, "dual point"))
-    if spec.dim != z0.size:
-        raise DimensionMismatch(
-            f"Hamiltonian dimension {spec.dim} does not match the double ({z0.size})"
-        )
+    d = mp.algebra.dim
+    z0 = _as_vector(p0, d, "dual point")
+    if spec.dim != d:
+        raise DimensionMismatch(f"Hamiltonian dimension {spec.dim} does not match the double ({d})")
     steps, times = _grid(dt, t_end)
-    specs = _invariant_specs(double.split, spec, invariants)
-    d = double.dim
-    C = sign * double.algebra.C
+    specs = _invariant_specs(mp.split, spec, invariants)
+    C = sign * mp.algebra.C
     if spec.is_quadratic:
         G = np.zeros((d + 1,) * 3)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the first scan
@@ -288,7 +281,7 @@ def integrate(double: DoubleAlgebra, spec: HamiltonianSpec, p0, dt: float,
     else:
         states = _run_rk4(C.reshape(d, d * d), z0, dt, steps, spec)
     series, drift = _monitor(states, specs)
-    return TrajectoryRecord(times, states, double.split, series, drift)
+    return TrajectoryRecord(times, states, mp.split, series, drift)
 
 
 def integrate_ep(mp: MatchedPair, energy: HamiltonianSpec, velocities0, dt: float,
@@ -298,14 +291,14 @@ def integrate_ep(mp: MatchedPair, energy: HamiltonianSpec, velocities0, dt: floa
 
     The Euler-Poincare equations are the left Lie-Poisson equations of the
     Legendre Hamiltonian, so this runs :func:`integrate` in the left convention
-    on the double of ``mp``, from the momenta ``solve(Q, velocities0)``.  The
-    velocities ``states @ Q`` are stored alongside the momenta; "H" holds the
-    kinetic energy.  It validates ``mp`` and checks ``energy``: dimension n + m
-    (DimensionMismatch), no linear term and no coupling block ``Q[:n, n:]``
-    (InputError), ``Q`` positive definite (DegenerateMetricError), and finite
-    momenta (InputError).
+    on the double of ``mp``, from the momenta ``solve(Q, velocities0)``, with
+    ``velocities0`` one flat (n + m,) vector.  The velocities ``states @ Q`` are stored
+    alongside the momenta; "H" holds the kinetic energy.  It validates ``mp`` and checks
+    ``energy``: dimension n + m (DimensionMismatch), no linear term and no coupling
+    block ``Q[:n, n:]`` (InputError), ``Q`` positive definite (DegenerateMetricError),
+    and finite momenta (InputError).
     """
-    v0 = np.concatenate(_as_pair(velocities0, (mp.g.dim, mp.h.dim), "initial velocities"))
+    v0 = _as_vector(velocities0, mp.algebra.dim, "initial velocities")
     mp.validate()
     n, d = mp.g.dim, v0.size
     if energy.dim != d:
@@ -317,5 +310,5 @@ def integrate_ep(mp: MatchedPair, energy: HamiltonianSpec, velocities0, dt: floa
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError("the quadratic form is not positive definite") from exc
     z0 = _require_finite(np.linalg.solve(energy.Q, v0), "initial momenta")
-    record = integrate(build_double(mp), energy, z0, dt, t_end, "left", invariants)
+    record = integrate(mp, energy, z0, dt, t_end, "left", invariants)
     return replace(record, velocities=record.states @ energy.Q)

@@ -97,6 +97,12 @@ def _require_finite(arr: np.ndarray, what: str, error: type[InputError] = InputE
     return arr
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _symmetric_part(value, what: str, error: type[InputError] = InputError, *,
                     antisymmetric: bool = False) -> np.ndarray:
     """The read-only symmetric part ``(M + M^T) / 2`` of the square float matrix
@@ -117,8 +123,7 @@ def _symmetric_part(value, what: str, error: type[InputError] = InputError, *,
     if defect > 0.5 * ABS_FLOOR * (1.0 + float(np.abs(M).max(initial=0.0))) * tolerance_scale():
         raise error(f"{what} are not antisymmetric in the last two indices (defect {defect:.3e})"
                     if antisymmetric else f"{what} is not symmetric")
-    part.setflags(write=False)
-    return part
+    return _read_only(part)
 
 
 def _as_vector(v, dim: int, what: str) -> np.ndarray:
@@ -163,16 +168,12 @@ class LieAlgebra:
     @cached_property
     def left_constants(self) -> np.ndarray:
         """``C.transpose(1, 0, 2)``, contiguous and read-only: :func:`bracket`'s tensor."""
-        T = np.ascontiguousarray(self.C.transpose(1, 0, 2))
-        T.setflags(write=False)
-        return T
+        return _read_only(np.ascontiguousarray(self.C.transpose(1, 0, 2)))
 
     @cached_property
     def jacobiator(self) -> np.ndarray:
         """Read-only ``J[m, i, j, l]``, the E_m part of Jac(E_i, E_j, E_l)."""
-        J = _jacobiator(self.C)
-        J.setflags(write=False)
-        return J
+        return _read_only(_jacobiator(self.C))
 
     def jacobi_check(self, name: str) -> Check:
         """The Jacobi identity as a :class:`Check` against :func:`defect_bound`,
@@ -226,14 +227,19 @@ def poisson_tensor(C: np.ndarray, z) -> np.ndarray:
 
 def coadjoint(C: np.ndarray, z, x) -> np.ndarray:
     """``ad*_x z = sum_kj C[k, i, j] z_k x_j`` over any leading axes; at
-    ``x = grad H(z)`` it is the right Lie-Poisson field ``M(z) grad H``.
-    :func:`ad_star`, :func:`lie_poisson_rhs`, :func:`bracket`, ``matched_lp_rhs``,
-    the audit's fields and the six action maps of ``matched_pair`` are views of
-    it.  Two steps, as in ``integrate``'s stage:
-    :func:`poisson_tensor` over all rows, then a 2-operand einsum of ``M`` with
-    ``x`` row by row.  Not ``@``: BLAS fuses multiply-adds, so ``ad*_mu mu`` on
-    su(2) would not be exactly zero."""
-    return np.einsum("...ij,...j->...i", poisson_tensor(C, z), x)
+    ``x = grad H(z)`` it is the right Lie-Poisson field ``M(z) grad H``.  Its views:
+    :func:`ad_star`, :func:`lie_poisson_rhs`, :func:`bracket`, and in ``matched_pair``
+    ``matched_lp_rhs`` and the audit's fields on ``MatchedPair.algebra`` and the six
+    action maps on ``MatchedPair.map_tensors``.  Two steps, as in ``integrate``'s
+    stage: :func:`poisson_tensor` over all rows, then a 2-operand einsum of ``M``
+    with ``x`` row by row.  Not ``@``: BLAS fuses multiply-adds, so ``ad*_mu mu`` on
+    su(2) would not be exactly zero.  Shapes numpy cannot contract, such as leading
+    axes that do not broadcast, are a DimensionMismatch naming both."""
+    try:
+        return np.einsum("...ij,...j->...i", poisson_tensor(C, z), x)
+    except ValueError:
+        raise DimensionMismatch(f"cannot contract rows of shapes {np.shape(z)} and "
+                                f"{np.shape(x)} with constants of shape {C.shape}") from None
 
 
 def ad_star(alg: LieAlgebra, xi, mu) -> np.ndarray:

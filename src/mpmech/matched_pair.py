@@ -15,12 +15,14 @@ bracket
 and the dual space inherits a linear Poisson structure.  Conversely, the
 bracket is a Lie bracket only if they hold: the conditions are the blocks
 ``J[:n, n:, :n, :n]`` and ``-J[n:, n:, n:, :n]`` (n = dim g) of the
-double's Jacobiator.  Only this module knows the double's block layout
-(:func:`build_double`, :func:`pair_from_double`).  All dual-action maps
-here are exact transposes of ``rho``/``sigma``, and all dynamics are
-assembled from the double's structure constants via the coadjoint action;
-closed-form variants of these maps found in the literature can be checked
-against that canonical assembly with :func:`audit_formulas`.
+double's Jacobiator.  Only this module knows the double's block layout:
+:attr:`MatchedPair.algebra` builds it and :func:`pair_from_double` reads it
+back.  A point, gradient or velocity on g (+) h or its dual is one flat
+vector, its first n = dim g entries on g.  All dual-action maps here are
+exact transposes of ``rho``/``sigma``, and all dynamics are assembled from
+the double's structure constants via the coadjoint action; closed-form
+variants of these maps found in the literature can be checked against that
+canonical assembly with :func:`audit_formulas`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .lie_core import (
     LieAlgebra,
     _as_vector,
     _largest_entry,
+    _read_only,
     _require_finite,
     coadjoint,
     defect_bound,
@@ -67,13 +70,11 @@ class MatchedPair:
             T = np.array(float_array(T, name))
             if T.shape != shape:
                 raise DimensionMismatch(f"{name} has shape {T.shape}, expected {shape}")
-            _require_finite(T, name).setflags(write=False)
-            tensors.append(T)
+            tensors.append(_read_only(_require_finite(T, name)))
         self.g = g
         self.h = h
         self.rho, self.sigma = tensors
         self._validated = False
-        self._double: DoubleAlgebra | None = None
         self._audit_plan: _AuditPlan | None = None  # audit_formulas's, as the derived pair
         if validate:
             self.validate()
@@ -81,6 +82,38 @@ class MatchedPair:
     @property
     def validated(self) -> bool:
         return self._validated
+
+    @property
+    def split(self) -> tuple[int, int]:
+        """``(n, m) = (dim g, dim h)``: g is the first ``n`` coordinates of g (+) h."""
+        return self.g.dim, self.h.dim
+
+    @functools.cached_property
+    def algebra(self) -> LieAlgebra:
+        """The double g |><| h: the coupled algebra on g (+) h, unvalidated (the
+        pair's checks read its Jacobiator)."""
+        n, m = self.split
+        C = np.zeros((n + m, n + m, n + m))
+        C[:n, :n, :n] = self.g.C
+        C[n:, n:, n:] = self.h.C
+        C[:n, n:, :n] = self.rho
+        C[n:, n:, :n] = self.sigma
+        C[:n, :n, n:] = -self.rho.transpose(0, 2, 1)
+        C[n:, :n, n:] = -self.sigma.transpose(0, 2, 1)
+        names = None
+        if self.g.names is not None and self.h.names is not None:
+            names = self.g.names + self.h.names
+        return LieAlgebra(C, names, validate=False)
+
+    @functools.cached_property
+    def map_tensors(self) -> dict[str, np.ndarray]:
+        """Each action map's T (see :func:`left_act`) by the map's name, contiguous and
+        read-only; the audit reads them too."""
+        rho, sigma = self.rho, self.sigma
+        return {name: _read_only(np.ascontiguousarray(T)) for name, T in (
+            ("left_act", rho.transpose(1, 0, 2)), ("right_act", sigma.transpose(1, 0, 2)),
+            ("co_left_act", rho.transpose(0, 2, 1)), ("a_star", sigma.transpose(0, 2, 1)),
+            ("co_right_act", sigma), ("b_star", rho))}
 
     def validate(self) -> "MatchedPair":
         """Raise ValidationError unless every check of :func:`validation_report`
@@ -95,44 +128,10 @@ class MatchedPair:
                 f"validated={self._validated})")
 
 
-@dataclass(frozen=True)
-class DoubleAlgebra:
-    """The coupled algebra on g (+) h, with its block structure."""
-
-    algebra: LieAlgebra
-    split: tuple[int, int]
-    source: MatchedPair
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
-
-
-def _as_pair(x, split: tuple[int, int], what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Split a flat vector, or a (g part, h part) pair with a non-scalar part, checking shapes:
-    the one reader of a point or a gradient on g (+) h or on its dual."""
-    n, m = split
-    if isinstance(x, (tuple, list)) and len(x) == 2:
-        g, h = (float_array(e, what) for e in x)
-        if g.ndim or h.ndim:
-            return _as_vector(g, n, f"{what} (g part)"), _as_vector(h, m, f"{what} (h part)")
-    flat = _as_vector(x, n + m, what)
-    return flat[:n], flat[n:]
-
-
 # -- mutual actions and their duals -----------------------------------------
-# Every argument is one vector or a stack of rows; a wrong last dimension is DimensionMismatch.
-# Each is lie_core.coadjoint(T, z, x) = sum_kj T[k, i, j] z_k x_j, T a transpose of rho or sigma.
-
-_TENSOR = {  # each map's T, which the audit plan reads too
-    "left_act": lambda mp: mp.rho.transpose(1, 0, 2),
-    "right_act": lambda mp: mp.sigma.transpose(1, 0, 2),
-    "co_left_act": lambda mp: mp.rho.transpose(0, 2, 1),
-    "a_star": lambda mp: mp.sigma.transpose(0, 2, 1),
-    "co_right_act": lambda mp: mp.sigma,
-    "b_star": lambda mp: mp.rho,
-}
-
+# Every argument is one vector or a stack of rows; a wrong last dimension, or leading axes
+# that do not broadcast, is DimensionMismatch.  Each is lie_core.coadjoint(T, z, x) =
+# sum_kj T[k, i, j] z_k x_j, T = mp.map_tensors[its name], a transpose of rho or sigma.
 
 def _as_rows(v, dim: int, what: str) -> np.ndarray:
     arr = float_array(v, what)
@@ -144,37 +143,37 @@ def _as_rows(v, dim: int, what: str) -> np.ndarray:
 def left_act(mp: MatchedPair, eta, xi) -> np.ndarray:
     """Left action of h on g: eta |> xi."""
     eta, xi = _as_rows(eta, mp.h.dim, "h vector"), _as_rows(xi, mp.g.dim, "g vector")
-    return coadjoint(_TENSOR["left_act"](mp), eta, xi)
+    return coadjoint(mp.map_tensors["left_act"], eta, xi)
 
 
 def right_act(mp: MatchedPair, eta, xi) -> np.ndarray:
     """Right action of g on h: eta <| xi."""
     eta, xi = _as_rows(eta, mp.h.dim, "h vector"), _as_rows(xi, mp.g.dim, "g vector")
-    return coadjoint(_TENSOR["right_act"](mp), eta, xi)
+    return coadjoint(mp.map_tensors["right_act"], eta, xi)
 
 
 def co_left_act(mp: MatchedPair, mu, eta) -> np.ndarray:
     """Right action of h on g*, transpose of |>: <mu *<| eta, xi> = <mu, eta |> xi>."""
     mu, eta = _as_rows(mu, mp.g.dim, "g* vector"), _as_rows(eta, mp.h.dim, "h vector")
-    return coadjoint(_TENSOR["co_left_act"](mp), mu, eta)
+    return coadjoint(mp.map_tensors["co_left_act"], mu, eta)
 
 
 def a_star(mp: MatchedPair, eta, nu) -> np.ndarray:
     """Dual of xi -> eta <| xi, valued in g*: <a*_eta nu, xi> = <nu, eta <| xi>."""
     eta, nu = _as_rows(eta, mp.h.dim, "h vector"), _as_rows(nu, mp.h.dim, "h* vector")
-    return coadjoint(_TENSOR["a_star"](mp), nu, eta)
+    return coadjoint(mp.map_tensors["a_star"], nu, eta)
 
 
 def co_right_act(mp: MatchedPair, xi, nu) -> np.ndarray:
     """Left action of g on h*, transpose of <|: <xi *|> nu, eta> = <nu, eta <| xi>."""
     xi, nu = _as_rows(xi, mp.g.dim, "g vector"), _as_rows(nu, mp.h.dim, "h* vector")
-    return coadjoint(_TENSOR["co_right_act"](mp), nu, xi)
+    return coadjoint(mp.map_tensors["co_right_act"], nu, xi)
 
 
 def b_star(mp: MatchedPair, xi, mu) -> np.ndarray:
     """Dual of eta -> eta |> xi, valued in h*: <b*_xi mu, eta> = <mu, eta |> xi>."""
     xi, mu = _as_rows(xi, mp.g.dim, "g vector"), _as_rows(mu, mp.g.dim, "g* vector")
-    return coadjoint(_TENSOR["b_star"](mp), mu, xi)
+    return coadjoint(mp.map_tensors["b_star"], mu, xi)
 
 
 # -- compatibility -----------------------------------------------------------
@@ -188,7 +187,7 @@ def _compatibility_checks(mp: MatchedPair) -> tuple[Check, Check]:
     indexed [value in g, a, i, j], and condition 2 is ``-J[n:, n:, n:, :n]``
     indexed [value in h, a, b, i]."""
     n = mp.g.dim
-    J = build_double(mp).algebra.jacobiator
+    J = mp.algebra.jacobiator
     bound = defect_bound(mp.g.C, mp.h.C, mp.rho, mp.sigma)
     d1, (_, a1, i1, j1) = _largest_entry(J[:n, n:, :n, :n])
     d2, (_, a2, b2, i2) = _largest_entry(J[n:, n:, n:, :n])
@@ -207,35 +206,20 @@ def validation_report(mp: MatchedPair) -> tuple[Check, ...]:
         mp.g.jacobi_check("jacobi defect (g)"),
         mp.h.jacobi_check("jacobi defect (h)"),
         *_compatibility_checks(mp),
-        build_double(mp).algebra.jacobi_check("jacobi defect (double)"),
+        mp.algebra.jacobi_check("jacobi defect (double)"),
     )
 
 
 # -- the double algebra and its Poisson structure ----------------------------
 
-def build_double(mp: MatchedPair) -> DoubleAlgebra:
-    """Assemble the structure constants of the coupled algebra on g (+) h."""
-    if mp._double is not None:
-        return mp._double
-    n, m = mp.g.dim, mp.h.dim
-    C = np.zeros((n + m, n + m, n + m))
-    C[:n, :n, :n] = mp.g.C
-    C[n:, n:, n:] = mp.h.C
-    C[:n, n:, :n] = mp.rho
-    C[n:, n:, :n] = mp.sigma
-    C[:n, :n, n:] = -mp.rho.transpose(0, 2, 1)
-    C[n:, :n, n:] = -mp.sigma.transpose(0, 2, 1)
-    names = None
-    if mp.g.names is not None and mp.h.names is not None:
-        names = mp.g.names + mp.h.names
-    double = DoubleAlgebra(LieAlgebra(C, names, validate=False), (n, m), mp)
-    mp._double = double
-    return double
+def build_double(mp: MatchedPair) -> MatchedPair:
+    """``mp``, whose :attr:`~MatchedPair.algebra` is its double; perfbench reads it."""
+    return mp
 
 
 def pair_from_double(C, n: int, g_names: Sequence[str] | None,
                      h_names: Sequence[str] | None) -> MatchedPair:
-    """The inverse of :func:`build_double`: the validated pair of a double with
+    """The inverse of :attr:`MatchedPair.algebra`: the validated pair of a double with
     constants ``C`` and g on the first ``n`` indices.  EmbeddingError unless each
     [e_i, e_j] is in g and each [f_a, f_b] in h, to 1e-10 (1 + its max coefficient)."""
     C = float_array(C, "double constants")
@@ -249,11 +233,11 @@ def pair_from_double(C, n: int, g_names: Sequence[str] | None,
                        C[:n, n:, :n], C[n:, n:, :n])
 
 
-def matched_lp_rhs(double: DoubleAlgebra, p, grad_h, convention: str = "right") -> np.ndarray:
+def matched_lp_rhs(mp: MatchedPair, p, grad_h, convention: str = "right") -> np.ndarray:
     """Lie-Poisson vector field on the dual of the double, as one flat vector:
     ``rhs[:n]`` is mu_dot and ``rhs[n:]`` is nu_dot, n = dim g.  ``p`` and
-    ``grad_h`` are flat vectors or (g part, h part) pairs, and the result is
-    bit for bit :func:`~mpmech.lie_core.lie_poisson_rhs` on the double's algebra.
+    ``grad_h`` are flat (n + m,) vectors, and the result is bit for bit
+    :func:`~mpmech.lie_core.lie_poisson_rhs` on :attr:`MatchedPair.algebra`.
 
     In the "right" convention ``p_dot = M(p) @ grad_h`` with M the
     :func:`~mpmech.lie_core.poisson_tensor` of the double's constants, so
@@ -263,13 +247,13 @@ def matched_lp_rhs(double: DoubleAlgebra, p, grad_h, convention: str = "right") 
         mu_dot = ad*_X mu - mu *<| Y - a*_Y nu
         nu_dot = ad*_Y nu + X *|> nu + b*_X mu
 
-    "left" is the pointwise negation.  It validates ``double.source`` first
+    "left" is the pointwise negation.  It validates ``mp`` first
     (ValidationError naming the failed checks).
     """
-    double.source.validate()
-    z = np.concatenate(_as_pair(p, double.split, "dual point"))
-    grad = np.concatenate(_as_pair(grad_h, double.split, "grad H"))
-    return lie_poisson_rhs(double.algebra, z, grad, convention)
+    mp.validate()
+    d = mp.algebra.dim
+    z, grad = _as_vector(p, d, "dual point"), _as_vector(grad_h, d, "grad H")
+    return lie_poisson_rhs(mp.algebra, z, grad, convention)
 
 
 # -- formula audit ------------------------------------------------------------
@@ -344,22 +328,19 @@ class AuditReport:
 
 
 class _AuditPlan:
-    """What :func:`audit_formulas` reads of its two pairs besides the draws, all read-only: the
-    contiguous T of the four actions (|> printed, |> derived, <| printed, <| derived, stacked
-    along coadjoint's output axis) and of the printed pair's four duals, ``C_plus``, the
-    action rows' witnesses and the condition-1 detail."""
+    """What :func:`audit_formulas` reads of its two pairs besides the draws and the maps'
+    tensors: the contiguous, read-only T of the four actions (|> printed, |> derived, <|
+    printed, <| derived, stacked along coadjoint's output axis) and ``C_plus``, the action
+    rows' witnesses and the condition-1 detail."""
 
     def __init__(self, de: MatchedPair, pr: MatchedPair):
         n = de.g.dim
         self.printed = pr
-        self.actions = np.ascontiguousarray(np.concatenate(
-            [_TENSOR[f](mp) for f in ("left_act", "right_act") for mp in (pr, de)], 1))
-        self.duals = [np.ascontiguousarray(_TENSOR[f](pr))
-                      for f in ("co_left_act", "co_right_act", "a_star", "b_star")]
-        self.C_plus = build_double(de).algebra.C.copy()  # its *<| and a* terms negated
-        self.C_plus[:, :n, n:] *= -1.0
-        for T in (self.actions, self.C_plus, *self.duals):
-            T.setflags(write=False)
+        self.actions = _read_only(np.concatenate(
+            [mp.map_tensors[f] for f in ("left_act", "right_act") for mp in (pr, de)], 1))
+        C_plus = de.algebra.C.copy()  # its *<| and a* terms negated
+        C_plus[:, :n, n:] *= -1.0
+        self.C_plus = _read_only(C_plus)
         self.witnesses = {name: f"({pr.h.name_of(a)}, {pr.g.name_of(i)})" for name, (_, (_, a, i))
                           in (("action |>", _largest_entry(pr.rho - de.rho)),
                               ("action <|", _largest_entry(pr.sigma - de.sigma)))}
@@ -389,17 +370,18 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
     the points ``Z = (mu, nu)`` with gradients ``G = (x, y)``, is one
     :func:`~mpmech.lie_core.coadjoint` call, and the four action maps share one.
     The plus-sign field negates the block ``C[:, :n, n:]`` (the *<| and a* terms).
-    What does not depend on the draws (the maps' tensors, ``C_plus``, the action
+    The dual maps read each pair's :attr:`~MatchedPair.map_tensors`.  The rest that
+    does not depend on the draws (the stacked action tensor, ``C_plus``, the action
     rows' witnesses and the condition-1 detail) is an audit plan, kept in one slot
     on ``mp_derived`` for the last ``mp_printed`` it was audited against.
     """
-    if (mp_derived.g.dim, mp_derived.h.dim) != (mp_printed.g.dim, mp_printed.h.dim):
+    if mp_derived.split != mp_printed.split:
         raise DimensionMismatch("audited pairs live on different algebras")
     if not 1 <= samples <= AUDIT_MAX_SAMPLES:
         raise InputError(f"the audit needs 1 to {AUDIT_MAX_SAMPLES} samples, got {samples}")
     if seed < 0:
         raise InputError(f"the audit seed must be non-negative, got {seed}")
-    n, m = mp_derived.g.dim, mp_derived.h.dim
+    n, m = mp_derived.split
     rng = np.random.default_rng(seed)
     draws = [rng.standard_normal((samples, k)) for k in (m, n, n, m)]  # eta, xi, mu, nu
     pr, de = mp_printed, mp_derived
@@ -420,22 +402,21 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
         yield "action |>", acts[:, :n] - acts[:, n:2 * n]
         yield "action <|", acts[:, 2 * n:2 * n + m] - acts[:, 2 * n + m:]
         # dual maps: closed forms against their defining pairing identities
-        for (name, closed, exact, u, v, z, x), T in zip((
-                ("dual *<|", cf.co_left, co_left_act, mus, etas, mus, etas),
-                ("dual *|>", cf.co_right, co_right_act, xis, nus, nus, xis),
-                ("dual a*", cf.a_star, a_star, etas, nus, nus, etas),
-                ("dual b*", cf.b_star, b_star, xis, mus, mus, xis)), plan.duals):
+        for name, closed, exact, u, v in (("dual *<|", cf.co_left, co_left_act, mus, etas),
+                                          ("dual *|>", cf.co_right, co_right_act, xis, nus),
+                                          ("dual a*", cf.a_star, a_star, etas, nus),
+                                          ("dual b*", cf.b_star, b_star, xis, mus)):
             yield name, gap(name, closed(u, v) if closed is not None else exact(de, u, v),
-                            coadjoint(T, z, x))
+                            exact(pr, u, v))
         # vector fields on the derived double; an energy rate is <mu_dot, x> + <nu_dot, y>
         Z, G = np.concatenate([mus, nus], axis=1), np.concatenate([xis, etas], axis=1)
-        canonical = coadjoint(build_double(de).algebra.C, Z, G)
+        canonical = coadjoint(de.algebra.C, Z, G)
         if cf.lp_rhs is not None:
             mu_dot, nu_dot = cf.lp_rhs(mus, nus, xis, etas)
             yield "closed-form rhs (mu)", gap("closed-form rhs (mu)", mu_dot, canonical[:, :n])
             yield "closed-form rhs (nu)", gap("closed-form rhs (nu)", nu_dot, canonical[:, n:])
         else:
-            yield "canonical rhs (tensor sets)", coadjoint(build_double(pr).algebra.C, Z, G) - canonical
+            yield "canonical rhs (tensor sets)", coadjoint(pr.algebra.C, Z, G) - canonical
         yield "canonical rhs energy rate", np.einsum("si,si->s", canonical, G)
         if closed_forms is not None:
             plus = coadjoint(plan.C_plus, Z, G)

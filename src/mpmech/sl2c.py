@@ -32,11 +32,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EmbeddingError, InputError, ValidationError
-from .lie_core import LieAlgebra, _require_finite, abelian, float_array, tolerance_scale
+from .lie_core import LieAlgebra, _read_only, _require_finite, abelian, float_array, tolerance_scale
 from .matched_pair import ClosedFormActions, MatchedPair, pair_from_double
 
-KHAT = np.array([0.0, 0.0, 1.0])
-KHAT.setflags(write=False)
+KHAT = _read_only(np.array([0.0, 0.0, 1.0]))
 _NEXT, _LAST = np.array([1, 2, 0], np.intp), np.array([2, 0, 1], np.intp)  # _cross's gathers
 
 
@@ -45,8 +44,8 @@ def _cross(a, b):
     return a[..., _NEXT] * b[..., _LAST] - a[..., _LAST] * b[..., _NEXT]
 
 
-_EPS = _cross(np.eye(3)[:, None], np.eye(3)).transpose(2, 0, 1)  # [k, a, i]: (e_a x e_i)_k
-_EPS.setflags(write=False)
+# [k, a, i]: (e_a x e_i)_k
+_EPS = _read_only(_cross(np.eye(3)[:, None], np.eye(3)).transpose(2, 0, 1))
 
 
 def su2_algebra() -> LieAlgebra:
@@ -137,9 +136,7 @@ def iwasawa_factor(M) -> tuple[np.ndarray, np.ndarray]:
     U = M @ np.array([[r, 0.0], [-r * (ka + 1j * kb), r * (1.0 + kc)]])
     _require_su2(*U.ravel().tolist(), 1e-12 * scale)
     k = np.array([ka, kb, kc])
-    U.setflags(write=False)
-    k.setflags(write=False)
-    return U, k
+    return _read_only(U), _read_only(k)
 
 
 def group_act(k, U) -> tuple[np.ndarray, np.ndarray]:

@@ -328,7 +328,7 @@ def per_row_audit(de, pr, samples, seed, closed_forms=None, tol=1e-10, block=2 *
     rng = np.random.default_rng(seed)
     draws = [rng.standard_normal((samples, k)) for k in (m, n, n, m)]  # eta, xi, mu, nu
     cf = closed_forms or mpm.ClosedFormActions()
-    C = mpm.build_double(de).algebra.C
+    C = de.algebra.C
     C_plus = C.copy()
     C_plus[:, :n, n:] *= -1.0
 
@@ -347,7 +347,7 @@ def per_row_audit(de, pr, samples, seed, closed_forms=None, tol=1e-10, block=2 *
             yield "closed-form rhs (mu)", mu_dot - canonical[:, :n]
             yield "closed-form rhs (nu)", nu_dot - canonical[:, n:]
         else:
-            yield "canonical rhs (tensor sets)", coadjoint(mpm.build_double(pr).algebra.C, Z, G) - canonical
+            yield "canonical rhs (tensor sets)", coadjoint(pr.algebra.C, Z, G) - canonical
         yield "canonical rhs energy rate", np.einsum("si,si->s", canonical, G)
         if closed_forms is not None:
             plus = coadjoint(C_plus, Z, G)

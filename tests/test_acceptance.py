@@ -16,7 +16,6 @@ from mpmech.matched_pair import (
     a_star,
     audit_formulas,
     b_star,
-    build_double,
     co_left_act,
     co_right_act,
     left_act,
@@ -68,7 +67,7 @@ def test_criterion_01_matched_pair_validity(pairs):
 
 def test_criterion_02_oracle_equivalence(pairs):
     oracle = commutator_projection(su2_basis(), k_basis())
-    C = build_double(pairs["sl2c_derived"]).algebra.C
+    C = pairs["sl2c_derived"].algebra.C
     dev = float(np.abs(C - oracle).max())
     report(2, "double constants equal matrix-commutator constants (216 entries)",
            C.size == 216 and dev <= 1e-12, f"max entry deviation {dev:.3e}")
@@ -93,7 +92,7 @@ def test_criterion_03_pairing_identities(pairs):
 
 
 def test_criterion_04_bracket_antisymmetry(pairs):
-    alg = build_double(pairs["sl2c_derived"]).algebra
+    alg = pairs["sl2c_derived"].algebra
     rng = np.random.default_rng(40)
     worst = 0.0
     for _ in range(1000):
@@ -107,7 +106,7 @@ def test_criterion_04_bracket_antisymmetry(pairs):
 
 
 def test_criterion_05_energy_conservation(pairs):
-    double = build_double(pairs["sl2c_derived"])
+    double = pairs["sl2c_derived"]
     spec = HamiltonianSpec.quadratic(np.eye(6))
     record = integrate(double, spec, P0, 1e-3, 10.0)
     drift = record.drift["H"]
@@ -117,7 +116,7 @@ def test_criterion_05_energy_conservation(pairs):
 
 def test_criterion_06_casimirs_and_semidirect(pairs):
     mp = pairs["e3_heavytop"]
-    double = build_double(mp)
+    double = mp
     Q = np.zeros((6, 6))
     Q[:3, :3] = np.eye(3)
     b = np.zeros(6)
@@ -134,7 +133,7 @@ def test_criterion_06_casimirs_and_semidirect(pairs):
     rhs_dev = 0.0
     for _ in range(1000):
         mu, nu, x, y = rng.standard_normal((4, 3))
-        ours = matched_lp_rhs(double, (mu, nu), (x, y))
+        ours = matched_lp_rhs(double, np.concatenate([mu, nu]), np.concatenate([x, y]))
         mu_dot, nu_dot = semidirect_lp_rhs(mp.g.C, rep, mu, nu, x, y)
         rhs_dev = max(rhs_dev, float(np.abs(ours[:3] - mu_dot).max()),
                       float(np.abs(ours[3:] - nu_dot).max()))
@@ -147,14 +146,14 @@ def test_criterion_07_euler_poincare_legendre(pairs):
     mp = pairs["sl2c_derived"]
     lag = LagrangianSpec(np.eye(3), np.eye(3))
     ep = integrate_ep(mp, legendre(lag), P0, 1e-3, 10.0)
-    lp = integrate(build_double(mp), legendre(lag), P0, 1e-3, 10.0, "left")
+    lp = integrate(mp, legendre(lag), P0, 1e-3, 10.0, "left")
     dev = float(np.abs(ep.states - lp.states).max())
     report(7, "EP trajectory equals left Lie-Poisson trajectory of Legendre H",
            dev <= 1e-9, f"max pointwise deviation {dev:.3e}")
 
 
 def test_criterion_08_poisson_rank(pairs):
-    C = build_double(pairs["sl2c_derived"]).algebra.C
+    C = pairs["sl2c_derived"].algebra.C
     rng = np.random.default_rng(80)
     ok = True
     min_kernel = 6
@@ -233,7 +232,7 @@ def test_criterion_10_audit_reproducibility(pairs):
 
 
 def test_criterion_11_rk4_order(pairs):
-    double = build_double(pairs["sl2c_derived"])
+    double = pairs["sl2c_derived"]
     spec = HamiltonianSpec.quadratic(np.eye(6))
     dt, t_end = 0.05, 5.0
 

@@ -24,7 +24,6 @@ from mpmech.matched_pair import (
     ClosedFormActions,
     MatchedPair,
     audit_formulas,
-    build_double,
 )
 
 from helpers import count_calls
@@ -140,7 +139,8 @@ class TestAuditPlan:
         derived = fresh(pairs["sl2c_derived"], validate=True)
         audit_formulas(derived, pairs["sl2c_printed"], 10, 0, sl2c.sl2c_closed_forms())
         plan = derived._audit_plan
-        for T in (plan.actions, plan.C_plus, *plan.duals):
+        for T in (plan.actions, plan.C_plus, *derived.map_tensors.values(),
+                  *pairs["sl2c_printed"].map_tensors.values()):
             assert T.flags.c_contiguous
             with pytest.raises(ValueError):
                 T[(0,) * T.ndim] = 1.0
@@ -194,7 +194,7 @@ class TestAuditPlan:
 class TestLeftConstants:
     def test_contiguous_read_only_and_kept(self, pairs):
         for mp in pairs.values():
-            for alg in (mp.g, mp.h, build_double(mp).algebra):
+            for alg in (mp.g, mp.h, mp.algebra):
                 T = alg.left_constants
                 assert T.flags.c_contiguous and not T.flags.writeable
                 assert T is alg.left_constants
@@ -202,7 +202,7 @@ class TestLeftConstants:
 
     @pytest.mark.parametrize("name", sl2c.BUILTIN_PAIRS)
     def test_bracket_bitwise_as_the_transposed_view(self, pairs, name):
-        alg = build_double(pairs[name]).algebra
+        alg = pairs[name].algebra
         view = alg.C.transpose(1, 0, 2)
         rng = np.random.default_rng(1506)
         for scale in (1e-3, 1.0, 1e3):
@@ -212,7 +212,7 @@ class TestLeftConstants:
                 assert bracket(alg, x, y).tobytes() == old.tobytes()
 
     def test_bracket_copies_no_constants(self, sl2c_derived, monkeypatch):
-        alg = build_double(sl2c_derived).algebra
+        alg = sl2c_derived.algebra
         alg.left_constants
         seen = []
         real = lie_core.poisson_tensor

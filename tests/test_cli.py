@@ -7,7 +7,6 @@ import pytest
 from mpmech import formats
 from mpmech.cli import BUILTIN_HAMILTONIANS, BUILTIN_INVARIANTS, main
 from mpmech.dynamics import integrate
-from mpmech.matched_pair import build_double
 from mpmech.sl2c import builtin_pairs, derive_actions_from_embedding, standard_basis
 
 from helpers import count_calls, simulate_args
@@ -194,7 +193,7 @@ class TestSimulate:
             "--t-end": repr(meta["t_end"]), "--initial": "0.3,-0.5,0.8,0.1,0.2,0.9",
             "--invariants": "mu_norm2,nu_norm2,mu_dot_nu", "--seed": "3"})
         assert main(argv) == 0
-        record = integrate(build_double(builtin_pairs()["e3_heavytop"]),
+        record = integrate(builtin_pairs()["e3_heavytop"],
                            BUILTIN_HAMILTONIANS["heavy_top"](3, 3),
                            [0.3, -0.5, 0.8, 0.1, 0.2, 0.9], meta["dt"], meta["t_end"],
                            invariants={name: BUILTIN_INVARIANTS[name](3, 3)

@@ -5,18 +5,16 @@ a stack of rows), and the flat 2-vector reading of a 1+1 pair."""
 import numpy as np
 import pytest
 
-from mpmech import cli
+from mpmech import cli, lie_core
 from mpmech.dynamics import HamiltonianSpec, LagrangianSpec, integrate, integrate_ep, legendre
 from mpmech.errors import DimensionMismatch, InputError
 from mpmech.lie_core import abelian, ad_star, coadjoint, lie_poisson_rhs
 from mpmech.matched_pair import (
     ClosedFormActions,
     MatchedPair,
-    _as_pair,
     a_star,
     audit_formulas,
     b_star,
-    build_double,
     co_left_act,
     co_right_act,
     left_act,
@@ -58,13 +56,13 @@ def magnitude(C, z, x):
 class TestContraction:
     def test_equals_loop_field_on_stacks(self, rng):
         for seed, n, m in RANDOM_PAIRS:
-            C = build_double(random_pair(seed, n, m)).algebra.C
+            C = random_pair(seed, n, m).algebra.C
             Z, X = rng.standard_normal((2, 7, n + m))
             loops = np.array([lie_poisson_field(C, 1.0, lambda z, x=x: x)(z) for z, x in zip(Z, X)])
             assert np.abs(coadjoint(C, Z, X) - loops).max() <= 1e-14 * magnitude(C, Z, X).max()
 
     def test_broadcasts_over_leading_axes(self, sl2c_derived, rng):
-        C = build_double(sl2c_derived).algebra.C
+        C = sl2c_derived.algebra.C
         Z, X = rng.standard_normal((2, 2, 3, 6))
         assert coadjoint(C, Z, X).shape == (2, 3, 6)
         x = X[0, 0]
@@ -79,7 +77,7 @@ class TestContraction:
             assert np.array_equal(lie_poisson_rhs(alg, mu, xi, "left"), -coadjoint(alg.C, mu, xi))
 
     def test_matched_lp_rhs_is_the_signed_contraction(self, sl2c_derived, rng):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         for convention, sign in (("right", 1.0), ("left", -1.0)):
             z, x = rng.standard_normal((2, 6))
             rhs = matched_lp_rhs(double, z, x, convention)
@@ -90,7 +88,7 @@ class TestEulerPoincareAgainstFiveTerms:
     def check(self, mp, rng, samples=50):
         n, m = mp.g.dim, mp.h.dim
         lag = LagrangianSpec(spd(rng, n), spd(rng, m))
-        C = build_double(mp).algebra.C
+        C = mp.algebra.C
         for _ in range(samples):
             xi, eta = rng.standard_normal(n), rng.standard_normal(m)
             # integrate_ep's field: the left convention at the momenta z, gradient (xi, eta)
@@ -113,7 +111,7 @@ class TestEulerPoincareAgainstFiveTerms:
     def test_rejects_metric_blocks_of_the_wrong_size(self, sl2c_derived):
         with pytest.raises(DimensionMismatch, match="Hamiltonian dimension 5 does not match"):
             integrate_ep(sl2c_derived, legendre(LagrangianSpec(np.eye(2), np.eye(3))),
-                         (np.ones(3), np.ones(3)), 0.1, 0.1)
+                         np.ones(6), 0.1, 0.1)
 
 
 class TestStackedMaps:
@@ -140,10 +138,31 @@ class TestStackedMaps:
         with pytest.raises(DimensionMismatch):
             fn(mp, U, V[:, :-1])
 
+    @pytest.mark.parametrize("fn,sides", MAPS, ids=[f.__name__ for f, _ in MAPS])
+    def test_rejects_leading_axes_that_do_not_broadcast(self, fn, sides, rng):
+        mp = random_pair(35, 2, 4)
+        k, l = dims(mp, sides)
+        with pytest.raises(DimensionMismatch) as err:
+            fn(mp, rng.standard_normal((5, k)), rng.standard_normal((4, l)))
+        assert f"(5, {k})" in str(err.value) and f"(4, {l})" in str(err.value)
+        assert fn(mp, rng.standard_normal(k), rng.standard_normal((4, l))).shape[0] == 4
+        assert fn(mp, rng.standard_normal((4, 1, k)), rng.standard_normal((3, l))).shape[:2] == (4, 3)
+
+    def test_maps_read_their_pairs_tensors(self, sl2c_printed, monkeypatch, rng):
+        seen = []
+        real = lie_core.poisson_tensor
+        monkeypatch.setattr(lie_core, "poisson_tensor", lambda C, z: seen.append(C) or real(C, z))
+        for fn, sides in MAPS:
+            fn(sl2c_printed, *(rng.standard_normal((50, k)) for k in dims(sl2c_printed, sides)))
+        tensors = sl2c_printed.map_tensors
+        assert len(seen) == len(MAPS)
+        assert all(T is tensors[fn.__name__] for T, (fn, _) in zip(seen, MAPS))
+        assert all(T.flags.c_contiguous and not T.flags.writeable for T in seen)
+
     def test_audit_calls_the_maps(self, sl2c_derived, sl2c_printed):
         # closed forms that are the maps themselves reproduce the audit's exact rows bit for bit
         pr = sl2c_printed
-        C = build_double(sl2c_derived).algebra.C
+        C = sl2c_derived.algebra.C
         n = sl2c_derived.g.dim
 
         def lp_rhs(mu, nu, x, y):
@@ -214,22 +233,12 @@ class TestFlatTwoVector:
         return MatchedPair(abelian(1), abelian(1), np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
 
     def test_flat_list_is_a_state(self, line_pair):
-        mu, nu = _as_pair([1.0, 2.0], (1, 1), "dual point")
-        assert mu.tolist() == [1.0] and nu.tolist() == [2.0]
-        record = integrate(build_double(line_pair), HamiltonianSpec.quadratic(np.eye(2)),
+        record = integrate(line_pair, HamiltonianSpec.quadratic(np.eye(2)),
                            [1.0, 2.0], 0.1, 1.0)
+        assert record.mu[0].tolist() == [1.0] and record.nu[0].tolist() == [2.0]
         assert np.array_equal(record.states, np.tile([1.0, 2.0], (11, 1)))
         energy = legendre(LagrangianSpec(np.eye(1), 2.0 * np.eye(1)))
         assert np.array_equal(integrate_ep(line_pair, energy, (3.0, 4.0), 0.1, 1.0).states[-1],
                               [3.0, 8.0])
         record = integrate_ep(line_pair, energy, [3.0, 4.0], 0.1, 0.1)
         assert record.velocities[0].tolist() == [3.0, 4.0]
-
-    def test_pairs_still_read_as_pairs(self, line_pair):
-        mu, nu = _as_pair(([1.0], [2.0]), (1, 1), "dual point")
-        assert mu.tolist() == [1.0] and nu.tolist() == [2.0]
-        for bad in ((1.0, [2.0]), ([1.0], 2.0), [[1.0, 2.0], [3.0]]):
-            with pytest.raises(DimensionMismatch):
-                _as_pair(bad, (1, 1), "dual point")
-        with pytest.raises(DimensionMismatch):
-            _as_pair([1.0, 2.0], (2, 1), "dual point")

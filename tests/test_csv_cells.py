@@ -17,7 +17,6 @@ import pytest
 from mpmech import formats
 from mpmech.cli import BUILTIN_INVARIANTS, main
 from mpmech.dynamics import HamiltonianSpec, TrajectoryRecord, integrate
-from mpmech.matched_pair import build_double
 
 from oracles import csv_reference
 
@@ -154,7 +153,7 @@ class TestTrajectoryCells:
         invariants = {name: HamiltonianSpec.quadratic(Q) for name, Q in
                       [("mu_norm2", np.diag([1.0] * 3 + [0.0] * 3)),
                        ("nu_norm2", np.diag([0.0] * 3 + [1.0] * 3))]}
-        rec = integrate(build_double(sl2c_derived), spec,
+        rec = integrate(sl2c_derived, spec,
                         np.array([0.3, -0.2, 0.5, 0.1, 0.4, -0.6]), 0.01, 100.0,
                         invariants=invariants)
         assert len(rec.times) == 10_001
@@ -180,7 +179,7 @@ class TestTrajectoryCells:
         assert main(["simulate", "--pair", "sl2c_derived", "--hamiltonian", "quadratic_identity",
                      "--initial", z0, "--dt", "0.01", "--t-end", "30",
                      "--invariants", "mu_norm2,nu_norm2,mu_dot_nu", "--out", prefix]) == 0
-        rec = integrate(build_double(sl2c_derived), HamiltonianSpec.quadratic(np.eye(6)),
+        rec = integrate(sl2c_derived, HamiltonianSpec.quadratic(np.eye(6)),
                         np.array([float(v) for v in z0.split(",")]), 0.01, 30.0,
                         invariants={name: BUILTIN_INVARIANTS[name](3, 3)
                                     for name in ("mu_norm2", "nu_norm2", "mu_dot_nu")})

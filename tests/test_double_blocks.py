@@ -48,7 +48,7 @@ class TestConditionsFromTheJacobiator:
         reference = condition_tensors(mp.g.C, mp.h.C, mp.rho, mp.sigma)
         report = {c.name: c for c in validation_report(mp)}
         n = mp.g.dim
-        J = build_double(mp).algebra.jacobiator
+        J = mp.algebra.jacobiator
         scale = 1.0 + max(np.abs(t).max() for t in (mp.g.C, mp.h.C, mp.rho, mp.sigma))
         tol = 1e-12 * scale ** 2
         found = ((report["compatibility condition 1"], J[:n, n:, :n, :n], (mp.h, mp.g, mp.g)),
@@ -105,7 +105,7 @@ class TestDeriveInOneSolve:
         h = [A @ M @ A_inv for M in k_basis()]
         mp = derive_actions_from_embedding(EmbeddedBasis(tuple(g), tuple(h)))
         oracle = commutator_projection(g, h)
-        C = build_double(mp).algebra.C
+        C = mp.algebra.C
         assert np.abs(C - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
 
     def test_one_least_squares_solve(self, monkeypatch):
@@ -123,6 +123,7 @@ class TestDeriveInOneSolve:
     @pytest.mark.parametrize("name", ["sl2c_derived", "e3_heavytop"])
     def test_pair_from_double_inverts_build_double(self, pairs, name):
         mp = pairs[name]
+        assert build_double(mp) is mp and mp.split == (mp.g.dim, mp.h.dim)
         back = pair_from_double(build_double(mp).algebra.C, mp.g.dim, mp.g.names, mp.h.names)
         assert back.validated and (back.g.names, back.h.names) == (mp.g.names, mp.h.names)
         for got, want in ((back.g.C, mp.g.C), (back.h.C, mp.h.C),

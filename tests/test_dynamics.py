@@ -19,7 +19,6 @@ from mpmech.errors import (
     InputError,
     IntegrationError,
 )
-from mpmech.matched_pair import build_double
 
 P0 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
@@ -93,14 +92,14 @@ class TestLegendre:
 
 class TestIntegrate:
     def test_constant_hamiltonian_freezes_state(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         spec = HamiltonianSpec.quadratic(np.zeros((6, 6)))
         rec = integrate(double, spec, P0, 0.1, 1.0)
         assert np.array_equal(rec.states[-1], P0)
         assert rec.drift["H"] == 0.0
 
     def test_first_step_matches_vector_field(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         spec = HamiltonianSpec.quadratic(np.eye(6))
         dt = 1e-3
         rec = integrate(double, spec, P0, dt, 10 * dt)
@@ -109,14 +108,14 @@ class TestIntegrate:
         assert np.abs(rec.states[1] - (P0 + dt * rhs0)).max() <= 10 * dt ** 2
 
     def test_energy_drift_short_window(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         spec = HamiltonianSpec.quadratic(np.eye(6))
         rec = integrate(double, spec, P0, 1e-3, 2.0)
         assert rec.drift["H"] <= 1e-10
 
     def test_rigid_body_submotion(self, e3_heavytop):
         # nu = 0 freezes the second factor and reduces to free rigid-body motion
-        double = build_double(e3_heavytop)
+        double = e3_heavytop
         Q = np.zeros((6, 6))
         Q[:3, :3] = np.diag([1.0, 0.5, 1.0 / 3.0])
         spec = HamiltonianSpec.quadratic(Q)
@@ -128,14 +127,14 @@ class TestIntegrate:
         assert rec.drift["mu_norm2"] <= 1e-10
 
     def test_left_convention_reverses_time(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         spec = HamiltonianSpec.quadratic(np.eye(6))
         fwd = integrate(double, spec, P0, 1e-3, 0.1, "right")
         back = integrate(double, spec, fwd.states[-1], 1e-3, 0.1, "left")
         assert np.abs(back.states[-1] - P0).max() <= 1e-10
 
     def test_invariant_series_lengths(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         spec = HamiltonianSpec.quadratic(np.eye(6))
         rec = integrate(double, spec, P0, 0.01, 0.1,
                         invariants={"nu_norm2": lambda mu, nu: float(nu @ nu)})
@@ -145,7 +144,7 @@ class TestIntegrate:
         assert np.all(np.diff(rec.times) > 0)
 
     def test_bad_grid_rejected(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         spec = HamiltonianSpec.quadratic(np.eye(6))
         with pytest.raises(InputError):
             integrate(double, spec, P0, 0.0, 1.0)
@@ -153,7 +152,7 @@ class TestIntegrate:
             integrate(double, spec, P0, 0.1, 0.0)
 
     def test_reserved_invariant_name(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         spec = HamiltonianSpec.quadratic(np.eye(6))
         with pytest.raises(InputError):
             integrate(double, spec, P0, 0.1, 1.0,
@@ -172,14 +171,14 @@ class TestIntegrate:
         monkeypatch.setattr(dynamics, "_run_rk4", no_run)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             if mode == "lp":
-                integrate(build_double(sl2c_derived), HamiltonianSpec.quadratic(np.eye(6)),
+                integrate(sl2c_derived, HamiltonianSpec.quadratic(np.eye(6)),
                           P0, 1e-3, 200.0, invariants=invariants)
             else:
                 integrate_ep(sl2c_derived, legendre(LagrangianSpec(np.eye(3), np.eye(3))), P0,
                              1e-3, 200.0, invariants)
 
     def test_blow_up_reports_last_good_time(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         huge = np.zeros(6)
         huge[0] = 1e300
         spec = HamiltonianSpec.quadratic(np.zeros((6, 6)), huge)
@@ -202,7 +201,7 @@ class TestIntegrateEp:
 
     def test_matches_left_lie_poisson_flow(self, sl2c_derived):
         lag = LagrangianSpec(np.eye(3), np.eye(3))
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         ep = integrate_ep(sl2c_derived, legendre(lag), P0, 1e-3, 1.0)
         lp = integrate(double, legendre(lag), P0, 1e-3, 1.0, "left")
         assert np.abs(ep.states - lp.states).max() <= 1e-9
@@ -228,7 +227,7 @@ class TestTrajectoryRecord:
             TrajectoryRecord(np.array([0.0, 0.0]), np.zeros((2, 2)), (1, 1), {}, {})
 
     def test_component_views(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         spec = HamiltonianSpec.quadratic(np.eye(6))
         rec = integrate(double, spec, P0, 0.1, 0.5)
         assert rec.mu.shape == (6, 3)

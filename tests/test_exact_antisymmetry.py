@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mpmech.lie_core import bracket, lie_poisson_bracket, trivialized_forms_eval
-from mpmech.matched_pair import build_double
 from mpmech.sl2c import builtin_pairs
 
 PAIR_NAMES = sorted(builtin_pairs())
@@ -15,14 +14,14 @@ PAIR_NAMES = sorted(builtin_pairs())
 
 @pytest.fixture(scope="module")
 def derived_double_algebra(pairs):
-    alg = build_double(pairs["sl2c_derived"]).algebra
+    alg = pairs["sl2c_derived"].algebra
     assert not np.all(np.isin(alg.C, (-1.0, 0.0, 1.0)))
     return alg
 
 
 @pytest.mark.parametrize("name", PAIR_NAMES)
 def test_matched_self_bracket_is_zero(pairs, name, rng):
-    alg = build_double(pairs[name]).algebra
+    alg = pairs[name].algebra
     for _ in range(200):
         z, grad = rng.standard_normal((2, 6))
         assert lie_poisson_bracket(alg, z, grad, grad) == 0.0
@@ -30,7 +29,7 @@ def test_matched_self_bracket_is_zero(pairs, name, rng):
 
 @pytest.mark.parametrize("name", PAIR_NAMES)
 def test_matched_bracket_swap_negates_exactly(pairs, name, rng):
-    alg = build_double(pairs[name]).algebra
+    alg = pairs[name].algebra
     for _ in range(200):
         z, gh, gf = rng.standard_normal((3, 6))
         assert lie_poisson_bracket(alg, z, gh, gf) == -lie_poisson_bracket(alg, z, gf, gh)

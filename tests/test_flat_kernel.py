@@ -20,7 +20,6 @@ from mpmech.dynamics import (
 )
 from mpmech.errors import InputError
 from mpmech.lie_core import LieAlgebra
-from mpmech.matched_pair import build_double
 
 from helpers import corrupted_su2, simulate_args
 from oracles import csv_reference, euler_poincare_five_term, monitor_per_spec
@@ -104,7 +103,7 @@ class TestVectorizedMonitor:
                       "form": HamiltonianSpec.quadratic(A + A.T, rng.standard_normal(6)),
                       "call": lambda mu, nu: float(mu @ nu) ** 2,
                       "mu_dot_nu": BUILTIN_INVARIANTS["mu_dot_nu"](3, 3)}
-        double, spec = build_double(pairs[pair]), builtin_hamiltonian("heavy_top", 3, 3)
+        double, spec = pairs[pair], builtin_hamiltonian("heavy_top", 3, 3)
         rec = integrate(double, spec, [0.3, -0.5, 0.8, 0.1, 0.2, 0.9], 0.05,
                         0.05 * max(rows - 1, 1), invariants=invariants)
         states = rec.states[:rows]  # integrate's own rows: a strided view
@@ -119,13 +118,13 @@ class TestVectorizedMonitor:
 
     def test_linear_term_along_trajectory(self, e3_heavytop):
         spec = builtin_hamiltonian("heavy_top", 3, 3)
-        rec = integrate(build_double(e3_heavytop), spec,
+        rec = integrate(e3_heavytop, spec,
                         [0.3, 1.0, 0.2, 0.1, 0.5, 0.8], 1e-3, 2.0)
         ref = np.array([spec.value(z) for z in rec.states])
         assert np.all(np.abs(rec.invariants["H"] - ref) <= 1e-15 * np.abs(ref))
 
     def test_blackbox_hamiltonian_integrates(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         quad = HamiltonianSpec.quadratic(np.eye(6))
         box = HamiltonianSpec.blackbox(lambda z: 0.5 * float(z @ z), dim=6)
         exact = integrate(double, quad, P0, 1e-2, 1.0)
@@ -139,14 +138,14 @@ class TestVectorizedMonitor:
 
 class TestGrid:
     def test_non_multiple_grid_rejected(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         spec = HamiltonianSpec.quadratic(np.eye(6))
         with pytest.raises(InputError):
             integrate(double, spec, P0, 0.3, 1.0)
 
     def test_inexact_multiple_accepted(self, sl2c_derived):
         # 0.3 / 0.1 is 2.9999999999999996 in floating point
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         rec = integrate(double, HamiltonianSpec.quadratic(np.eye(6)), P0, 0.1, 0.3)
         assert len(rec.times) == 4
 

@@ -14,7 +14,6 @@ from mpmech.cli import BUILTIN_INVARIANTS, builtin_hamiltonian, main
 from mpmech.dynamics import HamiltonianSpec, gradient, integrate
 from mpmech.errors import DimensionMismatch, InputError
 from mpmech.lie_core import LieAlgebra
-from mpmech.matched_pair import build_double
 
 from helpers import UNEQUAL_DOC, simulate_args
 
@@ -82,14 +81,14 @@ class TestCsvRowsAreRk4Steps:
         header, rows = _read_csv(prefix)
         assert rows.shape == (501, 11)
         Z = rows[:, 1:7]
-        C = build_double(pairs[pair]).algebra.C
+        C = pairs[pair].algebra.C
         assert_rows_are_rk4_steps(Z, component_field(C, sign, lambda Z: Z @ Q + b), dt)
         H = 0.5 * np.einsum("ri,ij,rj->r", Z, Q, Z) + Z @ b
         assert np.abs(rows[:, 7] - H).max() <= 1e-14 * (1.0 + np.abs(H).max())
 
     def test_blackbox_rows(self, sl2c_derived):
         # the black-box path: central-difference gradient inside each stage
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         spec = HamiltonianSpec.blackbox(lambda z: 0.5 * float(z @ z) + 0.1 * z[5], dim=6)
         dt = 0.01
         rec = integrate(double, spec, [0.6, -0.3, 0.5, 0.2, 0.4, -0.3], dt, 1.0)
@@ -102,7 +101,7 @@ class TestCsvRowsAreRk4Steps:
         assert np.array_equal(rec.invariants["H"], ref)
 
     def test_homogeneous_coordinate_stays_out(self, sl2c_derived):
-        rec = integrate(build_double(sl2c_derived), HamiltonianSpec.quadratic(np.eye(6)),
+        rec = integrate(sl2c_derived, HamiltonianSpec.quadratic(np.eye(6)),
                         [1.0, 0.0, 0.0, 0.0, 1.0, 0.0], 0.01, 1.0)
         assert rec.states.shape == (101, 6)
         assert rec.mu.shape == rec.nu.shape == (101, 3)
@@ -112,7 +111,7 @@ class TestQuadraticInvariants:
     def test_builtins_match_per_row_products(self, sl2c_derived):
         specs = {name: make(3, 3) for name, make in BUILTIN_INVARIANTS.items()}
         assert all(spec.is_quadratic for spec in specs.values())
-        rec = integrate(build_double(sl2c_derived), HamiltonianSpec.quadratic(np.eye(6)),
+        rec = integrate(sl2c_derived, HamiltonianSpec.quadratic(np.eye(6)),
                         [0.6, -0.3, 0.5, 0.7, 0.4, -0.3], 0.01, 10.0, invariants=specs)
         mu, nu = rec.mu, rec.nu
         refs = {"mu_norm2": [float(a @ a) for a in mu],
@@ -128,7 +127,7 @@ class TestQuadraticInvariants:
     def test_spec_invariant_through_python_api(self, sl2c_derived, rng):
         A = rng.standard_normal((6, 6))
         inv = HamiltonianSpec.quadratic(A + A.T, rng.standard_normal(6))
-        rec = integrate(build_double(sl2c_derived), HamiltonianSpec.quadratic(np.eye(6)),
+        rec = integrate(sl2c_derived, HamiltonianSpec.quadratic(np.eye(6)),
                         [0.6, -0.3, 0.5, 0.7, 0.4, -0.3], 0.01, 1.0,
                         invariants={"custom": inv,
                                     "box": HamiltonianSpec.blackbox(inv.value, 6),
@@ -140,7 +139,7 @@ class TestQuadraticInvariants:
         assert set(rec.drift) == {"H", "custom", "box", "call"}
 
     def test_bad_invariants_rejected(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         spec = HamiltonianSpec.quadratic(np.eye(6))
         with pytest.raises(DimensionMismatch):
             integrate(double, spec, np.ones(6), 0.1, 1.0,

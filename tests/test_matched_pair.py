@@ -8,7 +8,6 @@ from mpmech.matched_pair import (
     a_star,
     audit_formulas,
     b_star,
-    build_double,
     co_left_act,
     co_right_act,
     left_act,
@@ -29,7 +28,7 @@ def euler_poincare_field(mp, lag, xi, eta):
     """The Euler-Poincare momentum rate at velocities (xi, eta), integrate_ep's
     field: minus the double's coadjoint at (M_g xi, M_h eta) with gradient (xi, eta)."""
     z = np.concatenate([lag.metric_g @ xi, lag.metric_h @ eta])
-    return -coadjoint(build_double(mp).algebra.C, z, np.concatenate([xi, eta]))
+    return -coadjoint(mp.algebra.C, z, np.concatenate([xi, eta]))
 
 
 def direct_product():
@@ -121,7 +120,7 @@ class TestCompatibility:
         assert condition.value >= 4.0 - 1e-12
         assert condition.witness == "(f3, e1, e2)"
         assert condition.value > report["compatibility condition 2"].value
-        J = build_double(sl2c_printed).algebra.jacobiator
+        J = sl2c_printed.algebra.jacobiator
         assert np.allclose(J[:3, 3 + 2, 0, 1], [0.0, 0.0, -4.0], atol=1e-12)
 
     def test_validation_gate(self, sl2c_printed):
@@ -132,13 +131,13 @@ class TestCompatibility:
     def test_matched_pair_theorem(self, sl2c_derived, e3_heavytop):
         # compatibility implies the double satisfies Jacobi
         for mp in (sl2c_derived, e3_heavytop):
-            assert build_double(mp).algebra.jacobi_check("jacobi").value <= 1e-12
+            assert mp.algebra.jacobi_check("jacobi").value <= 1e-12
 
 
 class TestDoubleAlgebra:
     def test_mixed_bracket_example(self, sl2c_derived):
         from mpmech.lie_core import bracket
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         e1 = np.concatenate([E[0], np.zeros(3)])
         f1 = np.concatenate([np.zeros(3), E[0]])
         out = bracket(double.algebra, e1, f1)
@@ -146,7 +145,7 @@ class TestDoubleAlgebra:
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_trivial_actions_give_block_diagonal(self):
-        double = build_double(direct_product())
+        double = direct_product()
         C = double.algebra.C
         n = 3
         assert np.abs(C[:n, n:, :n]).max() == 0.0
@@ -157,7 +156,7 @@ class TestDoubleAlgebra:
         assert np.array_equal(C[n:, n:, n:], k_algebra().C)
 
     def test_block_extraction_round_trip(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         C = double.algebra.C
         n = 3
         assert np.array_equal(C[:n, :n, :n], sl2c_derived.g.C)
@@ -166,28 +165,28 @@ class TestDoubleAlgebra:
         assert np.array_equal(C[n:, n:, :n], sl2c_derived.sigma)
 
     def test_double_jacobi(self, sl2c_derived):
-        assert build_double(sl2c_derived).algebra.jacobi_check("jacobi").value <= 1e-12
+        assert sl2c_derived.algebra.jacobi_check("jacobi").value <= 1e-12
 
 
 class TestCobracket:
     def test_zero_point(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         M = poisson_tensor(double.algebra.C, np.zeros(6))
         assert np.abs(M).max() == 0.0
 
     def test_antisymmetric(self, sl2c_derived, rng):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         for _ in range(100):
             M = poisson_tensor(double.algebra.C, rng.standard_normal(6))
             assert np.allclose(M, -M.T, atol=0)
 
     def test_entry_example(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         M = poisson_tensor(double.algebra.C, E6[2])
         assert M[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_kernel_has_two_casimir_directions(self, sl2c_derived, rng):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         for _ in range(100):
             M = poisson_tensor(double.algebra.C, rng.standard_normal(6))
             sv = np.linalg.svd(M, compute_uv=False)
@@ -197,13 +196,13 @@ class TestCobracket:
 
 class TestMatchedBracket:
     def test_self_bracket_vanishes(self, sl2c_derived, rng):
-        alg = build_double(sl2c_derived).algebra
+        alg = sl2c_derived.algebra
         for _ in range(100):
             z, grad = rng.standard_normal((2, 6))
             assert lie_poisson_bracket(alg, z, grad, grad) == 0.0
 
     def test_antisymmetry(self, sl2c_derived, rng):
-        alg = build_double(sl2c_derived).algebra
+        alg = sl2c_derived.algebra
         for _ in range(200):
             z, gh, gf = rng.standard_normal((3, 6))
             scale = 1.0 + max(np.abs(v).max() for v in (gh, gf, z))
@@ -211,7 +210,7 @@ class TestMatchedBracket:
             assert abs(total) <= 1e-13 * scale
 
     def test_g_block_term(self, sl2c_derived, rng):
-        alg = build_double(sl2c_derived).algebra
+        alg = sl2c_derived.algebra
         for _ in range(20):
             z = rng.standard_normal(6)
             val = lie_poisson_bracket(alg, z, E6[0], E6[1])
@@ -219,30 +218,30 @@ class TestMatchedBracket:
 
     def test_mixed_term(self, sl2c_derived):
         # only <nu, f2 <| e1> survives; f2 <| e1 = f2 x e1 = -f3
-        val = lie_poisson_bracket(build_double(sl2c_derived).algebra, E6[5], E6[0], E6[4])
+        val = lie_poisson_bracket(sl2c_derived.algebra, E6[5], E6[0], E6[4])
         assert val == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMatchedRhs:
     def test_zero_point(self, sl2c_derived):
-        double = build_double(sl2c_derived)
-        rhs = matched_lp_rhs(double, (np.zeros(3), np.zeros(3)),
-                             (np.ones(3), np.ones(3)))
+        double = sl2c_derived
+        rhs = matched_lp_rhs(double, np.concatenate([np.zeros(3), np.zeros(3)]),
+                             np.concatenate([np.ones(3), np.ones(3)]))
         assert np.abs(rhs).max() == 0.0
 
     def test_isotropic_quadratic_flow(self, sl2c_derived):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         mu, nu = E[0], E[1]
-        rhs = matched_lp_rhs(double, (mu, nu), (mu, nu))
+        rhs = matched_lp_rhs(double, np.concatenate([mu, nu]), np.concatenate([mu, nu]))
         assert np.allclose(rhs[:3], 0.0, atol=1e-12)
         assert np.allclose(rhs[3:], E[2], atol=1e-12)
         assert abs(rhs[:3] @ mu + rhs[3:] @ nu) <= 1e-12
 
     def test_heavy_top_point(self, e3_heavytop):
-        double = build_double(e3_heavytop)
+        double = e3_heavytop
         mu, nu = E[0], E[1]
         grad = (mu.copy(), E[2])  # H = |mu|^2 / 2 + nu_3
-        rhs = matched_lp_rhs(double, (mu, nu), grad)
+        rhs = matched_lp_rhs(double, np.concatenate([mu, nu]), np.concatenate(grad))
         assert np.allclose(rhs[:3], [-1.0, 0.0, 0.0], atol=1e-12)
         assert np.allclose(rhs[3:], [0.0, 0.0, 1.0], atol=1e-12)
         # conservation of energy and both Casimir derivatives at this point
@@ -252,7 +251,7 @@ class TestMatchedRhs:
 
     def test_left_is_negated_right(self, sl2c_derived, e3_heavytop, rng):
         for mp in (sl2c_derived, e3_heavytop):
-            double = build_double(mp)
+            double = mp
             for _ in range(50):
                 z, grad = rng.standard_normal((2, 6))
                 right = matched_lp_rhs(double, z, grad, "right")
@@ -261,16 +260,16 @@ class TestMatchedRhs:
                 assert np.array_equal(matched_lp_rhs(double, z, grad), right)
 
     def test_energy_rate_vanishes_pointwise(self, sl2c_derived, rng):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         for _ in range(200):
             z = rng.standard_normal(6)
             x, y = rng.standard_normal((2, 3))
             scale = 1.0 + max(np.abs(v).max() for v in (z, x, y))
-            rhs = matched_lp_rhs(double, z, (x, y))
+            rhs = matched_lp_rhs(double, z, np.concatenate([x, y]))
             assert abs(rhs[:3] @ x + rhs[3:] @ y) <= 1e-12 * scale
 
     def test_flow_derivative_matches_bracket(self, sl2c_derived, rng):
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         for _ in range(100):
             z, gh, gf = rng.standard_normal((3, 6))
             rhs = matched_lp_rhs(double, z, gh)
@@ -279,9 +278,9 @@ class TestMatchedRhs:
             assert abs(dF - lie_poisson_bracket(double.algebra, z, gf, gh)) <= 1e-12 * scale
 
     def test_unvalidated_double_rejected(self, sl2c_printed):
-        double = build_double(sl2c_printed)
+        double = sl2c_printed
         with pytest.raises(ValidationError):
-            matched_lp_rhs(double, (E[0], E[1]), (E[0], E[1]))
+            matched_lp_rhs(double, np.concatenate([E[0], E[1]]), np.concatenate([E[0], E[1]]))
 
 
 class TestEulerPoincare:
@@ -308,23 +307,23 @@ class TestEulerPoincare:
 
     def test_negates_right_rhs_for_identity_metric(self, sl2c_derived, rng):
         lag = LagrangianSpec(np.eye(3), np.eye(3))
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         for _ in range(100):
             xi, eta = rng.standard_normal((2, 3))
             p_dot = euler_poincare_field(sl2c_derived, lag, xi, eta)
-            rhs = matched_lp_rhs(double, (xi, eta), (xi, eta), "right")
+            rhs = matched_lp_rhs(double, np.concatenate([xi, eta]), np.concatenate([xi, eta]), "right")
             assert np.allclose(p_dot, -rhs, atol=1e-13)
 
 
 class TestSemidirectDegeneration:
     def test_matches_independent_semidirect_rhs(self, e3_heavytop, rng):
-        double = build_double(e3_heavytop)
+        double = e3_heavytop
         Cg = e3_heavytop.g.C
         # representation of g on the abelian factor: xi . v = -(v <| xi)
         rep = -e3_heavytop.sigma.transpose(0, 2, 1)
         for _ in range(1000):
             mu, nu, x, y = rng.standard_normal((4, 3))
-            rhs = matched_lp_rhs(double, (mu, nu), (x, y))
+            rhs = matched_lp_rhs(double, np.concatenate([mu, nu]), np.concatenate([x, y]))
             mu_dot, nu_dot = semidirect_lp_rhs(Cg, rep, mu, nu, x, y)
             assert np.abs(rhs[:3] - mu_dot).max() <= 1e-12
             assert np.abs(rhs[3:] - nu_dot).max() <= 1e-12

@@ -24,7 +24,7 @@ from mpmech.lie_core import (
     poisson_tensor,
     trivialized_forms_eval,
 )
-from mpmech.matched_pair import build_double, matched_lp_rhs
+from mpmech.matched_pair import matched_lp_rhs
 from mpmech.sl2c import EmbeddedBasis, group_act, iwasawa_factor, k_algebra, su2_algebra
 
 from group_elements import random_sl2c
@@ -38,10 +38,6 @@ STACKS = [(), (4,), (2, 3)]
 
 def random_algebra(seed, dim):
     return LieAlgebra(random_antisymmetric(np.random.default_rng(seed), dim), validate=False)
-
-
-def random_double(seed, n, m):
-    return build_double(random_pair(seed, n, m))
 
 
 def loop_poisson_tensor(C, z):
@@ -92,7 +88,7 @@ class TestPoissonTensor:
 class TestCobracket:
     @pytest.mark.parametrize("seed,n,m", DOUBLES)
     def test_exactly_antisymmetric_with_zero_diagonal(self, seed, n, m):
-        double = random_double(seed, n, m)
+        double = random_pair(seed, n, m)
         rng = np.random.default_rng(seed)
         off = ~np.eye(n + m, dtype=bool)
         for exponent in (-3, 0, 3):
@@ -104,7 +100,7 @@ class TestCobracket:
 
     @pytest.mark.parametrize("seed,n,m", DOUBLES)
     def test_is_the_kernel_and_matches_the_einsum(self, seed, n, m):
-        double = random_double(seed, n, m)
+        double = random_pair(seed, n, m)
         C = double.algebra.C
         z = np.random.default_rng(seed).standard_normal(n + m)
         M = poisson_tensor(C, z)
@@ -113,7 +109,7 @@ class TestCobracket:
 
     def test_builtins_keep_exact_antisymmetry(self, pairs, rng):
         for mp in pairs.values():
-            M = poisson_tensor(build_double(mp).algebra.C, rng.standard_normal(6))
+            M = poisson_tensor(mp.algebra.C, rng.standard_normal(6))
             assert np.array_equal(M, -M.T) and np.all(np.diag(M) == 0.0)
 
 
@@ -122,7 +118,7 @@ def bracket_algebras():
     algebras = [random_algebra(200 + dim, dim) for dim in DIMS]
     for seed, n, m in DOUBLES:
         mp = random_pair(seed, n, m)
-        algebras += [mp.g, mp.h, build_double(mp).algebra]
+        algebras += [mp.g, mp.h, mp.algebra]
     return algebras
 
 
@@ -148,7 +144,7 @@ class TestBracket:
                 assert np.abs(got - want).max() <= 1e-14 * scale(alg.C) ** 2
 
     def test_views_stay_exactly_antisymmetric(self, rng):
-        alg = random_double(51, 2, 4).algebra
+        alg = random_pair(51, 2, 4).algebra
         z, x, y = rng.standard_normal((3, 6))
         assert lie_poisson_bracket(alg, z, x, y) == -lie_poisson_bracket(alg, z, y, x)
         assert lie_poisson_bracket(alg, z, x, x) == 0.0
@@ -159,7 +155,7 @@ class TestBracket:
 def jacobiator_algebras():
     jacobi = {"su2": su2_algebra().C, "k": k_algebra().C}
     for name in sl2c.BUILTIN_PAIRS:
-        jacobi[f"{name}_double"] = build_double(sl2c.builtin_pairs()[name]).algebra.C
+        jacobi[f"{name}_double"] = sl2c.builtin_pairs()[name].algebra.C
     broken = {f"random_{dim}": random_algebra(300 + dim, dim).C for dim in DIMS}
     return {**jacobi, **broken}
 
@@ -205,7 +201,7 @@ class TestOneKernel:
         assert len(calls) == 6
 
     def test_cobracket_reaches_the_kernel(self, monkeypatch, pairs, rng):
-        double = build_double(pairs["e3_heavytop"])
+        double = pairs["e3_heavytop"]
         calls = count_calls(monkeypatch, lie_core, "poisson_tensor")
         matched_lp_rhs(double, *rng.standard_normal((2, 6)))
         lie_poisson_bracket(double.algebra, *rng.standard_normal((3, 6)))
@@ -233,7 +229,7 @@ class TestLargestEntry:
     def test_witnesses_name_the_largest_entries(self, pairs):
         printed = pairs["sl2c_printed"]
         checks = {c.name: c for c in matched_pair.validation_report(printed)}
-        J = build_double(printed).algebra.jacobiator
+        J = printed.algebra.jacobiator
         _, (_, i, j, l) = _largest_entry(J)
         names = printed.g.names + printed.h.names
         assert checks["jacobi defect (double)"].witness == f"({names[i]}, {names[j]}, {names[l]})"

@@ -9,7 +9,6 @@ import pytest
 from mpmech import dynamics
 from mpmech.dynamics import FINITE_BLOCK, HamiltonianSpec, integrate
 from mpmech.errors import InputError, IntegrationError
-from mpmech.matched_pair import build_double
 
 from oracles import dispatched_rk4, homogeneous_tensor, lie_poisson_field, rk4_step
 
@@ -33,7 +32,7 @@ class TestStages:
         monkeypatch.setattr(dynamics, "gradient", counted)
         spec = HamiltonianSpec.blackbox(lambda z: 0.5 * float(z @ z), 6)
         steps = FINITE_BLOCK + 44
-        integrate(build_double(sl2c_derived), spec, P0, 0.01, steps * 0.01)
+        integrate(sl2c_derived, spec, P0, 0.01, steps * 0.01)
         assert len(calls) == 4 * steps
 
     def test_left_rows_are_textbook_steps(self, sl2c_derived, rng):
@@ -41,7 +40,7 @@ class TestStages:
         # differently from dt * f; 300 steps cross a scan-block boundary
         A = rng.standard_normal((6, 6))
         Q, b = A @ A.T / 6.0, 0.1 * rng.standard_normal(6)
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         rec = integrate(double, HamiltonianSpec.quadratic(Q, b), [0.6, -0.3, 0.5, 0.2, 0.4, -0.3],
                         0.03, 9.0, "left")
         assert rec.states.shape == (301, 6)
@@ -68,7 +67,7 @@ class TestBufferedStages:
     @pytest.mark.parametrize("convention", ["right", "left"])
     def test_quadratic_rows_equal_dispatched_stages(self, sl2c_derived, rng, convention):
         Q, b = random_quadratic(rng)
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         rec = integrate(double, HamiltonianSpec.quadratic(Q, b), Z0, 0.03, 18.0, convention)
         G = homogeneous_tensor(double.algebra.C, SIGNS[convention], Q, b)
         ref = dispatched_rk4(G, np.append(Z0, 1.0), 0.03, 600)[:, :6]
@@ -79,7 +78,7 @@ class TestBufferedStages:
     def test_blackbox_rows_equal_dispatched_stages(self, sl2c_derived, rng, convention):
         Q, b = random_quadratic(rng)
         spec = HamiltonianSpec.blackbox(lambda z: 0.5 * z @ Q @ z + b @ z + 0.1 * np.cos(z[0]), 6)
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         rec = integrate(double, spec, Z0, 0.03, 18.0, convention)
         ref = dispatched_rk4(SIGNS[convention] * double.algebra.C, Z0, 0.03, 600,
                              lambda z: dynamics.gradient(spec, z))
@@ -89,7 +88,7 @@ class TestBufferedStages:
         # each stage writes M(z) before it evaluates the gradient, so an inner
         # run that shared the outer run's buffer would overwrite M(z) first
         Q, b = random_quadratic(rng)
-        double = build_double(sl2c_derived)
+        double = sl2c_derived
         inner = HamiltonianSpec.blackbox(lambda z: float(z @ z), 6)
 
         def plain(z):
@@ -111,14 +110,14 @@ class TestBlowUpTimes:
         b[0] = 1e300
         spec = HamiltonianSpec.quadratic(np.zeros((6, 6)), b)
         with pytest.raises(IntegrationError, match=r"^state became non-finite at t=1$") as err:
-            integrate(build_double(sl2c_derived), spec, P0, 1.0, 10.0)
+            integrate(sl2c_derived, spec, P0, 1.0, 10.0)
         assert err.value.last_good_time == 0.0
 
     @pytest.mark.parametrize("convention", ["right", "left"])
     def test_after_the_first_block(self, sl2c_derived, convention):
         spec = HamiltonianSpec.quadratic(np.zeros((6, 6)), GROWING_B)
         with pytest.raises(IntegrationError, match=r"^state became non-finite at t=365$") as err:
-            integrate(build_double(sl2c_derived), spec, P0, 1.0, 1000.0, convention)
+            integrate(sl2c_derived, spec, P0, 1.0, 1000.0, convention)
         assert err.value.last_good_time == 364.0
         assert FINITE_BLOCK < 365 < 2 * FINITE_BLOCK
 
@@ -130,11 +129,11 @@ class TestBlowUpTimes:
         # is what is reported either way.
         spec = HamiltonianSpec.blackbox(lambda z: 2.0 * z[5], 6)
         with pytest.raises(IntegrationError, match=r"^state became non-finite at t=365$") as err:
-            integrate(build_double(sl2c_derived), spec, P0, 1.0, 1000.0, convention)
+            integrate(sl2c_derived, spec, P0, 1.0, 1000.0, convention)
         assert err.value.last_good_time == 364.0
 
     @pytest.mark.parametrize("convention", ["right", "left"])
     def test_blackbox_non_finite_at_the_initial_state(self, sl2c_derived, convention):
         spec = HamiltonianSpec.blackbox(lambda z: float("inf") if z[1] == 0.0 else float(z @ z), 6)
         with pytest.raises(InputError, match="^Hamiltonian is non-finite near component 0$"):
-            integrate(build_double(sl2c_derived), spec, P0, 1.0, 1000.0, convention)
+            integrate(sl2c_derived, spec, P0, 1.0, 1000.0, convention)

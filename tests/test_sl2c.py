@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mpmech.errors import EmbeddingError, InputError, ValidationError
-from mpmech.matched_pair import build_double
 from mpmech.sl2c import (
     EmbeddedBasis,
     derive_actions_from_embedding,
@@ -214,6 +213,6 @@ class TestBuiltinPairs:
 
     def test_derived_double_matches_commutator_constants(self, sl2c_derived):
         oracle = commutator_projection(su2_basis(), k_basis())
-        C = build_double(sl2c_derived).algebra.C
+        C = sl2c_derived.algebra.C
         assert C.shape == (6, 6, 6)
         assert np.abs(C - oracle).max() <= 1e-12

@@ -11,14 +11,12 @@ import numpy as np
 import pytest
 
 from mpmech import formats, lie_core, matched_pair, sl2c
-from mpmech.dynamics import HamiltonianSpec, LagrangianSpec
+from mpmech.dynamics import HamiltonianSpec, LagrangianSpec, integrate
 from mpmech.errors import InputError
 from mpmech.lie_core import LieAlgebra, ad_star, coadjoint
 from mpmech.matched_pair import (
     MatchedPair,
-    _as_pair,
     audit_formulas,
-    build_double,
     left_act,
     matched_lp_rhs,
     pair_from_double,
@@ -49,7 +47,7 @@ class TestAgainstEinsums:
     @pytest.mark.parametrize("shape", SHAPES, ids=list(SHAPES))
     @pytest.mark.parametrize("seed,n,m", PAIRS)
     def test_coadjoint(self, seed, n, m, shape, rng):
-        C = build_double(random_pair(seed, n, m)).algebra.C
+        C = random_pair(seed, n, m).algebra.C
         z, x = (draw(rng, lead, n + m) for lead in SHAPES[shape])
         close(coadjoint(C, z, x), einsum_coadjoint(C, z, x),
               einsum_coadjoint(np.abs(C), np.abs(z), np.abs(x)))
@@ -138,16 +136,14 @@ class TestAuditAgainstEinsums:
 
 class TestRaggedOrNonNumericInput:
     @pytest.mark.parametrize("call", [
-        lambda mp: _as_pair([[1.0, [2.0]], [3.0]], (2, 1), "dual point"),
-        lambda mp: _as_pair(["a", [1.0]], (2, 1), "dual point"),
-        lambda mp: _as_pair([[1.0, 2.0], "b"], (2, 1), "dual point"),
-        lambda mp: _as_pair([1.0, [2.0], 3.0], (2, 1), "dual point"),
+        lambda mp: integrate(mp, HamiltonianSpec.quadratic(np.eye(6)),
+                             [1.0, [2.0], 3.0, 0.0, 0.0, 0.0], 0.1, 0.1),
         lambda mp: left_act(mp, [[1, 2], [3]], [1, 2, 3]),
         lambda mp: left_act(mp, [1, 2, 3], [1, "x", 3]),
         lambda mp: ad_star(mp.g, ["a", 1, 2], [1, 2, 3]),
         lambda mp: ad_star(mp.g, [1, 2, 3], {"mu": 1}),
-        lambda mp: matched_lp_rhs(build_double(mp), ([1.0, [2.0]], [3.0]), np.zeros(6)),
-        lambda mp: matched_lp_rhs(build_double(mp), np.zeros(6), ([1.0], ["c"])),
+        lambda mp: matched_lp_rhs(mp, [1.0, [2.0], 3.0, 0.0, 0.0, 0.0], np.zeros(6)),
+        lambda mp: matched_lp_rhs(mp, np.zeros(6), [1.0, 0.0, 0.0, 0.0, 0.0, "c"]),
         lambda mp: LieAlgebra([[[0.0]], [0.0]]),
         lambda mp: MatchedPair(mp.g, mp.h, [[[0.0]] * 3, [0.0]], mp.sigma, validate=False),
         lambda mp: MatchedPair(mp.g, mp.h, mp.rho, "sigma", validate=False),
@@ -155,8 +151,7 @@ class TestRaggedOrNonNumericInput:
         lambda mp: HamiltonianSpec.quadratic([[1.0, 0.0], [0.0]]),
         lambda mp: HamiltonianSpec.quadratic(np.eye(2), [1.0, [2.0]]),
         lambda mp: LagrangianSpec([[1.0], ["x"]], np.eye(3)),
-    ], ids=["ragged pair part", "string pair part", "string h part", "ragged flat",
-            "ragged stack", "string in a map", "string in ad_star", "dict in ad_star",
+    ], ids=["ragged flat", "ragged stack", "string in a map", "string in ad_star", "dict in ad_star",
             "ragged rhs point", "string rhs gradient", "ragged constants", "ragged rho",
             "string sigma", "ragged double", "ragged Q", "ragged b", "string metric"])
     def test_is_an_input_error(self, call, sl2c_derived):

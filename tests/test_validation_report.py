@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import mpmech
 from mpmech import formats, lie_core, matched_pair
 from mpmech.cli import main
-from mpmech.dynamics import HamiltonianSpec, _grid, integrate
+from mpmech.dynamics import HamiltonianSpec, _grid, integrate, integrate_ep
 from mpmech.errors import InputError, ValidationError
 from mpmech.lie_core import (Check, LieAlgebra, ad_star, defect_bound, lie_poisson_rhs,
                               poisson_tensor)
@@ -28,7 +28,6 @@ from mpmech.matched_pair import (
     a_star,
     audit_formulas,
     b_star,
-    build_double,
     co_left_act,
     co_right_act,
     left_act,
@@ -44,7 +43,8 @@ TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "mpmech"
 REMOVED_NAMES = ("compat_defect", "CompatDefect", "jacobi_defect", "kks_eval",
                  "matched_ad_star", "euler_poincare_rhs",
-                 "DualPoint", "as_dual_point", "cobracket_eval", "matched_bracket_eval")
+                 "DualPoint", "as_dual_point", "cobracket_eval", "matched_bracket_eval",
+                 "DoubleAlgebra", "_as_pair")
 REPORT_NAMES = [
     "jacobi defect (g)",
     "jacobi defect (h)",
@@ -115,6 +115,7 @@ class TestReport:
         # the deleted names stay deleted
         for module in (mpmech, lie_core, matched_pair):
             assert [name for name in REMOVED_NAMES if hasattr(module, name)] == [], module.__name__
+        assert not hasattr(mpmech, "build_double")  # matched_pair keeps it as an alias
         # a 4-index subscript is a read of a block of a Jacobiator, the one rank-4 tensor
         readers = {f"{path.stem}.{fn.name}" for path in sorted(SRC.glob("*.py"))
                    for fn in ast.walk(ast.parse(path.read_text(), str(path)))
@@ -138,15 +139,14 @@ class TestReport:
 
     def test_matched_lp_rhs_is_the_flat_lie_poisson_rhs(self, pairs, rng):
         with pytest.raises(ValidationError, match="compatibility condition 1"):
-            matched_lp_rhs(build_double(pairs["sl2c_printed"]), np.zeros(6), np.zeros(6))
+            matched_lp_rhs(pairs["sl2c_printed"], np.zeros(6), np.zeros(6))
         for name in ("sl2c_derived", "e3_heavytop"):
-            double = build_double(pairs[name])
+            double = pairs[name]
             for convention in ("right", "left"):
                 z, x = rng.standard_normal((2, 6))
                 want = lie_poisson_rhs(double.algebra, z, x, convention)
-                for p, grad in ((z, x), ((z[:3], z[3:]), (x[:3], x[3:]))):
-                    got = matched_lp_rhs(double, p, grad, convention)
-                    assert got.shape == (6,) and got.tobytes() == want.tobytes()
+                got = matched_lp_rhs(double, z, x, convention)
+                assert got.shape == (6,) and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("flow", [
         lambda double: integrate(double, HamiltonianSpec.quadratic(np.eye(6)), np.ones(6),
@@ -156,10 +156,23 @@ class TestReport:
     def test_flows_validate_their_pair(self, pairs, flow):
         fresh = formats.pair_from_dict(formats.pair_to_dict(pairs["sl2c_derived"]))
         assert not fresh.validated
-        flow(build_double(fresh))
+        flow(fresh)
         assert fresh.validated
         with pytest.raises(ValidationError, match="compatibility condition 1"):
-            flow(build_double(pairs["sl2c_printed"]))
+            flow(pairs["sl2c_printed"])
+
+    @pytest.mark.parametrize("flow", [
+        lambda mp, p: integrate(mp, HamiltonianSpec.quadratic(np.eye(6)), p, 0.1, 0.1),
+        lambda mp, p: integrate_ep(mp, HamiltonianSpec.quadratic(np.eye(6)), p, 0.1, 0.1),
+        lambda mp, p: matched_lp_rhs(mp, p, np.ones(6)),
+        lambda mp, p: matched_lp_rhs(mp, np.ones(6), p),
+    ], ids=["integrate", "integrate_ep", "matched_lp_rhs point", "matched_lp_rhs gradient"])
+    def test_flows_take_one_flat_vector(self, pairs, flow):
+        mp = pairs["sl2c_derived"]
+        flow(mp, np.ones(6))
+        for bad in ((np.ones(3), np.ones(3)), ([1.0, 2.0, 3.0], [4.0, 5.0]), np.ones(5)):
+            with pytest.raises(InputError):
+                flow(mp, bad)
 
     def test_audit_detail_reads_condition_one_without_the_report(self, monkeypatch, pairs):
         """The audit plan reads condition 1 once per printed pair, never through the report."""
@@ -316,15 +329,16 @@ def reference_deviations(de, pr, samples, seed, cf):
         worst(name, [(closed(u, v) if closed else canonical(de, u, v), canonical(pr, u, v))
                      for u, v in zip(us, vs)])
 
-    double = build_double(de)
+    double = de
     rows = list(zip(mus, nus, xis, etas))
-    fields = [matched_lp_rhs(double, (mu, nu), (x, y)) for mu, nu, x, y in rows]
+    fields = [matched_lp_rhs(double, np.concatenate([mu, nu]), np.concatenate([x, y]))
+              for mu, nu, x, y in rows]
     if cf:
         closed = [np.concatenate(cf.lp_rhs(mu, nu, x, y)) for mu, nu, x, y in rows]
         worst("closed-form rhs (mu)", [(c[:n], f[:n]) for c, f in zip(closed, fields)])
         worst("closed-form rhs (nu)", [(c[n:], f[n:]) for c, f in zip(closed, fields)])
     else:
-        printed = build_double(pr).algebra.C
+        printed = pr.algebra.C
         worst("canonical rhs (tensor sets)",
               [(poisson_tensor(printed, np.concatenate([mu, nu])) @ np.concatenate([x, y]), f)
                for (mu, nu, x, y), f in zip(rows, fields)])
@@ -360,7 +374,7 @@ class TestBatchedAudit:
     def test_exact_closed_forms_all_match(self, pairs):
         # the canonical transposes of the printed tensors, written as closed forms
         pr = pairs["sl2c_printed"]
-        double = build_double(pairs["sl2c_derived"])
+        double = pairs["sl2c_derived"]
         exact = ClosedFormActions(
             co_left=lambda mu, eta: np.einsum("kai,sa,sk->si", pr.rho, eta, mu),
             co_right=lambda xi, nu: np.einsum("bai,si,sb->sa", pr.sigma, xi, nu),
