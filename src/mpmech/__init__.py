@@ -41,7 +41,6 @@ from .matched_pair import (
 )
 from .dynamics import (
     HamiltonianSpec,
-    LagrangianSpec,
     TrajectoryRecord,
     gradient,
     integrate,
@@ -49,7 +48,6 @@ from .dynamics import (
     legendre,
 )
 from .sl2c import (
-    EmbeddedBasis,
     builtin_pairs,
     derive_actions_from_embedding,
     iwasawa_factor,

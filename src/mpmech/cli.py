@@ -185,13 +185,12 @@ def cmd_derive(args) -> int:
         doc = formats.read_json(args.basis, "basis file")
         if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in ("g", "h")):
             raise InputError("basis file must be an object with 'g' and 'h' matrix lists")
-        basis = sl2c.EmbeddedBasis(
-            tuple(formats.matrix_from_json(M) for M in doc["g"]),
-            tuple(formats.matrix_from_json(M) for M in doc["h"]),
+        mp = sl2c.derive_actions_from_embedding(
+            [formats.matrix_from_json(M) for M in doc["g"]],
+            [formats.matrix_from_json(M) for M in doc["h"]],
             formats.basis_names(doc, "g_names", "basis file"),
             formats.basis_names(doc, "h_names", "basis file"),
         )
-        mp = sl2c.derive_actions_from_embedding(basis)
     formats.dump_pair_document(mp, args.out)
     print(f"wrote {args.out}")
     return 0

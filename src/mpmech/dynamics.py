@@ -1,4 +1,4 @@
-"""Hamiltonian and Lagrangian specifications and fixed-step integration.
+"""Hamiltonian specifications, the Legendre transform and fixed-step integration.
 
 The integrator is classical RK4 with a fixed step: the flows conserve energy
 and Casimirs exactly, so the discrete drift is pure truncation error.  Rows
@@ -85,31 +85,22 @@ def gradient(spec: HamiltonianSpec, z) -> np.ndarray:
     return grad
 
 
-class LagrangianSpec:
-    """Quadratic Lagrangian given by symmetric positive-definite metric blocks."""
+def legendre(metric_g, metric_h) -> HamiltonianSpec:
+    """Quadratic Hamiltonian of the Lagrangian with metric blocks M_g and M_h,
+    each symmetric and positive definite (DegenerateMetricError, g before h).
 
-    def __init__(self, metric_g, metric_h):
-        self.metric_g = self._check_block(metric_g, "g metric")
-        self.metric_h = self._check_block(metric_h, "h metric")
-
-    @staticmethod
-    def _check_block(M, what: str) -> np.ndarray:
+    H(mu, nu) = 0.5 (mu^T M_g^-1 mu + nu^T M_h^-1 nu); the gradient at
+    (M_g xi, M_h eta) recovers (xi, eta).
+    """
+    blocks = []
+    for M, what in ((metric_g, "g metric"), (metric_h, "h metric")):
         M = _symmetric_part(M, what, DegenerateMetricError)
         try:
             np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
             raise DegenerateMetricError(f"{what} is not positive definite") from exc
-        return M
-
-
-def legendre(lagrangian: LagrangianSpec) -> HamiltonianSpec:
-    """Quadratic Hamiltonian of the nondegenerate Lagrangian.
-
-    H(mu, nu) = 0.5 (mu^T M_g^-1 mu + nu^T M_h^-1 nu); the gradient at
-    (M_g xi, M_h eta) recovers (xi, eta).
-    """
-    inv_g = np.linalg.inv(lagrangian.metric_g)
-    inv_h = np.linalg.inv(lagrangian.metric_h)
+        blocks.append(M)
+    inv_g, inv_h = map(np.linalg.inv, blocks)
     n, m = inv_g.shape[0], inv_h.shape[0]
     Q = np.zeros((n + m, n + m))
     Q[:n, :n] = 0.5 * inv_g + 0.5 * inv_g.T  # inv(M) can fail quadratic()'s symmetry test
@@ -287,7 +278,7 @@ def integrate(mp: MatchedPair, spec: HamiltonianSpec, p0, dt: float,
 def integrate_ep(mp: MatchedPair, energy: HamiltonianSpec, velocities0, dt: float,
                  t_end: float, invariants: InvariantMap | None = None) -> TrajectoryRecord:
     """Integrate the Euler-Poincare flow whose Legendre Hamiltonian is ``energy``
-    (for metric blocks, ``legendre(lagrangian)``).
+    (for metric blocks, ``legendre(metric_g, metric_h)``).
 
     The Euler-Poincare equations are the left Lie-Poisson equations of the
     Legendre Hamiltonian, so this runs :func:`integrate` in the left convention

@@ -22,7 +22,7 @@ class EmbeddingError(InputError):
 
 
 class DegenerateMetricError(InputError):
-    """A form is not positive definite: a metric block (``LagrangianSpec``) or
+    """A form is not positive definite: a metric block (``legendre``) or
     the quadratic Hamiltonian of an Euler-Poincare flow (``integrate_ep``)."""
 
 

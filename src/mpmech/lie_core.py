@@ -233,13 +233,16 @@ def coadjoint(C: np.ndarray, z, x) -> np.ndarray:
     action maps on ``MatchedPair.map_tensors``.  Two steps, as in ``integrate``'s
     stage: :func:`poisson_tensor` over all rows, then a 2-operand einsum of ``M``
     with ``x`` row by row.  Not ``@``: BLAS fuses multiply-adds, so ``ad*_mu mu`` on
-    su(2) would not be exactly zero.  Shapes numpy cannot contract, such as leading
-    axes that do not broadcast, are a DimensionMismatch naming both."""
+    su(2) would not be exactly zero.  Shapes that do not contract, such as leading axes
+    that do not broadcast or an ``x`` whose last axis is not ``C``'s, are a
+    DimensionMismatch naming both."""
     try:
-        return np.einsum("...ij,...j->...i", poisson_tensor(C, z), x)
+        if np.shape(x)[-1:] == C.shape[2:]:
+            return np.einsum("...ij,...j->...i", poisson_tensor(C, z), x)
     except ValueError:
-        raise DimensionMismatch(f"cannot contract rows of shapes {np.shape(z)} and "
-                                f"{np.shape(x)} with constants of shape {C.shape}") from None
+        pass
+    raise DimensionMismatch(f"cannot contract rows of shapes {np.shape(z)} and "
+                            f"{np.shape(x)} with constants of shape {C.shape}")
 
 
 def ad_star(alg: LieAlgebra, xi, mu) -> np.ndarray:

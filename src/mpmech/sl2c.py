@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -155,29 +154,10 @@ def group_act(k, U) -> tuple[np.ndarray, np.ndarray]:
 
 # -- deriving action tensors from an embedding -------------------------------
 
-@dataclass(frozen=True)
-class EmbeddedBasis:
-    """Matrix bases for the two factors of an embedded matched pair."""
-
-    g_matrices: tuple[np.ndarray, ...]
-    h_matrices: tuple[np.ndarray, ...]
-    g_names: tuple[str, ...] | None = None
-    h_names: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        for field in ("g_matrices", "h_matrices"):
-            mats = tuple(float_array(M, "basis matrix", complex) for M in getattr(self, field))
-            for M in mats:
-                if M.shape != (2, 2):
-                    raise InputError("basis matrices must be 2x2")
-                _require_finite(M, "basis matrices")
-            object.__setattr__(self, field, mats)
-
-
-def standard_basis() -> EmbeddedBasis:
-    """The su(2) + triangular bases used by the built-in pairs."""
-    return EmbeddedBasis(tuple(su2_basis()), tuple(k_basis()),
-                         ("e1", "e2", "e3"), ("f1", "f2", "f3"))
+def standard_basis() -> tuple:
+    """The su(2) + triangular bases of the built-in pairs, as the arguments
+    (g_matrices, h_matrices, g_names, h_names) of :func:`derive_actions_from_embedding`."""
+    return su2_basis(), k_basis(), ("e1", "e2", "e3"), ("f1", "f2", "f3")
 
 
 def _vec(M: np.ndarray) -> np.ndarray:
@@ -185,19 +165,27 @@ def _vec(M: np.ndarray) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
-def derive_actions_from_embedding(basis: EmbeddedBasis) -> MatchedPair:
-    """Read off a matched pair from matrix commutators.
+def derive_actions_from_embedding(g_matrices, h_matrices, g_names=None,
+                                  h_names=None) -> MatchedPair:
+    """Read off a matched pair from the 2x2 complex basis matrices of g and h.
 
-    The commutators of the combined basis (g first, then h) are decomposed
-    over its real span in one least-squares solve; the coefficients are the
-    double's structure constants, which
-    :func:`~mpmech.matched_pair.pair_from_double` splits into g, h and the
-    actions, the mixed ones read off [f_a, e_i].  Rank deficiency, a
-    commutator escaping the span or a factor that is not closed raises
-    EmbeddingError.
+    Each factor's matrices must be 2x2 and finite (InputError, g before h).  The
+    commutators of the combined basis (g first, then h) are decomposed over its
+    real span in one least-squares solve; the coefficients are the double's
+    structure constants, which :func:`~mpmech.matched_pair.pair_from_double`
+    splits into g, h and the actions, the mixed ones read off [f_a, e_i].  Rank
+    deficiency, a commutator escaping the span or a factor that is not closed
+    raises EmbeddingError.
     """
-    n = len(basis.g_matrices)
-    mats = np.array(basis.g_matrices + basis.h_matrices).reshape(-1, 2, 2)
+    bases = []
+    for matrices in (g_matrices, h_matrices):
+        bases.append([float_array(M, "basis matrix", complex) for M in matrices])
+        for M in bases[-1]:
+            if M.shape != (2, 2):
+                raise InputError("basis matrices must be 2x2")
+            _require_finite(M, "basis matrices")
+    n = len(bases[0])
+    mats = np.array(bases[0] + bases[1]).reshape(-1, 2, 2)
     d = len(mats)
     i, j = np.indices((d, d))
     # one orientation per pair: [e_i, e_j] and [f_a, f_b] above the diagonal, [f_a, e_i]
@@ -216,7 +204,7 @@ def derive_actions_from_embedding(basis: EmbeddedBasis) -> MatchedPair:
                              f"(residual {residual[residual > tol][0]:.3e})")
     C = np.zeros((d, d, d))
     C[:, I, J], C[:, J, I] = coeffs, -coeffs
-    return pair_from_double(C, n, basis.g_names, basis.h_names)
+    return pair_from_double(C, n, g_names, h_names)
 
 
 # -- built-in pairs and closed forms ------------------------------------------
@@ -251,7 +239,7 @@ def builtin_pairs() -> dict[str, MatchedPair]:
 
 @lru_cache(maxsize=1)
 def _build_pairs(scale: float) -> tuple[MatchedPair, ...]:
-    derived = derive_actions_from_embedding(standard_basis())
+    derived = derive_actions_from_embedding(*standard_basis())
     rho_p, sigma_p = _printed_tensors()
     printed = MatchedPair(su2_algebra(), k_algebra(), rho_p, sigma_p,
                           validate=False)

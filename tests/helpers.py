@@ -1,11 +1,12 @@
 """Helpers shared by the test modules, which import them from here and never
-from one another: call counting, ``simulate`` argv, seeded pairs, a corrupted
-su(2) and a document of a pair with dim g != dim h."""
+from one another: call counting, ``simulate`` argv, seeded pairs (unvalidated
+tensors, or valid pairs with dim g != dim h), a corrupted su(2) and a document
+of a pair with dim g != dim h."""
 
 import numpy as np
 
 from mpmech.lie_core import LieAlgebra
-from mpmech.matched_pair import MatchedPair
+from mpmech.matched_pair import MatchedPair, pair_from_double
 from mpmech.sl2c import su2_algebra
 
 
@@ -52,6 +53,32 @@ def random_pair(seed, n, m):
     h = LieAlgebra(random_antisymmetric(rng, m), [f"f{a + 1}" for a in range(m)], validate=False)
     return MatchedPair(g, h, rng.standard_normal((n, m, n)), rng.standard_normal((m, m, n)),
                        validate=False)
+
+
+def random_valid_pair(seed, n):
+    """A seeded valid matched pair g + h with dims n(n-1)/2 + n(n+1)/2 inside gl(n, R):
+    g = A so(n) A^-1 for a random A and h the lower-triangular matrices, each in a
+    random basis.  so(n) + b(n) = gl(n, R) (Iwasawa), and a generic conjugate of
+    so(n) stays complementary to b(n).  The double's constants are the commutators
+    solved over the basis by one ``np.linalg.lstsq``; ``pair_from_double`` splits
+    and validates them."""
+    rng = np.random.default_rng(seed)
+    unit = np.eye(n)[:, None, :, None] * np.eye(n)[None, :, None, :]  # E_ij, [i, j]
+    A = rng.standard_normal((n, n))
+    i, j = np.indices((n, n))
+    so = A @ (unit - unit.transpose(1, 0, 2, 3))[i < j] @ np.linalg.inv(A)  # A (E_ij - E_ji) A^-1
+    b = unit[i >= j]  # E_ij, i >= j
+    g = np.einsum("kl,lpq->kpq", rng.standard_normal((len(so),) * 2), so)
+    h = np.einsum("kl,lpq->kpq", rng.standard_normal((len(b),) * 2), b)
+    basis = np.concatenate([g, h])
+    d = len(basis)
+    B = basis.reshape(d, -1).T
+    if np.linalg.matrix_rank(B) < d:
+        raise ValueError(f"seed {seed}: the drawn bases do not span gl({n}, R)")
+    comms = basis[:, None] @ basis[None] - basis[None] @ basis[:, None]  # [i, j]: [X_i, X_j]
+    coeffs = np.linalg.lstsq(B, comms.reshape(d * d, -1).T, rcond=None)[0]
+    return pair_from_double(coeffs.reshape(d, d, d), len(g), [f"e{k + 1}" for k in range(len(g))],
+                            [f"f{a + 1}" for a in range(len(h))])
 
 
 def corrupted_su2():

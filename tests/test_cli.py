@@ -271,7 +271,7 @@ class TestDeriveAndFactor:
         """The built-in pair is the derivation from the standard basis, so the
         document has its bytes, and no call solves the least-squares system again."""
         want = tmp_path / "want.json"
-        formats.dump_pair_document(derive_actions_from_embedding(standard_basis()), str(want))
+        formats.dump_pair_document(derive_actions_from_embedding(*standard_basis()), str(want))
         builtin_pairs()
         calls = count_calls(monkeypatch, np.linalg, "lstsq")
         for name in ("first.json", "second.json"):

@@ -2,11 +2,13 @@
 fields and the audit, one definition of each action map (on one vector or
 a stack of rows), and the flat 2-vector reading of a 1+1 pair."""
 
+import re
+
 import numpy as np
 import pytest
 
 from mpmech import cli, lie_core
-from mpmech.dynamics import HamiltonianSpec, LagrangianSpec, integrate, integrate_ep, legendre
+from mpmech.dynamics import HamiltonianSpec, integrate, integrate_ep, legendre
 from mpmech.errors import DimensionMismatch, InputError
 from mpmech.lie_core import abelian, ad_star, coadjoint, lie_poisson_rhs
 from mpmech.matched_pair import (
@@ -87,15 +89,15 @@ class TestContraction:
 class TestEulerPoincareAgainstFiveTerms:
     def check(self, mp, rng, samples=50):
         n, m = mp.g.dim, mp.h.dim
-        lag = LagrangianSpec(spd(rng, n), spd(rng, m))
+        metric_g, metric_h = spd(rng, n), spd(rng, m)
         C = mp.algebra.C
         for _ in range(samples):
             xi, eta = rng.standard_normal(n), rng.standard_normal(m)
             # integrate_ep's field: the left convention at the momenta z, gradient (xi, eta)
-            z = np.concatenate([lag.metric_g @ xi, lag.metric_h @ eta])
+            z = np.concatenate([metric_g @ xi, metric_h @ eta])
             v = np.concatenate([xi, eta])
             ref = np.concatenate(euler_poincare_five_term(
-                mp.g.C, mp.h.C, mp.rho, mp.sigma, lag.metric_g, lag.metric_h, xi, eta))
+                mp.g.C, mp.h.C, mp.rho, mp.sigma, metric_g, metric_h, xi, eta))
             assert np.abs(-coadjoint(C, z, v) - ref).max() <= 1e-13 * magnitude(C, z, v).max()
 
     @pytest.mark.parametrize("name", BUILTINS)
@@ -110,7 +112,7 @@ class TestEulerPoincareAgainstFiveTerms:
 
     def test_rejects_metric_blocks_of_the_wrong_size(self, sl2c_derived):
         with pytest.raises(DimensionMismatch, match="Hamiltonian dimension 5 does not match"):
-            integrate_ep(sl2c_derived, legendre(LagrangianSpec(np.eye(2), np.eye(3))),
+            integrate_ep(sl2c_derived, legendre(np.eye(2), np.eye(3)),
                          np.ones(6), 0.1, 0.1)
 
 
@@ -147,6 +149,16 @@ class TestStackedMaps:
         assert f"(5, {k})" in str(err.value) and f"(4, {l})" in str(err.value)
         assert fn(mp, rng.standard_normal(k), rng.standard_normal((4, l))).shape[0] == 4
         assert fn(mp, rng.standard_normal((4, 1, k)), rng.standard_normal((3, l))).shape[:2] == (4, 3)
+
+    def test_coadjoint_rejects_a_length_one_x(self):
+        # einsum would broadcast a length-1 last axis of x against the constants' last axis
+        C = np.zeros((3, 3, 3))
+        C[0] = np.eye(3)
+        for z, x in (([1, 0, 0], np.ones(1)), (np.ones((5, 3)), np.ones((5, 1)))):
+            shapes = f"rows of shapes {np.shape(z)} and {x.shape} with constants of shape (3, 3, 3)"
+            with pytest.raises(DimensionMismatch, match=re.escape(shapes)):
+                coadjoint(C, z, x)
+        assert coadjoint(C, [1, 0, 0], np.ones(3)).tolist() == [1.0, 1.0, 1.0]
 
     def test_maps_read_their_pairs_tensors(self, sl2c_printed, monkeypatch, rng):
         seen = []
@@ -220,11 +232,11 @@ class TestLegendre:
         # legendre has to symmetrize the inverse blocks itself
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
         M = (q * np.geomspace(1.0, 1e10, 6)) @ q.T
-        lag = LagrangianSpec(0.5 * M + 0.5 * M.T, np.eye(3))
-        inv = np.linalg.inv(lag.metric_g)
+        metric_g = 0.5 * M + 0.5 * M.T
+        inv = np.linalg.inv(metric_g)
         with pytest.raises(InputError, match="not symmetric"):
             HamiltonianSpec.quadratic(inv)
-        assert same_bits(legendre(lag).Q[:6, :6], 0.5 * inv + 0.5 * inv.T)
+        assert same_bits(legendre(metric_g, np.eye(3)).Q[:6, :6], 0.5 * inv + 0.5 * inv.T)
 
 
 class TestFlatTwoVector:
@@ -237,7 +249,7 @@ class TestFlatTwoVector:
                            [1.0, 2.0], 0.1, 1.0)
         assert record.mu[0].tolist() == [1.0] and record.nu[0].tolist() == [2.0]
         assert np.array_equal(record.states, np.tile([1.0, 2.0], (11, 1)))
-        energy = legendre(LagrangianSpec(np.eye(1), 2.0 * np.eye(1)))
+        energy = legendre(np.eye(1), 2.0 * np.eye(1))
         assert np.array_equal(integrate_ep(line_pair, energy, (3.0, 4.0), 0.1, 1.0).states[-1],
                               [3.0, 8.0])
         record = integrate_ep(line_pair, energy, [3.0, 4.0], 0.1, 0.1)

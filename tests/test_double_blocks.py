@@ -14,7 +14,6 @@ from mpmech.errors import EmbeddingError
 from mpmech.lie_core import LieAlgebra
 from mpmech.matched_pair import MatchedPair, build_double, pair_from_double, validation_report
 from mpmech.sl2c import (
-    EmbeddedBasis,
     derive_actions_from_embedding,
     k_algebra,
     k_basis,
@@ -85,9 +84,8 @@ class TestDeriveInOneSolve:
     @pytest.mark.parametrize("g,h,factor", [(slice(0, 2), slice(2, 3), "g"),
                                             (slice(2, 3), slice(0, 2), "h")])
     def test_rejects_a_factor_that_is_not_closed(self, g, h, factor):
-        basis = EmbeddedBasis(tuple(su2_basis()[g]), tuple(su2_basis()[h]))
         with pytest.raises(EmbeddingError, match=f"^{factor} basis is not closed under commutators$"):
-            derive_actions_from_embedding(basis)
+            derive_actions_from_embedding(su2_basis()[g], su2_basis()[h])
 
     @pytest.mark.parametrize("g,h", [([], []), (su2_basis(), []), ([], k_basis())])
     def test_empty_factor_is_input_error(self, tmp_path, capsys, g, h):
@@ -103,7 +101,7 @@ class TestDeriveInOneSolve:
         A_inv = np.linalg.inv(A)
         g = [A @ M @ A_inv for M in su2_basis()]
         h = [A @ M @ A_inv for M in k_basis()]
-        mp = derive_actions_from_embedding(EmbeddedBasis(tuple(g), tuple(h)))
+        mp = derive_actions_from_embedding(g, h)
         oracle = commutator_projection(g, h)
         C = mp.algebra.C
         assert np.abs(C - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
@@ -117,7 +115,7 @@ class TestDeriveInOneSolve:
             return lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counted)
-        derive_actions_from_embedding(standard_basis())
+        derive_actions_from_embedding(*standard_basis())
         assert len(calls) == 1
 
     @pytest.mark.parametrize("name", ["sl2c_derived", "e3_heavytop"])

@@ -6,7 +6,6 @@ import pytest
 from mpmech import dynamics
 from mpmech.dynamics import (
     HamiltonianSpec,
-    LagrangianSpec,
     TrajectoryRecord,
     gradient,
     integrate,
@@ -58,23 +57,23 @@ class TestGradient:
 
 class TestLegendre:
     def test_identity_metric(self):
-        H = legendre(LagrangianSpec(np.eye(3), np.eye(3)))
+        H = legendre(np.eye(3), np.eye(3))
         assert np.array_equal(H.Q, np.eye(6))
         assert np.abs(H.b).max() == 0.0
 
     def test_diagonal_metric(self):
-        H = legendre(LagrangianSpec(np.diag([1.0, 2.0, 3.0]), np.eye(3)))
+        H = legendre(np.diag([1.0, 2.0, 3.0]), np.eye(3))
         assert np.allclose(np.diag(H.Q), [1.0, 0.5, 1.0 / 3.0, 1.0, 1.0, 1.0])
 
     def test_singular_metric_rejected(self):
         with pytest.raises(DegenerateMetricError):
-            LagrangianSpec(np.diag([1.0, 1.0, 0.0]), np.eye(3))
+            legendre(np.diag([1.0, 1.0, 0.0]), np.eye(3))
 
     def test_asymmetric_metric_rejected(self):
         M = np.eye(3)
         M[0, 1] = 0.5
         with pytest.raises(DegenerateMetricError):
-            LagrangianSpec(M, np.eye(3))
+            legendre(M, np.eye(3))
 
     def test_round_trip_through_gradient(self, rng):
         for _ in range(20):
@@ -82,10 +81,9 @@ class TestLegendre:
             B = rng.standard_normal((3, 3))
             Mg = A @ A.T + 0.5 * np.eye(3)
             Mh = B @ B.T + 0.5 * np.eye(3)
-            lag = LagrangianSpec(Mg, Mh)
             xi, eta = rng.standard_normal((2, 3))
             z = np.concatenate([Mg @ xi, Mh @ eta])
-            back = gradient(legendre(lag), z)
+            back = gradient(legendre(Mg, Mh), z)
             assert np.abs(back - np.concatenate([xi, eta])).max() <= 1e-12 * (
                 1.0 + np.abs(z).max())
 
@@ -174,7 +172,7 @@ class TestIntegrate:
                 integrate(sl2c_derived, HamiltonianSpec.quadratic(np.eye(6)),
                           P0, 1e-3, 200.0, invariants=invariants)
             else:
-                integrate_ep(sl2c_derived, legendre(LagrangianSpec(np.eye(3), np.eye(3))), P0,
+                integrate_ep(sl2c_derived, legendre(np.eye(3), np.eye(3)), P0,
                              1e-3, 200.0, invariants)
 
     def test_blow_up_reports_last_good_time(self, sl2c_derived):
@@ -190,27 +188,26 @@ class TestIntegrate:
 
 class TestIntegrateEp:
     def test_zero_state_is_fixed(self, sl2c_derived):
-        lag = LagrangianSpec(np.eye(3), np.eye(3))
-        rec = integrate_ep(sl2c_derived, legendre(lag), np.zeros(6), 0.1, 1.0)
+        energy = legendre(np.eye(3), np.eye(3))
+        rec = integrate_ep(sl2c_derived, energy, np.zeros(6), 0.1, 1.0)
         assert np.abs(rec.states).max() == 0.0
 
     def test_energy_drift_short_window(self, sl2c_derived):
-        lag = LagrangianSpec(np.eye(3), np.eye(3))
-        rec = integrate_ep(sl2c_derived, legendre(lag), P0, 1e-3, 2.0)
+        energy = legendre(np.eye(3), np.eye(3))
+        rec = integrate_ep(sl2c_derived, energy, P0, 1e-3, 2.0)
         assert rec.drift["H"] <= 1e-10
 
     def test_matches_left_lie_poisson_flow(self, sl2c_derived):
-        lag = LagrangianSpec(np.eye(3), np.eye(3))
+        energy = legendre(np.eye(3), np.eye(3))
         double = sl2c_derived
-        ep = integrate_ep(sl2c_derived, legendre(lag), P0, 1e-3, 1.0)
-        lp = integrate(double, legendre(lag), P0, 1e-3, 1.0, "left")
+        ep = integrate_ep(sl2c_derived, energy, P0, 1e-3, 1.0)
+        lp = integrate(double, energy, P0, 1e-3, 1.0, "left")
         assert np.abs(ep.states - lp.states).max() <= 1e-9
 
     def test_velocity_recovery(self, sl2c_derived, rng):
         Mg = np.diag([1.0, 2.0, 3.0])
-        lag = LagrangianSpec(Mg, np.eye(3))
         state0 = rng.standard_normal(6)
-        rec = integrate_ep(sl2c_derived, legendre(lag), state0, 0.01, 0.1)
+        rec = integrate_ep(sl2c_derived, legendre(Mg, np.eye(3)), state0, 0.01, 0.1)
         assert rec.velocities is not None
         recovered = rec.velocities[0]
         assert np.allclose(recovered[:3], state0[:3], atol=1e-12)

@@ -19,11 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from mpmech import formats
 from mpmech.cli import main
-from mpmech.dynamics import HamiltonianSpec, LagrangianSpec, gradient
+from mpmech.dynamics import HamiltonianSpec, gradient, legendre
 from mpmech.errors import DegenerateMetricError, EmbeddingError, InputError
 from mpmech.lie_core import LieAlgebra
 from mpmech.sl2c import (
-    EmbeddedBasis,
     derive_actions_from_embedding,
     k_basis,
     su2_basis,
@@ -162,12 +161,12 @@ class TestApiGate:
     def test_ragged_metric_in_euler_poincare_rhs(self):
         ragged = [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0]]
         with pytest.raises(InputError, match="g metric is not a numeric array"):
-            LagrangianSpec(ragged, np.eye(3))
+            legendre(ragged, np.eye(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_metric_is_degenerate(self, bad):
         with pytest.raises(DegenerateMetricError, match="non-finite entries in g metric"):
-            LagrangianSpec([[bad]], [[1.0]])
+            legendre([[bad]], [[1.0]])
 
     def test_400_digit_structure_constant(self):
         with pytest.raises(InputError, match="int too large to convert to float"):
@@ -188,7 +187,7 @@ class TestApiGate:
         mats = [np.array(M) for M in su2_basis()]
         mats[1][0, 1] = np.nan
         with pytest.raises(InputError, match="non-finite entries in basis matrices"):
-            EmbeddedBasis(tuple(mats), tuple(k_basis()))
+            derive_actions_from_embedding(mats, k_basis())
 
     def test_overflowing_commutators_are_an_embedding_error(self):
         g, h = [np.array(M) for M in su2_basis()], [np.array(M) for M in k_basis()]
@@ -196,7 +195,7 @@ class TestApiGate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EmbeddingError, match="non-finite entries in basis commutators"):
-                derive_actions_from_embedding(EmbeddedBasis(tuple(g), tuple(h)))
+                derive_actions_from_embedding(g, h)
 
     def test_antisymmetry_defect_near_1e308_is_finite(self):
         C = np.zeros((2, 2, 2))
@@ -251,9 +250,9 @@ class TestToleranceScale:
     def test_scale_reaches_the_lagrangian_metric(self, monkeypatch):
         M = [[1.0, 1.0], [1.0 + 3.3e-12, 2.0]]  # bound 3e-12
         with pytest.raises(DegenerateMetricError, match="g metric is not symmetric"):
-            LagrangianSpec(M, [[1.0]])
+            legendre(M, [[1.0]])
         monkeypatch.setenv("MPM_TOLERANCE_SCALE", "1e6")
-        LagrangianSpec(M, [[1.0]])
+        legendre(M, [[1.0]])
 
 
 # -- derive --basis documents, mutated -------------------------------------------

@@ -15,7 +15,7 @@ from mpmech.matched_pair import (
     right_act,
     validation_report,
 )
-from mpmech.dynamics import LagrangianSpec, integrate_ep, legendre
+from mpmech.dynamics import integrate_ep, legendre
 from mpmech.sl2c import k_algebra, sl2c_closed_forms, su2_algebra
 
 from oracles import semidirect_lp_rhs
@@ -24,10 +24,12 @@ E = np.eye(3)
 E6 = np.eye(6)
 
 
-def euler_poincare_field(mp, lag, xi, eta):
-    """The Euler-Poincare momentum rate at velocities (xi, eta), integrate_ep's
-    field: minus the double's coadjoint at (M_g xi, M_h eta) with gradient (xi, eta)."""
-    z = np.concatenate([lag.metric_g @ xi, lag.metric_h @ eta])
+def euler_poincare_field(mp, metrics, xi, eta):
+    """The Euler-Poincare momentum rate at velocities (xi, eta) of the metric blocks
+    ``metrics = (M_g, M_h)``, integrate_ep's field: minus the double's coadjoint at
+    (M_g xi, M_h eta) with gradient (xi, eta)."""
+    metric_g, metric_h = metrics
+    z = np.concatenate([metric_g @ xi, metric_h @ eta])
     return -coadjoint(mp.algebra.C, z, np.concatenate([xi, eta]))
 
 
@@ -285,32 +287,32 @@ class TestMatchedRhs:
 
 class TestEulerPoincare:
     def test_zero_state(self, sl2c_derived):
-        lag = LagrangianSpec(np.eye(3), np.eye(3))
-        p_dot = euler_poincare_field(sl2c_derived, lag, np.zeros(3), np.zeros(3))
+        metrics = (np.eye(3), np.eye(3))
+        p_dot = euler_poincare_field(sl2c_derived, metrics, np.zeros(3), np.zeros(3))
         assert np.abs(p_dot).max() == 0.0
-        record = integrate_ep(sl2c_derived, legendre(lag), np.zeros(6), 0.1, 0.1)
+        record = integrate_ep(sl2c_derived, legendre(*metrics), np.zeros(6), 0.1, 0.1)
         assert np.abs(record.velocities).max() == 0.0
 
     def test_identity_metric_example(self, sl2c_derived):
-        lag = LagrangianSpec(np.eye(3), np.eye(3))
-        p_dot = euler_poincare_field(sl2c_derived, lag, E[0], E[1])
+        metrics = (np.eye(3), np.eye(3))
+        p_dot = euler_poincare_field(sl2c_derived, metrics, E[0], E[1])
         assert np.allclose(p_dot[:3], 0.0, atol=1e-12)
         assert np.allclose(p_dot[3:], [0.0, 0.0, -1.0], atol=1e-12)
 
     def test_energy_rate_vanishes(self, sl2c_derived, rng):
-        lag = LagrangianSpec(np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 1.0, 0.5]))
+        metrics = (np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 1.0, 0.5]))
         for _ in range(200):
             xi, eta = rng.standard_normal((2, 3))
             scale = 1.0 + max(np.abs(xi).max(), np.abs(eta).max())
-            p_dot = euler_poincare_field(sl2c_derived, lag, xi, eta)
+            p_dot = euler_poincare_field(sl2c_derived, metrics, xi, eta)
             assert abs(p_dot[:3] @ xi + p_dot[3:] @ eta) <= 1e-12 * scale ** 2
 
     def test_negates_right_rhs_for_identity_metric(self, sl2c_derived, rng):
-        lag = LagrangianSpec(np.eye(3), np.eye(3))
+        metrics = (np.eye(3), np.eye(3))
         double = sl2c_derived
         for _ in range(100):
             xi, eta = rng.standard_normal((2, 3))
-            p_dot = euler_poincare_field(sl2c_derived, lag, xi, eta)
+            p_dot = euler_poincare_field(sl2c_derived, metrics, xi, eta)
             rhs = matched_lp_rhs(double, np.concatenate([xi, eta]), np.concatenate([xi, eta]), "right")
             assert np.allclose(p_dot, -rhs, atol=1e-13)
 

@@ -25,7 +25,8 @@ from mpmech.lie_core import (
     trivialized_forms_eval,
 )
 from mpmech.matched_pair import matched_lp_rhs
-from mpmech.sl2c import EmbeddedBasis, group_act, iwasawa_factor, k_algebra, su2_algebra
+from mpmech.sl2c import (derive_actions_from_embedding, group_act, iwasawa_factor, k_algebra,
+                         su2_algebra)
 
 from group_elements import random_sl2c
 from helpers import count_calls, random_antisymmetric, random_pair
@@ -275,12 +276,12 @@ BIG = 10 ** 400
 class TestComplexInputGate:
     @pytest.mark.parametrize("make", [
         lambda: iwasawa_factor([[BIG, 0], [0, 1]]),
-        lambda: EmbeddedBasis(([[BIG, 0], [0, 0]],), ()),
+        lambda: derive_actions_from_embedding(([[BIG, 0], [0, 0]],), ()),
         lambda: group_act((0.0, 0.0, 0.0), [[BIG, 0], [0, 1]]),
         lambda: iwasawa_factor([[1, "a"], [0, 1]]),
         lambda: iwasawa_factor([[1, [2]], [0, 1]]),
-        lambda: EmbeddedBasis(([[1, "a"], [0, 0]],), ()),
-        lambda: EmbeddedBasis((), ([[1, "a"], [0, 0]],)),
+        lambda: derive_actions_from_embedding(([[1, "a"], [0, 0]],), ()),
+        lambda: derive_actions_from_embedding((), ([[1, "a"], [0, 0]],)),
         lambda: group_act((0.0, 0.0, 0.0), [[1, "a"], [0, 1]]),
     ])
     def test_is_input_error(self, make):
@@ -306,7 +307,11 @@ class TestComplexInputGate:
         again, same = iwasawa_factor(M)
         assert same_bits(unitary.view(float), again.view(float))
         assert same_bits(triangular, same)
-        basis = sl2c.standard_basis()
-        matrices = sl2c.su2_basis() + sl2c.k_basis()
-        for got, want in zip(basis.g_matrices + basis.h_matrices, matrices):
-            assert same_bits(got.view(float), np.asarray(want, dtype=complex).view(float))
+        # derive reads its matrices through the gate: nested lists give the arrays' bits
+        g_matrices, h_matrices, _, _ = sl2c.standard_basis()
+        derived = derive_actions_from_embedding(g_matrices, h_matrices)
+        listed = derive_actions_from_embedding([M.tolist() for M in g_matrices],
+                                               [M.tolist() for M in h_matrices])
+        for got, want in ((listed.g.C, derived.g.C), (listed.h.C, derived.h.C),
+                          (listed.rho, derived.rho), (listed.sigma, derived.sigma)):
+            assert same_bits(got, want)

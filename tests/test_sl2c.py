@@ -3,7 +3,6 @@ import pytest
 
 from mpmech.errors import EmbeddingError, InputError, ValidationError
 from mpmech.sl2c import (
-    EmbeddedBasis,
     derive_actions_from_embedding,
     group_act,
     iwasawa_factor,
@@ -157,14 +156,14 @@ class TestGroupActions:
 
 class TestDeriveActions:
     def test_expected_action_values(self):
-        mp = derive_actions_from_embedding(standard_basis())
+        mp = derive_actions_from_embedding(*standard_basis())
         e = np.eye(3)
         from mpmech.matched_pair import left_act, right_act
         assert np.allclose(left_act(mp, e[2], e[0]), e[0], atol=1e-12)
         assert np.allclose(right_act(mp, e[2], e[0]), e[1], atol=1e-12)
 
     def test_su2_constants_are_cross_product(self):
-        mp = derive_actions_from_embedding(standard_basis())
+        mp = derive_actions_from_embedding(*standard_basis())
         eps = np.zeros((3, 3, 3))
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             eps[i, j, k] = 1.0
@@ -172,30 +171,27 @@ class TestDeriveActions:
         assert np.abs(mp.g.C - eps).max() <= 1e-12
 
     def test_output_is_compatible(self, compatibility_defects):
-        mp = derive_actions_from_embedding(standard_basis())
+        mp = derive_actions_from_embedding(*standard_basis())
         assert max(compatibility_defects(mp)) <= 1e-12
 
     def test_commuting_diagonal_bases_give_zero_tensors(self):
-        basis = EmbeddedBasis(
+        mp = derive_actions_from_embedding(
             (np.diag([0.5, -0.5]).astype(complex),),
             (np.diag([0.0, 1.0]).astype(complex),),
         )
-        mp = derive_actions_from_embedding(basis)
         assert np.abs(mp.rho).max() == 0.0
         assert np.abs(mp.sigma).max() == 0.0
 
     def test_rank_deficient_basis_rejected(self):
         e = su2_basis()
-        basis = EmbeddedBasis(tuple(e), (e[0],))  # duplicate direction
         with pytest.raises(EmbeddingError):
-            derive_actions_from_embedding(basis)
+            derive_actions_from_embedding(e, (e[0],))  # duplicate direction
 
     def test_commutator_escaping_span_rejected(self):
         # e1, e2 alone do not span their commutator e3
         e = su2_basis()
-        basis = EmbeddedBasis((e[0],), (e[1],))
         with pytest.raises(EmbeddingError):
-            derive_actions_from_embedding(basis)
+            derive_actions_from_embedding((e[0],), (e[1],))
 
 
 class TestBuiltinPairs:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mpmech import formats, lie_core, matched_pair, sl2c
-from mpmech.dynamics import HamiltonianSpec, LagrangianSpec, integrate
+from mpmech.dynamics import HamiltonianSpec, integrate, legendre
 from mpmech.errors import InputError
 from mpmech.lie_core import LieAlgebra, ad_star, coadjoint
 from mpmech.matched_pair import (
@@ -150,7 +150,7 @@ class TestRaggedOrNonNumericInput:
         lambda mp: pair_from_double([[[0.0]], [0.0]], 1, None, None),
         lambda mp: HamiltonianSpec.quadratic([[1.0, 0.0], [0.0]]),
         lambda mp: HamiltonianSpec.quadratic(np.eye(2), [1.0, [2.0]]),
-        lambda mp: LagrangianSpec([[1.0], ["x"]], np.eye(3)),
+        lambda mp: legendre([[1.0], ["x"]], np.eye(3)),
     ], ids=["ragged flat", "ragged stack", "string in a map", "string in ad_star", "dict in ad_star",
             "ragged rhs point", "string rhs gradient", "ragged constants", "ragged rho",
             "string sigma", "ragged double", "ragged Q", "ragged b", "string metric"])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mpmech
-from mpmech import formats, lie_core, matched_pair
+from mpmech import dynamics, formats, lie_core, matched_pair, sl2c
 from mpmech.cli import main
 from mpmech.dynamics import HamiltonianSpec, _grid, integrate, integrate_ep
 from mpmech.errors import InputError, ValidationError
@@ -44,7 +44,7 @@ SRC = TESTS.parent / "src" / "mpmech"
 REMOVED_NAMES = ("compat_defect", "CompatDefect", "jacobi_defect", "kks_eval",
                  "matched_ad_star", "euler_poincare_rhs",
                  "DualPoint", "as_dual_point", "cobracket_eval", "matched_bracket_eval",
-                 "DoubleAlgebra", "_as_pair")
+                 "DoubleAlgebra", "_as_pair", "EmbeddedBasis", "LagrangianSpec")
 REPORT_NAMES = [
     "jacobi defect (g)",
     "jacobi defect (h)",
@@ -113,7 +113,7 @@ class TestReport:
 
     def test_one_reader_of_the_compatibility_blocks(self, monkeypatch, pairs):
         # the deleted names stay deleted
-        for module in (mpmech, lie_core, matched_pair):
+        for module in (mpmech, lie_core, matched_pair, dynamics, sl2c):
             assert [name for name in REMOVED_NAMES if hasattr(module, name)] == [], module.__name__
         assert not hasattr(mpmech, "build_double")  # matched_pair keeps it as an alias
         # a 4-index subscript is a read of a block of a Jacobiator, the one rank-4 tensor
