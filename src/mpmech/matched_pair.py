@@ -75,7 +75,6 @@ class MatchedPair:
         self.h = h
         self.rho, self.sigma = tensors
         self._validated = False
-        self._audit_plan: _AuditPlan | None = None  # audit_formulas's, as the derived pair
         if validate:
             self.validate()
 
@@ -223,6 +222,10 @@ def pair_from_double(C, n: int, g_names: Sequence[str] | None,
     constants ``C`` and g on the first ``n`` indices.  EmbeddingError unless each
     [e_i, e_j] is in g and each [f_a, f_b] in h, to 1e-10 (1 + its max coefficient)."""
     C = float_array(C, "double constants")
+    if C.ndim != 3 or C.shape.count(C.shape[0]) != 3:
+        raise DimensionMismatch(f"double constants must be a cubic rank-3 tensor, got {C.shape}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= len(C):
+        raise InputError(f"the split n must be an integer from 0 to {len(C)}, got {n!r}")
     tol = 1e-10 * lie_core.tolerance_scale()
     for name, block, other in (("g", C[:, :n, :n], slice(n, None)),
                                ("h", C[:, n:, n:], slice(None, n))):
@@ -260,7 +263,7 @@ def matched_lp_rhs(mp: MatchedPair, p, grad_h, convention: str = "right") -> np.
 
 @dataclass(frozen=True)
 class ClosedFormActions:
-    """Closed-form expressions to reconcile against the canonical transposes.
+    """The five closed-form expressions to reconcile against the canonical transposes.
 
     Every callable works on stacked rows, one sample per row: arguments and
     results are ``(S, n)`` or ``(S, m)`` arrays, and a result of any other shape
@@ -272,12 +275,12 @@ class ClosedFormActions:
     against the canonical coadjoint assembly on the first (validated) argument.
     """
 
-    co_left: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    co_right: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    a_star: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    b_star: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    co_left: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    co_right: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    a_star: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    b_star: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lp_rhs: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-                     tuple[np.ndarray, np.ndarray]] | None = None
+                     tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -327,42 +330,36 @@ class AuditReport:
         return asdict(self)
 
 
-class _AuditPlan:
+@functools.lru_cache(maxsize=1)
+def _audit_plan(de: MatchedPair, pr: MatchedPair) -> tuple[np.ndarray, np.ndarray, dict, str]:
     """What :func:`audit_formulas` reads of its two pairs besides the draws and the maps'
-    tensors: the contiguous, read-only T of the four actions (|> printed, |> derived, <|
-    printed, <| derived, stacked along coadjoint's output axis) and ``C_plus``, the action
-    rows' witnesses and the condition-1 detail."""
-
-    def __init__(self, de: MatchedPair, pr: MatchedPair):
-        n = de.g.dim
-        self.printed = pr
-        self.actions = _read_only(np.concatenate(
-            [mp.map_tensors[f] for f in ("left_act", "right_act") for mp in (pr, de)], 1))
-        C_plus = de.algebra.C.copy()  # its *<| and a* terms negated
-        C_plus[:, :n, n:] *= -1.0
-        self.C_plus = _read_only(C_plus)
-        self.witnesses = {name: f"({pr.h.name_of(a)}, {pr.g.name_of(i)})" for name, (_, (_, a, i))
-                          in (("action |>", _largest_entry(pr.rho - de.rho)),
-                              ("action <|", _largest_entry(pr.sigma - de.sigma)))}
-
-    @functools.cached_property
-    def detail(self) -> str:
-        condition = _compatibility_checks(self.printed)[0]
-        return f"compatibility condition 1 defect {condition.value:g} at {condition.witness}"
+    tensors, kept for the last two pairs: the read-only T of the four actions (|> printed, |>
+    derived, <| printed, <| derived, stacked), ``C_plus``, witnesses and condition-1 detail."""
+    n = de.g.dim
+    actions = _read_only(np.concatenate(
+        [mp.map_tensors[f] for f in ("left_act", "right_act") for mp in (pr, de)], 1))
+    C_plus = de.algebra.C.copy()  # its *<| and a* terms negated
+    C_plus[:, :n, n:] *= -1.0
+    witnesses = {name: f"({pr.h.name_of(a)}, {pr.g.name_of(i)})" for name, (_, (_, a, i))
+                 in (("action |>", _largest_entry(pr.rho - de.rho)),
+                     ("action <|", _largest_entry(pr.sigma - de.sigma)))}
+    condition = _compatibility_checks(pr)[0]
+    detail = f"compatibility condition 1 defect {condition.value:g} at {condition.witness}"
+    return actions, _read_only(C_plus), witnesses, detail
 
 
 def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
-                   samples: int = 1000, seed: int = 0,
-                   closed_forms: ClosedFormActions | None = None) -> AuditReport:
-    """Reconcile two tensor sets, and optionally closed-form expressions.
+                   closed_forms: ClosedFormActions, samples: int = 1000,
+                   seed: int = 0) -> AuditReport:
+    """Reconcile two tensor sets and the closed-form expressions of one of them.
 
     The action rows compare the two pairs' tensors directly.  The dual rows
     check each closed form against its defining pairing identity, i.e.
-    against the exact transpose of ``mp_printed``'s tensors (without closed
-    forms they compare the two pairs' canonical duals, which is a trivial
-    MATCH for identical tensors).  The rhs rows compare the closed-form
-    vector field and the plus-sign variants of the coadjoint assembly
-    against the canonical, energy-conserving one on ``mp_derived``.
+    against the exact transpose of ``mp_printed``'s tensors.  The rhs rows
+    compare the closed-form vector field and the plus-sign variant of the
+    coadjoint assembly against the canonical, energy-conserving one on
+    ``mp_derived``: always the same eleven rows.  ``samples`` and ``seed`` are
+    integers (numpy integers too, not bools), stored as plain ints.
 
     Every row is evaluated on blocks of up to ``AUDIT_BLOCK_SAMPLES`` samples,
     stacked one per row, and keeps its own largest deviation, so the memory held
@@ -372,11 +369,14 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
     The plus-sign field negates the block ``C[:, :n, n:]`` (the *<| and a* terms).
     The dual maps read each pair's :attr:`~MatchedPair.map_tensors`.  The rest that
     does not depend on the draws (the stacked action tensor, ``C_plus``, the action
-    rows' witnesses and the condition-1 detail) is an audit plan, kept in one slot
-    on ``mp_derived`` for the last ``mp_printed`` it was audited against.
+    rows' witnesses and the condition-1 detail) comes from ``_audit_plan``, which
+    keeps it for the last pair of pairs audited.
     """
     if mp_derived.split != mp_printed.split:
         raise DimensionMismatch("audited pairs live on different algebras")
+    for what, value in (("sample count", samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InputError(f"the audit {what} must be an integer, got {value!r}")
     if not 1 <= samples <= AUDIT_MAX_SAMPLES:
         raise InputError(f"the audit needs 1 to {AUDIT_MAX_SAMPLES} samples, got {samples}")
     if seed < 0:
@@ -384,11 +384,8 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
     n, m = mp_derived.split
     rng = np.random.default_rng(seed)
     draws = [rng.standard_normal((samples, k)) for k in (m, n, n, m)]  # eta, xi, mu, nu
-    pr, de = mp_printed, mp_derived
-    cf = closed_forms or ClosedFormActions()
-    plan = de._audit_plan
-    if plan is None or plan.printed is not pr:  # one plan, for the last printed pair
-        plan = de._audit_plan = _AuditPlan(de, pr)
+    pr, de, cf = mp_printed, mp_derived, closed_forms
+    actions, C_plus, witnesses, detail = _audit_plan(de, pr)
 
     def gap(name, closed, exact):  # closed - exact, unless the closed form would be broadcast
         if np.shape(closed) == exact.shape:
@@ -398,7 +395,7 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
 
     def deviations(etas, xis, mus, nus):  # each row's a - b on one block of samples
         # primitive actions: printed tensors against derived tensors
-        acts = coadjoint(plan.actions, etas, xis)
+        acts = coadjoint(actions, etas, xis)
         yield "action |>", acts[:, :n] - acts[:, n:2 * n]
         yield "action <|", acts[:, 2 * n:2 * n + m] - acts[:, 2 * n + m:]
         # dual maps: closed forms against their defining pairing identities
@@ -406,22 +403,17 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
                                           ("dual *|>", cf.co_right, co_right_act, xis, nus),
                                           ("dual a*", cf.a_star, a_star, etas, nus),
                                           ("dual b*", cf.b_star, b_star, xis, mus)):
-            yield name, gap(name, closed(u, v) if closed is not None else exact(de, u, v),
-                            exact(pr, u, v))
+            yield name, gap(name, closed(u, v), exact(pr, u, v))
         # vector fields on the derived double; an energy rate is <mu_dot, x> + <nu_dot, y>
         Z, G = np.concatenate([mus, nus], axis=1), np.concatenate([xis, etas], axis=1)
         canonical = coadjoint(de.algebra.C, Z, G)
-        if cf.lp_rhs is not None:
-            mu_dot, nu_dot = cf.lp_rhs(mus, nus, xis, etas)
-            yield "closed-form rhs (mu)", gap("closed-form rhs (mu)", mu_dot, canonical[:, :n])
-            yield "closed-form rhs (nu)", gap("closed-form rhs (nu)", nu_dot, canonical[:, n:])
-        else:
-            yield "canonical rhs (tensor sets)", coadjoint(pr.algebra.C, Z, G) - canonical
+        mu_dot, nu_dot = cf.lp_rhs(mus, nus, xis, etas)
+        yield "closed-form rhs (mu)", gap("closed-form rhs (mu)", mu_dot, canonical[:, :n])
+        yield "closed-form rhs (nu)", gap("closed-form rhs (nu)", nu_dot, canonical[:, n:])
         yield "canonical rhs energy rate", np.einsum("si,si->s", canonical, G)
-        if closed_forms is not None:
-            plus = coadjoint(plan.C_plus, Z, G)
-            yield "plus-sign rhs vs canonical", plus - canonical
-            yield "plus-sign rhs energy rate", np.einsum("si,si->s", plus, G)
+        plus = coadjoint(C_plus, Z, G)
+        yield "plus-sign rhs vs canonical", plus - canonical
+        yield "plus-sign rhs energy rate", np.einsum("si,si->s", plus, G)
 
     largest = 0.0
     for start in range(0, samples, AUDIT_BLOCK_SAMPLES):
@@ -431,7 +423,7 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
         largest = np.maximum(largest, block)  # keeps a NaN
     largest = np.abs(largest)  # real, also where a closed form's complex rows kept |a - b| complex
     lines = [AuditLine(name, dev, "MATCH" if dev <= AUDIT_TOLERANCE else "MISMATCH",
-                       plan.witnesses.get(name)) for name, dev in zip(names, largest.tolist())]
+                       witnesses.get(name)) for name, dev in zip(names, largest.tolist())]
     if lines[1].status == "MISMATCH":
-        lines[1] = replace(lines[1], detail=plan.detail)
-    return AuditReport(samples, seed, AUDIT_TOLERANCE, tuple(lines))
+        lines[1] = replace(lines[1], detail=detail)
+    return AuditReport(int(samples), int(seed), AUDIT_TOLERANCE, tuple(lines))

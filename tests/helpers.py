@@ -6,7 +6,7 @@ of a pair with dim g != dim h."""
 import numpy as np
 
 from mpmech.lie_core import LieAlgebra
-from mpmech.matched_pair import MatchedPair, pair_from_double
+from mpmech.matched_pair import ClosedFormActions, MatchedPair, pair_from_double
 from mpmech.sl2c import su2_algebra
 
 
@@ -79,6 +79,21 @@ def random_valid_pair(seed, n):
     coeffs = np.linalg.lstsq(B, comms.reshape(d * d, -1).T, rcond=None)[0]
     return pair_from_double(coeffs.reshape(d, d, d), len(g), [f"e{k + 1}" for k in range(len(g))],
                             [f"f{a + 1}" for a in range(len(h))])
+
+
+def exact_closed_forms(pr, de):
+    """Closed forms that are exact: the transposes of ``pr``'s tensors as the four
+    duals, and the canonical field of ``de``'s double, split at dim g, as ``lp_rhs``.
+    Each takes one vector or a stack of rows, like ``sl2c_closed_forms()``."""
+    C = de.algebra.C
+    return ClosedFormActions(
+        co_left=lambda mu, eta: np.einsum("kai,...a,...k->...i", pr.rho, eta, mu),
+        co_right=lambda xi, nu: np.einsum("bai,...i,...b->...a", pr.sigma, xi, nu),
+        a_star=lambda eta, nu: np.einsum("bai,...a,...b->...i", pr.sigma, eta, nu),
+        b_star=lambda xi, mu: np.einsum("kai,...i,...k->...a", pr.rho, xi, mu),
+        lp_rhs=lambda mu, nu, x, y: np.split(
+            np.einsum("kij,...k,...j->...i", C, np.concatenate([mu, nu], axis=-1),
+                      np.concatenate([x, y], axis=-1)), [de.g.dim], axis=-1))
 
 
 def corrupted_su2():

@@ -316,7 +316,7 @@ def iwasawa_numpy(M, scale=1.0):
     return ("validation", failure) if failure else (U, (a, b, c))
 
 
-def per_row_audit(de, pr, samples, seed, closed_forms=None, tol=1e-10, block=2 ** 16):
+def per_row_audit(de, pr, samples, seed, closed_forms, tol=1e-10, block=2 ** 16):
     """The formula audit's lines as ``(name, max_deviation, status, witness, detail)``,
     row by row as ``audit_formulas`` had them before its audit plan: every row calls
     its own maps on both pairs, on the same draws and blocks of samples, and
@@ -327,7 +327,7 @@ def per_row_audit(de, pr, samples, seed, closed_forms=None, tol=1e-10, block=2 *
     n, m = de.g.dim, de.h.dim
     rng = np.random.default_rng(seed)
     draws = [rng.standard_normal((samples, k)) for k in (m, n, n, m)]  # eta, xi, mu, nu
-    cf = closed_forms or mpm.ClosedFormActions()
+    cf = closed_forms
     C = de.algebra.C
     C_plus = C.copy()
     C_plus[:, :n, n:] *= -1.0
@@ -339,20 +339,16 @@ def per_row_audit(de, pr, samples, seed, closed_forms=None, tol=1e-10, block=2 *
                                           ("dual *|>", cf.co_right, mpm.co_right_act, xis, nus),
                                           ("dual a*", cf.a_star, mpm.a_star, etas, nus),
                                           ("dual b*", cf.b_star, mpm.b_star, xis, mus)):
-            yield name, (closed(u, v) if closed is not None else exact(de, u, v)) - exact(pr, u, v)
+            yield name, closed(u, v) - exact(pr, u, v)
         Z, G = np.hstack([mus, nus]), np.hstack([xis, etas])
         canonical = coadjoint(C, Z, G)
-        if cf.lp_rhs is not None:
-            mu_dot, nu_dot = cf.lp_rhs(mus, nus, xis, etas)
-            yield "closed-form rhs (mu)", mu_dot - canonical[:, :n]
-            yield "closed-form rhs (nu)", nu_dot - canonical[:, n:]
-        else:
-            yield "canonical rhs (tensor sets)", coadjoint(pr.algebra.C, Z, G) - canonical
+        mu_dot, nu_dot = cf.lp_rhs(mus, nus, xis, etas)
+        yield "closed-form rhs (mu)", mu_dot - canonical[:, :n]
+        yield "closed-form rhs (nu)", nu_dot - canonical[:, n:]
         yield "canonical rhs energy rate", np.einsum("si,si->s", canonical, G)
-        if closed_forms is not None:
-            plus = coadjoint(C_plus, Z, G)
-            yield "plus-sign rhs vs canonical", plus - canonical
-            yield "plus-sign rhs energy rate", np.einsum("si,si->s", plus, G)
+        plus = coadjoint(C_plus, Z, G)
+        yield "plus-sign rhs vs canonical", plus - canonical
+        yield "plus-sign rhs energy rate", np.einsum("si,si->s", plus, G)
 
     largest = {}
     for start in range(0, samples, block):

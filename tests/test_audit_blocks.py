@@ -1,6 +1,8 @@
-"""Bounded work arrays: the formula audit evaluates its rows over blocks of at
-most ``AUDIT_BLOCK_SAMPLES`` samples from one audit plan per (derived, printed)
-pair, against the per-row reference, and ``bracket`` contracts the transposed
+"""Bounded work arrays: the formula audit evaluates its eleven rows over blocks
+of at most ``AUDIT_BLOCK_SAMPLES`` samples, with the constants that
+``_audit_plan`` keeps for the last (derived, printed) pairs, and matches the
+per-row reference; every case passes a full set of closed forms, the sl2c ones
+or the printed pair's exact ones.  ``bracket`` contracts the transposed
 structure constants that each ``LieAlgebra`` keeps once, contiguous and
 read-only, instead of copying them on every call."""
 
@@ -19,28 +21,32 @@ from mpmech import lie_core, matched_pair, sl2c
 from mpmech.cli import main
 from mpmech.errors import DimensionMismatch
 from mpmech.lie_core import bracket, coadjoint
-from mpmech.matched_pair import (
-    AUDIT_BLOCK_SAMPLES,
-    ClosedFormActions,
-    MatchedPair,
-    audit_formulas,
-)
+from mpmech.matched_pair import AUDIT_BLOCK_SAMPLES, MatchedPair, _audit_plan, audit_formulas
 
-from helpers import count_calls
+from helpers import count_calls, exact_closed_forms
 from oracles import per_row_audit
 
-CASES = {  # (derived, printed, closed forms)
-    "sl2c closed forms": ("sl2c_derived", "sl2c_printed", True),
-    "tensor sets": ("sl2c_derived", "sl2c_printed", False),
-    "identical pairs": ("sl2c_derived", "sl2c_derived", False),
-    "heavy top": ("e3_heavytop", "sl2c_derived", False),
+CLOSED_FORMS = ("co_left", "co_right", "a_star", "b_star", "lp_rhs")
+CASES = {  # (derived, printed, the sl2c closed forms taken; the others are exact)
+    "sl2c closed forms": ("sl2c_derived", "sl2c_printed", CLOSED_FORMS),
+    "tensor sets": ("sl2c_derived", "sl2c_printed", ()),
+    "identical pairs": ("sl2c_derived", "sl2c_derived", ()),
+    "heavy top": ("e3_heavytop", "sl2c_derived", ()),
 }
 
 
+def closed_forms(pairs, derived, printed, taken):
+    """The sl2c closed forms named in ``taken``, and the printed pair's exact ones for
+    the rest (see ``exact_closed_forms``)."""
+    cf = sl2c.sl2c_closed_forms()
+    return dataclasses.replace(exact_closed_forms(pairs[printed], pairs[derived]),
+                               **{name: getattr(cf, name) for name in taken})
+
+
 def audit(pairs, case, samples, seed):
-    derived, printed, closed = CASES[case]
-    return audit_formulas(pairs[derived], pairs[printed], samples, seed,
-                          sl2c.sl2c_closed_forms() if closed else None)
+    derived, printed, _ = CASES[case]
+    return audit_formulas(pairs[derived], pairs[printed], closed_forms(pairs, *CASES[case]),
+                          samples, seed)
 
 
 def count_block_rows(monkeypatch):
@@ -78,9 +84,11 @@ class TestAuditBlocks:
             if nan and len(mu) == 1000 % 7:
                 out[-1] = np.nan
             return out
-        report = audit_formulas(pairs["sl2c_derived"], pr, 1000, 0, ClosedFormActions(co_left))
-        exact = audit_formulas(pairs["sl2c_derived"], pr, 1000, 0,
-                               ClosedFormActions(lambda mu, eta: co_left(mu, eta, nan=False)))
+        cf = sl2c.sl2c_closed_forms()
+        report = audit_formulas(pairs["sl2c_derived"], pr,
+                                dataclasses.replace(cf, co_left=co_left), 1000, 0)
+        exact = audit_formulas(pairs["sl2c_derived"], pr, dataclasses.replace(
+            cf, co_left=lambda mu, eta: co_left(mu, eta, nan=False)), 1000, 0)
         line = report.line("dual *<|")
         assert np.isnan(line.max_deviation) and line.status == "MISMATCH"
         assert exact.line("dual *<|").status == "MATCH"
@@ -88,16 +96,12 @@ class TestAuditBlocks:
             [r for r in exact.lines if r.name != line.name]
 
 
-CLOSED_FORMS = ("co_left", "co_right", "a_star", "b_star", "lp_rhs")
-# (derived, printed, closed forms): the CASES above, each sl2c closed form alone, and the
-# heavy top against the derived pair with all of them
+# the CASES above, each sl2c closed form alone, and the heavy top against the derived
+# pair with all of them
 ORACLE_CASES = {
-    **{case: (d, p, sl2c.sl2c_closed_forms() if closed else None)
-       for case, (d, p, closed) in CASES.items()},
-    **{f"{name} alone": ("sl2c_derived", "sl2c_printed",
-                         ClosedFormActions(**{name: getattr(sl2c.sl2c_closed_forms(), name)}))
-       for name in CLOSED_FORMS},
-    "heavy top, sl2c closed forms": ("e3_heavytop", "sl2c_derived", sl2c.sl2c_closed_forms()),
+    **CASES,
+    **{f"{name} alone": ("sl2c_derived", "sl2c_printed", (name,)) for name in CLOSED_FORMS},
+    "heavy top, sl2c closed forms": ("e3_heavytop", "sl2c_derived", CLOSED_FORMS),
 }
 ROW_OF = {"co_left": "dual *<|", "co_right": "dual *|>", "a_star": "dual a*", "b_star": "dual b*",
           "lp_rhs (mu_dot)": "closed-form rhs (mu)", "lp_rhs (nu_dot)": "closed-form rhs (nu)"}
@@ -112,11 +116,12 @@ class TestAuditPlan:
     @pytest.mark.parametrize("samples", [1, 7, 50, 1000, AUDIT_BLOCK_SAMPLES + 1])
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_lines_are_the_per_row_audit(self, pairs, case, samples):
-        derived, printed, closed = ORACLE_CASES[case]
+        derived, printed, _ = ORACLE_CASES[case]
+        closed = closed_forms(pairs, *ORACLE_CASES[case])
         for seed in (0, 3):
-            report = audit_formulas(pairs[derived], pairs[printed], samples, seed, closed)
+            report = audit_formulas(pairs[derived], pairs[printed], closed, samples, seed)
             oracle = per_row_audit(pairs[derived], pairs[printed], samples, seed, closed)
-            assert len(report.lines) == len(oracle)
+            assert len(report.lines) == len(oracle) == 11
             for line, (name, dev, status, witness, detail) in zip(report.lines, oracle):
                 assert (line.name, line.status, line.witness, line.detail) == \
                     (name, status, witness, detail)
@@ -137,9 +142,10 @@ class TestAuditPlan:
 
     def test_plan_arrays_are_read_only(self, pairs):
         derived = fresh(pairs["sl2c_derived"], validate=True)
-        audit_formulas(derived, pairs["sl2c_printed"], 10, 0, sl2c.sl2c_closed_forms())
-        plan = derived._audit_plan
-        for T in (plan.actions, plan.C_plus, *derived.map_tensors.values(),
+        audit_formulas(derived, pairs["sl2c_printed"], sl2c.sl2c_closed_forms(), 10, 0)
+        actions, C_plus, _, _ = _audit_plan(derived, pairs["sl2c_printed"])
+        assert "_audit_plan" not in vars(derived)  # the pair keeps no audit state
+        for T in (actions, C_plus, *derived.map_tensors.values(),
                   *pairs["sl2c_printed"].map_tensors.values()):
             assert T.flags.c_contiguous
             with pytest.raises(ValueError):
@@ -149,19 +155,25 @@ class TestAuditPlan:
         derived = fresh(pairs["sl2c_derived"], validate=True)
         cf = sl2c.sl2c_closed_forms()
         for printed in ("sl2c_printed", "e3_heavytop", "sl2c_printed", "sl2c_derived"):
-            report = audit_formulas(derived, pairs[printed], 50, 2, cf)
-            assert derived._audit_plan.printed is pairs[printed]
+            report = audit_formulas(derived, pairs[printed], cf, 50, 2)
+            hits = _audit_plan.cache_info().hits
+            _audit_plan(derived, pairs[printed])  # the plan kept is this printed pair's
+            assert _audit_plan.cache_info().hits == hits + 1
             assert [(line.name, line.max_deviation, line.status, line.witness, line.detail)
                     for line in report.lines] == per_row_audit(derived, pairs[printed], 50, 2, cf)
 
     def test_one_plan_is_kept(self, pairs):
         derived = fresh(pairs["sl2c_derived"], validate=True)
-        plans = []
+        plans = []  # each plan's stacked action tensor, and its printed pair
         for _ in range(200):
-            audit_formulas(derived, fresh(pairs["sl2c_printed"]), 1, 0, sl2c.sl2c_closed_forms())
-            plans.append(weakref.ref(derived._audit_plan))
+            printed = fresh(pairs["sl2c_printed"])
+            audit_formulas(derived, printed, sl2c.sl2c_closed_forms(), 1, 0)
+            plans.append((weakref.ref(_audit_plan(derived, printed)[0]), weakref.ref(printed)))
+        del printed
         gc.collect()
-        assert [ref() for ref in plans if ref() is not None] == [derived._audit_plan]
+        alive = [(T(), mp()) for T, mp in plans if T() is not None or mp() is not None]
+        assert len(alive) == 1 and alive[0][0] is _audit_plan(derived, alive[0][1])[0]
+        assert _audit_plan.cache_info().currsize == 1
 
     def test_complex_closed_forms_with_real_values_are_audited(self, pairs):
         """A complex128 result with zero imaginary part reads as its real values."""
@@ -169,9 +181,9 @@ class TestAuditPlan:
         as_complex = dataclasses.replace(
             cf, co_left=lambda mu, eta: cf.co_left(mu, eta).astype(complex),
             lp_rhs=lambda *args: tuple(part.astype(complex) for part in cf.lp_rhs(*args)))
-        report = audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"], 50, 3, as_complex)
+        report = audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"], as_complex, 50, 3)
         assert all(type(line.max_deviation) is float for line in report.lines)
-        assert report == audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"], 50, 3, cf)
+        assert report == audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"], cf, 50, 3)
 
     @pytest.mark.parametrize("shape", [(3,), (1, 3), (21, 3), (20, 3, 1)])
     @pytest.mark.parametrize("name", CLOSED_FORMS[:4] + ("lp_rhs (mu_dot)", "lp_rhs (nu_dot)"))
@@ -182,12 +194,12 @@ class TestAuditPlan:
         row = ROW_OF[name]
         if name.startswith("lp_rhs"):
             half = name.endswith("(nu_dot)")
-            closed = ClosedFormActions(lp_rhs=lambda *args: tuple(
+            closed = dataclasses.replace(cf, lp_rhs=lambda *args: tuple(
                 wrong if k == half else part for k, part in enumerate(cf.lp_rhs(*args))))
         else:
-            closed = ClosedFormActions(**{name: lambda u, v: wrong})
+            closed = dataclasses.replace(cf, **{name: lambda u, v: wrong})
         with pytest.raises(DimensionMismatch) as err:
-            audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"], 20, 1, closed)
+            audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"], closed, 20, 1)
         assert str(err.value) == f"{row}: the closed form has shape {shape}, expected (20, 3)"
 
 

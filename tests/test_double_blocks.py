@@ -4,13 +4,14 @@ every commutator of an embedded basis at once and splitting the result
 with ``pair_from_double``."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from mpmech import formats, lie_core
 from mpmech.cli import main
-from mpmech.errors import EmbeddingError
+from mpmech.errors import DimensionMismatch, EmbeddingError, InputError
 from mpmech.lie_core import LieAlgebra
 from mpmech.matched_pair import MatchedPair, build_double, pair_from_double, validation_report
 from mpmech.sl2c import (
@@ -127,3 +128,18 @@ class TestDeriveInOneSolve:
         for got, want in ((back.g.C, mp.g.C), (back.h.C, mp.h.C),
                           (back.rho, mp.rho), (back.sigma, mp.sigma)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [-3, -1, 7, True, False, 2.0, "3", None])
+    def test_pair_from_double_checks_the_split(self, sl2c_derived, n):
+        with pytest.raises(InputError, match=r"^the split n must be an integer from 0 to 6, got "):
+            pair_from_double(sl2c_derived.algebra.C, n, None, None)
+
+    def test_pair_from_double_takes_a_numpy_integer_split(self, sl2c_derived):
+        back = pair_from_double(sl2c_derived.algebra.C, np.int64(3), None, None)
+        assert back.split == (3, 3) and np.array_equal(back.rho, sl2c_derived.rho)
+
+    @pytest.mark.parametrize("shape", [(), (6,), (6, 6), (6, 6, 5), (6, 5, 6), (6, 6, 6, 1)])
+    def test_pair_from_double_needs_cubic_constants(self, shape):
+        message = f"double constants must be a cubic rank-3 tensor, got {shape}"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            pair_from_double(np.zeros(shape), 3, None, None)

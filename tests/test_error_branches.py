@@ -11,7 +11,8 @@ from mpmech import formats
 from mpmech.cli import main
 from mpmech.errors import DimensionMismatch, InputError
 from mpmech.matched_pair import audit_formulas
-from mpmech.sl2c import derive_actions_from_embedding, iwasawa_factor, k_basis, su2_basis
+from mpmech.sl2c import (derive_actions_from_embedding, iwasawa_factor, k_basis,
+                         sl2c_closed_forms, su2_basis)
 
 from helpers import random_pair
 
@@ -60,10 +61,10 @@ class TestApi:
 
     def test_audit_of_pairs_with_different_splits(self, sl2c_derived):
         with pytest.raises(DimensionMismatch, match="^audited pairs live on different algebras$"):
-            audit_formulas(sl2c_derived, random_pair(3, 2, 4), samples=10)
+            audit_formulas(sl2c_derived, random_pair(3, 2, 4), sl2c_closed_forms(), samples=10)
 
     def test_audit_line_of_an_unknown_row(self, sl2c_derived, sl2c_printed):
-        report = audit_formulas(sl2c_derived, sl2c_printed, samples=10)
+        report = audit_formulas(sl2c_derived, sl2c_printed, sl2c_closed_forms(), samples=10)
         assert report.line("dual *|>").name == "dual *|>"
         with pytest.raises(KeyError, match="no such row"):
             report.line("no such row")

@@ -18,6 +18,7 @@ from mpmech.matched_pair import (
 from mpmech.dynamics import integrate_ep, legendre
 from mpmech.sl2c import k_algebra, sl2c_closed_forms, su2_algebra
 
+from helpers import exact_closed_forms
 from oracles import semidirect_lp_rhs
 
 E = np.eye(3)
@@ -332,9 +333,12 @@ class TestSemidirectDegeneration:
 
 
 class TestAudit:
-    def test_self_comparison_all_match(self, sl2c_derived):
-        report = audit_formulas(sl2c_derived, sl2c_derived, samples=100, seed=3)
-        assert report.all_match
+    def test_self_comparison_matches_but_the_plus_sign_rows(self, sl2c_derived):
+        # exact closed forms of a pair against itself; the plus-sign field is another field
+        report = audit_formulas(sl2c_derived, sl2c_derived,
+                                exact_closed_forms(sl2c_derived, sl2c_derived), samples=100, seed=3)
+        assert {line.name for line in report.lines if line.status != "MATCH"} == {
+            "plus-sign rhs vs canonical", "plus-sign rhs energy rate"}
 
     def test_sl2c_statuses(self, sl2c_derived, sl2c_printed):
         report = audit_formulas(sl2c_derived, sl2c_printed, samples=300, seed=0,

@@ -113,8 +113,8 @@ def einsum_reference(monkeypatch):
 
 def sl2c_audit(samples, seed):
     pairs = sl2c.builtin_pairs()
-    return audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"], samples, seed,
-                          sl2c.sl2c_closed_forms())
+    return audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"], sl2c.sl2c_closed_forms(),
+                          samples, seed)
 
 
 class TestAuditAgainstEinsums:

@@ -19,11 +19,9 @@ from mpmech import dynamics, formats, lie_core, matched_pair, sl2c
 from mpmech.cli import main
 from mpmech.dynamics import HamiltonianSpec, _grid, integrate, integrate_ep
 from mpmech.errors import InputError, ValidationError
-from mpmech.lie_core import (Check, LieAlgebra, ad_star, defect_bound, lie_poisson_rhs,
-                              poisson_tensor)
+from mpmech.lie_core import Check, LieAlgebra, ad_star, defect_bound, lie_poisson_rhs
 from mpmech.matched_pair import (
     AUDIT_MAX_SAMPLES,
-    ClosedFormActions,
     MatchedPair,
     a_star,
     audit_formulas,
@@ -37,14 +35,14 @@ from mpmech.matched_pair import (
 )
 from mpmech.sl2c import builtin_pairs, group_act, iwasawa_factor, sl2c_closed_forms
 
-from helpers import UNEQUAL_DOC, corrupted_su2, count_calls, simulate_args
+from helpers import UNEQUAL_DOC, corrupted_su2, count_calls, exact_closed_forms, simulate_args
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "mpmech"
 REMOVED_NAMES = ("compat_defect", "CompatDefect", "jacobi_defect", "kks_eval",
                  "matched_ad_star", "euler_poincare_rhs",
                  "DualPoint", "as_dual_point", "cobracket_eval", "matched_bracket_eval",
-                 "DoubleAlgebra", "_as_pair", "EmbeddedBasis", "LagrangianSpec")
+                 "DoubleAlgebra", "_as_pair", "EmbeddedBasis", "LagrangianSpec", "_AuditPlan")
 REPORT_NAMES = [
     "jacobi defect (g)",
     "jacobi defect (h)",
@@ -52,6 +50,19 @@ REPORT_NAMES = [
     "compatibility condition 2",
     "jacobi defect (double)",
 ]
+
+
+def four_index_readers(source):
+    """Names of the functions in ``source`` that subscript with a 4-element tuple,
+    outside type annotations (return, argument and annotated-assignment ones)."""
+    tree = ast.parse(source)
+    annotations = [ann for node in ast.walk(tree) for ann in (getattr(node, "annotation", None),
+                                                               getattr(node, "returns", None))
+                   if isinstance(ann, ast.AST)]
+    skip = {id(node) for ann in annotations for node in ast.walk(ann)}
+    return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and any(
+        isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+        and len(node.slice.elts) == 4 and id(node) not in skip for node in ast.walk(fn))}
 
 
 def scaled_document(mp, factor):
@@ -117,15 +128,21 @@ class TestReport:
             assert [name for name in REMOVED_NAMES if hasattr(module, name)] == [], module.__name__
         assert not hasattr(mpmech, "build_double")  # matched_pair keeps it as an alias
         # a 4-index subscript is a read of a block of a Jacobiator, the one rank-4 tensor
-        readers = {f"{path.stem}.{fn.name}" for path in sorted(SRC.glob("*.py"))
-                   for fn in ast.walk(ast.parse(path.read_text(), str(path)))
-                   if isinstance(fn, ast.FunctionDef) and any(
-                       isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
-                       and len(node.slice.elts) == 4 for node in ast.walk(fn))}
+        readers = {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+                   for name in four_index_readers(path.read_text())}
         assert readers == {"matched_pair._compatibility_checks"}
         conditions = count_calls(monkeypatch, matched_pair, "_compatibility_checks")
         validation_report(pairs["sl2c_printed"])
         assert len(conditions) == 1
+
+    def test_annotations_are_not_block_reads(self):
+        source = (
+            "def annotated(x: tuple[a, b, c, d]) -> tuple[list, list, tuple[str, ...], dict]:\n"
+            "    y: tuple[a, b, c, d] = x\n"
+            "    return y\n"
+            "def reader(J) -> tuple[a, b, c, d]:\n"
+            "    return J[:1, 1:, :1, :1]\n")
+        assert four_index_readers(source) == {"reader"}
 
     def test_no_test_module_imports_another(self):
         # shared helpers live in helpers.py; an import between test modules can be circular
@@ -175,7 +192,7 @@ class TestReport:
                 flow(mp, bad)
 
     def test_audit_detail_reads_condition_one_without_the_report(self, monkeypatch, pairs):
-        """The audit plan reads condition 1 once per printed pair, never through the report."""
+        """``_audit_plan`` reads condition 1 once per pair of pairs, never through the report."""
         printed = pairs["sl2c_printed"]
         fresh = MatchedPair(printed.g, printed.h, printed.rho, printed.sigma, validate=False)
         condition = validation_report(fresh)[2]
@@ -187,6 +204,9 @@ class TestReport:
         second = audit_formulas(pairs["sl2c_derived"], fresh, samples=10, seed=3,
                                 closed_forms=sl2c_closed_forms())
         assert len(conditions) == 1 and reports == []
+        assert matched_pair._audit_plan(pairs["sl2c_derived"], fresh)[3] == \
+            first.line("action <|").detail
+        assert len(conditions) == 1
         for report in (first, second):
             assert report.line("action <|").detail == (
                 f"compatibility condition 1 defect {condition.value:g} at {condition.witness}")
@@ -266,7 +286,8 @@ class TestInputContract:
     def test_audit_needs_a_positive_sample_count(self, samples, pairs):
         assert main(["audit", "sl2c", "--samples", samples]) == 2
         with pytest.raises(InputError):
-            audit_formulas(pairs["sl2c_derived"], pairs["sl2c_derived"], samples=int(samples))
+            audit_formulas(pairs["sl2c_derived"], pairs["sl2c_derived"], sl2c_closed_forms(),
+                           samples=int(samples))
 
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--samples", "100000000000"],
                                        ["--samples", str(AUDIT_MAX_SAMPLES + 1)]])
@@ -279,12 +300,28 @@ class TestInputContract:
         assert capsys.readouterr().err.startswith("input error: the audit ")
 
     def test_audit_seed_and_sample_cap_through_the_api(self, pairs):
-        de = pairs["sl2c_derived"]
+        de, cf = pairs["sl2c_derived"], sl2c_closed_forms()
         with pytest.raises(InputError, match="seed must be non-negative"):
-            audit_formulas(de, de, samples=1, seed=-1)
+            audit_formulas(de, de, cf, samples=1, seed=-1)
         with pytest.raises(InputError, match=f"1 to {AUDIT_MAX_SAMPLES} samples"):
-            audit_formulas(de, de, samples=AUDIT_MAX_SAMPLES + 1)
-        assert audit_formulas(de, de, samples=1, seed=2 ** 64).samples == 1
+            audit_formulas(de, de, cf, samples=AUDIT_MAX_SAMPLES + 1)
+        assert audit_formulas(de, de, cf, samples=1, seed=2 ** 64).samples == 1
+
+    @pytest.mark.parametrize("samples,seed,what", [
+        (True, 0, "sample count"), (np.True_, 0, "sample count"), (2.5, 0, "sample count"),
+        ("3", 0, "sample count"), (None, 0, "sample count"), (3, True, "seed"),
+        (3, False, "seed"), (3, 1.0, "seed"), (3, "7", "seed"), (3, np.float64(7), "seed")])
+    def test_audit_counts_must_be_integers(self, pairs, samples, seed, what):
+        de = pairs["sl2c_derived"]
+        with pytest.raises(InputError, match=f"^the audit {what} must be an integer, got "):
+            audit_formulas(de, de, sl2c_closed_forms(), samples, seed)
+
+    def test_audit_report_stores_plain_ints(self, pairs):
+        de, pr, cf = pairs["sl2c_derived"], pairs["sl2c_printed"], sl2c_closed_forms()
+        report = audit_formulas(de, pr, cf, np.int64(3), np.uint8(7))
+        assert type(report.samples) is int and type(report.seed) is int
+        assert report == audit_formulas(de, pr, cf, 3, 7)
+        assert report.to_text().startswith("formula audit: 3 samples, seed 7, ")
 
     @pytest.mark.parametrize("matrix", [[[True, 0], [0, 1]], [[1, 0], [0, False]],
                                         [[[1.0, False], 0], [0, 1]]])
@@ -321,37 +358,29 @@ def reference_deviations(de, pr, samples, seed, cf):
 
     worst("action |>", [(left_act(pr, e, x), left_act(de, e, x)) for e, x in zip(etas, xis)])
     worst("action <|", [(right_act(pr, e, x), right_act(de, e, x)) for e, x in zip(etas, xis)])
-    duals = [("dual *<|", co_left_act, mus, etas, cf and cf.co_left),
-             ("dual *|>", co_right_act, xis, nus, cf and cf.co_right),
-             ("dual a*", a_star, etas, nus, cf and cf.a_star),
-             ("dual b*", b_star, xis, mus, cf and cf.b_star)]
+    duals = [("dual *<|", co_left_act, mus, etas, cf.co_left),
+             ("dual *|>", co_right_act, xis, nus, cf.co_right),
+             ("dual a*", a_star, etas, nus, cf.a_star),
+             ("dual b*", b_star, xis, mus, cf.b_star)]
     for name, canonical, us, vs, closed in duals:
-        worst(name, [(closed(u, v) if closed else canonical(de, u, v), canonical(pr, u, v))
-                     for u, v in zip(us, vs)])
+        worst(name, [(closed(u, v), canonical(pr, u, v)) for u, v in zip(us, vs)])
 
     double = de
     rows = list(zip(mus, nus, xis, etas))
     fields = [matched_lp_rhs(double, np.concatenate([mu, nu]), np.concatenate([x, y]))
               for mu, nu, x, y in rows]
-    if cf:
-        closed = [np.concatenate(cf.lp_rhs(mu, nu, x, y)) for mu, nu, x, y in rows]
-        worst("closed-form rhs (mu)", [(c[:n], f[:n]) for c, f in zip(closed, fields)])
-        worst("closed-form rhs (nu)", [(c[n:], f[n:]) for c, f in zip(closed, fields)])
-    else:
-        printed = pr.algebra.C
-        worst("canonical rhs (tensor sets)",
-              [(poisson_tensor(printed, np.concatenate([mu, nu])) @ np.concatenate([x, y]), f)
-               for (mu, nu, x, y), f in zip(rows, fields)])
+    closed = [np.concatenate(cf.lp_rhs(mu, nu, x, y)) for mu, nu, x, y in rows]
+    worst("closed-form rhs (mu)", [(c[:n], f[:n]) for c, f in zip(closed, fields)])
+    worst("closed-form rhs (nu)", [(c[n:], f[n:]) for c, f in zip(closed, fields)])
     worst("canonical rhs energy rate",
           [(f[:n] @ x + f[n:] @ y, 0.0) for (_, _, x, y), f in zip(rows, fields)])
-    if cf:
-        plus = [np.concatenate([
-            ad_star(de.g, x, mu) + co_left_act(de, mu, y) + a_star(de, y, nu),
-            ad_star(de.h, y, nu) + co_right_act(de, x, nu) + b_star(de, x, mu)])
-            for mu, nu, x, y in rows]
-        worst("plus-sign rhs vs canonical", zip(plus, fields))
-        worst("plus-sign rhs energy rate",
-              [(p[:n] @ x + p[n:] @ y, 0.0) for (_, _, x, y), p in zip(rows, plus)])
+    plus = [np.concatenate([
+        ad_star(de.g, x, mu) + co_left_act(de, mu, y) + a_star(de, y, nu),
+        ad_star(de.h, y, nu) + co_right_act(de, x, nu) + b_star(de, x, mu)])
+        for mu, nu, x, y in rows]
+    worst("plus-sign rhs vs canonical", zip(plus, fields))
+    worst("plus-sign rhs energy rate",
+          [(p[:n] @ x + p[n:] @ y, 0.0) for (_, _, x, y), p in zip(rows, plus)])
     return out
 
 
@@ -361,8 +390,8 @@ class TestBatchedAudit:
     ])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_matches_per_sample_reference(self, pairs, printed, closed, seed):
-        cf = sl2c_closed_forms() if closed else None
         de, pr = pairs["sl2c_derived"], pairs[printed]
+        cf = sl2c_closed_forms() if closed else exact_closed_forms(pr, de)
         report = audit_formulas(de, pr, samples=200, seed=seed, closed_forms=cf)
         ref = reference_deviations(de, pr, 200, seed, cf)
         assert [line.name for line in report.lines] == list(ref)
@@ -374,15 +403,7 @@ class TestBatchedAudit:
     def test_exact_closed_forms_all_match(self, pairs):
         # the canonical transposes of the printed tensors, written as closed forms
         pr = pairs["sl2c_printed"]
-        double = pairs["sl2c_derived"]
-        exact = ClosedFormActions(
-            co_left=lambda mu, eta: np.einsum("kai,sa,sk->si", pr.rho, eta, mu),
-            co_right=lambda xi, nu: np.einsum("bai,si,sb->sa", pr.sigma, xi, nu),
-            a_star=lambda eta, nu: np.einsum("bai,sa,sb->si", pr.sigma, eta, nu),
-            b_star=lambda xi, mu: np.einsum("kai,si,sk->sa", pr.rho, xi, mu),
-            lp_rhs=lambda mu, nu, x, y: np.split(
-                np.einsum("kij,sk,sj->si", double.algebra.C, np.hstack([mu, nu]),
-                          np.hstack([x, y])), [3], axis=1))
+        exact = exact_closed_forms(pr, pairs["sl2c_derived"])
         report = audit_formulas(pairs["sl2c_derived"], pr, samples=100, closed_forms=exact)
         statuses = {line.name: line.status for line in report.lines}
         assert statuses["closed-form rhs (mu)"] == statuses["closed-form rhs (nu)"] == "MATCH"
@@ -537,7 +558,7 @@ class TestExitContract:
         for samples in AUDIT_SAMPLES:
             if isinstance(samples, int) and samples > 12:
                 with pytest.raises(InputError):
-                    audit_formulas(de, de, samples=samples)
+                    audit_formulas(de, de, sl2c_closed_forms(), samples=samples)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(samples=st.one_of(st.integers(-5, 12), st.sampled_from(AUDIT_SAMPLES)),
