@@ -22,7 +22,6 @@ from .lie_core import (
     bracket,
     lie_poisson_bracket,
     lie_poisson_rhs,
-    tolerance_scale,
     trivialized_forms_eval,
 )
 from .matched_pair import (

@@ -15,9 +15,7 @@ over 2**23 (``MAX_STEPS``) steps, and audits of over 2**20
 (``AUDIT_MAX_SAMPLES``) samples or with a negative seed.  ``simulate --mode
 ep`` passes the Hamiltonian and the initial velocities to
 :func:`~mpmech.dynamics.integrate_ep` unchanged, and its conditions on them
-are that function's.  The environment variable MPM_TOLERANCE_SCALE multiplies
-every validation tolerance (default 1).  ``main`` may be called repeatedly in
-one process.
+are that function's.  ``main`` may be called repeatedly in one process.
 """
 
 from __future__ import annotations

@@ -52,6 +52,9 @@ class HamiltonianSpec:
 
     @classmethod
     def blackbox(cls, f: Callable[[np.ndarray], float], dim: int) -> "HamiltonianSpec":
+        """``f`` on vectors of ``dim`` entries, an integer of at least 1 (not a bool)."""
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise InputError(f"a black-box dimension must be an integer of at least 1, got {dim!r}")
         return cls(int(dim), None, None, f)
 
     @property
@@ -215,8 +218,11 @@ def _invariant_specs(split: tuple[int, int], spec: HamiltonianSpec,
         raise InputError("invariant name 'H' is reserved for the Hamiltonian")
     specs = {}
     for name, s in {"H": spec, **(invariants or {})}.items():
-        if not isinstance(s, HamiltonianSpec):
+        if callable(s):
             s = HamiltonianSpec.blackbox(lambda z, fn=s: fn(z[:n], z[n:]), n + m)
+        elif not isinstance(s, HamiltonianSpec):
+            raise InputError(f"invariant {name!r} is neither a HamiltonianSpec nor callable: "
+                             f"{type(s).__name__}")
         elif s.dim != n + m:
             raise DimensionMismatch(f"invariant {name!r} has dimension {s.dim}, not {n + m}")
         specs[name] = s

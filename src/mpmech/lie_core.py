@@ -15,7 +15,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -28,33 +27,12 @@ ABS_FLOOR = 1e-12
 DEFECT_TOLERANCE = 0.5e-10
 
 
-def tolerance_scale() -> float:
-    """Global multiplier for validation tolerances (MPM_TOLERANCE_SCALE).
-
-    It scales :func:`defect_bound` (Jacobi identity, compatibility), the
-    (anti)symmetry tests of structure constants, quadratic forms and
-    Lagrangian metrics, and the closure, span, unitarity and determinant tests
-    of embeddings and 2x2 matrices.  It must be finite and positive: a NaN
-    scale would make every ``defect > bound`` test false and so accept any
-    input.
-    """
-    text = os.environ.get("MPM_TOLERANCE_SCALE", "1")
-    try:
-        scale = float(text)
-    except ValueError as exc:
-        raise InputError(f"MPM_TOLERANCE_SCALE is not a number: {exc}") from exc
-    if not 0 < scale < np.inf:
-        raise InputError(f"MPM_TOLERANCE_SCALE must be finite and positive, got {text!r}")
-    return scale
-
-
 def defect_bound(*tensors) -> float:
     """Bound on a defect bilinear in ``tensors`` (the Jacobiator, both
-    compatibility conditions): ``0.5e-10 * s**2 * tolerance_scale()`` with
-    ``s = 1 + max |entry|``, and ``inf``, which no check accepts, past the
-    float range."""
+    compatibility conditions): ``0.5e-10 * s**2`` with ``s = 1 + max |entry|``,
+    and ``inf``, which no check accepts, past the float range."""
     s = 1.0 + float(np.abs(np.concatenate(tensors, axis=None)).max())
-    return DEFECT_TOLERANCE * s * s * tolerance_scale()
+    return DEFECT_TOLERANCE * s * s
 
 
 @dataclass(frozen=True)
@@ -110,7 +88,7 @@ def _symmetric_part(value, what: str, error: type[InputError] = InputError, *,
     rank-3 tensor over its last two indices.  Halves first, so entries near
     1e308 cannot overflow.  A wrong shape is an InputError; ``error`` if an
     entry is not finite or the defect ``max |M - part|`` exceeds
-    ``0.5 ABS_FLOOR (1 + max |M|) tolerance_scale()``."""
+    ``0.5 ABS_FLOOR (1 + max |M|)``."""
     M = float_array(value, what)
     rank = 3 if antisymmetric else 2
     if M.ndim != rank or M.shape.count(M.shape[0]) != rank:
@@ -120,7 +98,7 @@ def _symmetric_part(value, what: str, error: type[InputError] = InputError, *,
     half_t = half.swapaxes(-1, -2)
     part, rest = (half - half_t, half + half_t) if antisymmetric else (half + half_t, half - half_t)
     defect = float(np.abs(rest).max(initial=0.0))
-    if defect > 0.5 * ABS_FLOOR * (1.0 + float(np.abs(M).max(initial=0.0))) * tolerance_scale():
+    if defect > 0.5 * ABS_FLOOR * (1.0 + float(np.abs(M).max(initial=0.0))):
         raise error(f"{what} are not antisymmetric in the last two indices (defect {defect:.3e})"
                     if antisymmetric else f"{what} is not symmetric")
     return _read_only(part)

@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import lie_core
 from .errors import DimensionMismatch, EmbeddingError, InputError
 from .lie_core import (
     Check,
@@ -226,11 +225,10 @@ def pair_from_double(C, n: int, g_names: Sequence[str] | None,
         raise DimensionMismatch(f"double constants must be a cubic rank-3 tensor, got {C.shape}")
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= len(C):
         raise InputError(f"the split n must be an integer from 0 to {len(C)}, got {n!r}")
-    tol = 1e-10 * lie_core.tolerance_scale()
     for name, block, other in (("g", C[:, :n, :n], slice(n, None)),
                                ("h", C[:, n:, n:], slice(None, n))):
         if np.any(np.abs(block[other]).max(axis=0, initial=0.0)
-                  > tol * (1.0 + np.abs(block).max(axis=0, initial=0.0))):
+                  > 1e-10 * (1.0 + np.abs(block).max(axis=0, initial=0.0))):
             raise EmbeddingError(f"{name} basis is not closed under commutators")
     return MatchedPair(LieAlgebra(C[:n, :n, :n], g_names), LieAlgebra(C[n:, n:, n:], h_names),
                        C[:n, n:, :n], C[n:, n:, :n])
@@ -307,10 +305,6 @@ class AuditReport:
                 return line
         raise KeyError(name)
 
-    @property
-    def all_match(self) -> bool:
-        return all(line.status == "MATCH" for line in self.lines)
-
     def to_text(self) -> str:
         width = max(len(line.name) for line in self.lines)
         rows = [
@@ -358,8 +352,9 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
     against the exact transpose of ``mp_printed``'s tensors.  The rhs rows
     compare the closed-form vector field and the plus-sign variant of the
     coadjoint assembly against the canonical, energy-conserving one on
-    ``mp_derived``: always the same eleven rows.  ``samples`` and ``seed`` are
-    integers (numpy integers too, not bools), stored as plain ints.
+    ``mp_derived``: always the same eleven rows.  ``closed_forms`` must be a
+    :class:`ClosedFormActions` and ``samples`` and ``seed`` integers (numpy
+    integers too, not bools, stored as plain ints), checked before any draw.
 
     Every row is evaluated on blocks of up to ``AUDIT_BLOCK_SAMPLES`` samples,
     stacked one per row, and keeps its own largest deviation, so the memory held
@@ -374,6 +369,9 @@ def audit_formulas(mp_derived: MatchedPair, mp_printed: MatchedPair,
     """
     if mp_derived.split != mp_printed.split:
         raise DimensionMismatch("audited pairs live on different algebras")
+    if not isinstance(closed_forms, ClosedFormActions):
+        raise InputError(f"the audit closed forms must be a ClosedFormActions, "
+                         f"got {type(closed_forms).__name__}")
     for what, value in (("sample count", samples), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise InputError(f"the audit {what} must be an integer, got {value!r}")

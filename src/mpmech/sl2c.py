@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .errors import EmbeddingError, InputError, ValidationError
-from .lie_core import LieAlgebra, _read_only, _require_finite, abelian, float_array, tolerance_scale
+from .lie_core import LieAlgebra, _read_only, _require_finite, abelian, float_array
 from .matched_pair import ClosedFormActions, MatchedPair, pair_from_double
 
 KHAT = _read_only(np.array([0.0, 0.0, 1.0]))
@@ -111,7 +111,7 @@ def iwasawa_factor(M) -> tuple[np.ndarray, np.ndarray]:
     rounding fixes the factors' bits, while the checks run on the entries as
     Python complex scalars.  A determinant off 1 by over 1e-10, or P22, 1/P22 or
     P21/P22 past the float range, is an InputError; U off SU(2) by over 1e-12 a
-    ValidationError (both bounds times ``tolerance_scale()``).
+    ValidationError.
     """
     M = float_array(M, "matrix", complex)
     if M.shape != (2, 2):
@@ -119,9 +119,8 @@ def iwasawa_factor(M) -> tuple[np.ndarray, np.ndarray]:
     (a, b), (c, d) = M.tolist()
     if not all(map(cmath.isfinite, (a, b, c, d))):
         raise InputError("non-finite entries in matrix")
-    scale = tolerance_scale()
     det = a * d - b * c
-    if not math.hypot(det.real - 1.0, det.imag) <= 1e-10 * scale:
+    if not math.hypot(det.real - 1.0, det.imag) <= 1e-10:
         raise InputError(f"matrix determinant {det} is not 1")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a test
         (_, _), (p21, p22) = (M.conj().T @ M).tolist()  # only P21 and P22 are used
@@ -133,7 +132,7 @@ def iwasawa_factor(M) -> tuple[np.ndarray, np.ndarray]:
     _require_k(ka, kb, kc)
     r = 1.0 / np.sqrt(1.0 + kc)
     U = M @ np.array([[r, 0.0], [-r * (ka + 1j * kb), r * (1.0 + kc)]])
-    _require_su2(*U.ravel().tolist(), 1e-12 * scale)
+    _require_su2(*U.ravel().tolist(), 1e-12)
     k = np.array([ka, kb, kc])
     return _read_only(U), _read_only(k)
 
@@ -147,7 +146,7 @@ def group_act(k, U) -> tuple[np.ndarray, np.ndarray]:
         raise InputError(f"expected k of shape (3,) and a 2x2 U, got {k.shape} and {U.shape}")
     a, b, c = k.tolist()
     _require_k(a, b, c)
-    _require_su2(*U.ravel().tolist(), 1e-12 * tolerance_scale())
+    _require_su2(*U.ravel().tolist(), 1e-12)
     s = 1.0 / np.sqrt(1.0 + c)
     return iwasawa_factor(np.array([[s * (1.0 + c), 0.0], [s * (a + 1j * b), s]]) @ U)
 
@@ -198,7 +197,7 @@ def derive_actions_from_embedding(g_matrices, h_matrices, g_names=None,
     if rank < d:
         raise EmbeddingError("embedded basis matrices are not linearly independent")
     residual = np.abs(B @ coeffs - targets).max(axis=0)
-    tol = 1e-10 * (1.0 + np.abs(comms).max(axis=(1, 2))) * tolerance_scale()
+    tol = 1e-10 * (1.0 + np.abs(comms).max(axis=(1, 2)))
     if np.any(residual > tol):
         raise EmbeddingError(f"commutator leaves the span of the basis "
                              f"(residual {residual[residual > tol][0]:.3e})")
@@ -220,7 +219,7 @@ BUILTIN_PAIRS = ("sl2c_derived", "sl2c_printed", "e3_heavytop")
 
 
 def builtin_pairs() -> dict[str, MatchedPair]:
-    """The shipped example pairs in a fresh dict, keyed by ``BUILTIN_PAIRS``.
+    """The shipped example pairs, built once, in a fresh dict keyed by ``BUILTIN_PAIRS``.
 
     * ``sl2c_derived`` -- actions derived from 2x2 matrix commutators; the
       package default, fully validated.
@@ -230,15 +229,12 @@ def builtin_pairs() -> dict[str, MatchedPair]:
       to reproduce the formula audit.
     * ``e3_heavytop`` -- the Euclidean algebra e(3) as a matched pair with a
       trivial left action (a semidirect product), for heavy-top dynamics.
-
-    The immutable pairs are built once per tolerance scale, read on each call
-    (so a bad ``MPM_TOLERANCE_SCALE`` is still an InputError).
     """
-    return dict(zip(BUILTIN_PAIRS, _build_pairs(tolerance_scale())))
+    return dict(zip(BUILTIN_PAIRS, _build_pairs()))
 
 
-@lru_cache(maxsize=1)
-def _build_pairs(scale: float) -> tuple[MatchedPair, ...]:
+@cache
+def _build_pairs() -> tuple[MatchedPair, ...]:
     derived = derive_actions_from_embedding(*standard_basis())
     rho_p, sigma_p = _printed_tensors()
     printed = MatchedPair(su2_algebra(), k_algebra(), rho_p, sigma_p,

@@ -277,20 +277,19 @@ def einsum_jacobiator(C):
 # The SU(2)·K factorization as it was before its checks moved to Python scalars:
 # np.linalg.det and a numpy unitarity product, with the same bounds and errors.
 
-def su2_check_numpy(U, scale=1.0):
+def su2_check_numpy(U):
     """The numpy unitarity and unit-determinant check of a 2x2 matrix: None if it
     passes, else the ``ValidationError`` message it raises."""
     U = np.asarray(U, dtype=complex)
-    tol = 1e-12 * scale
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.abs(U.conj().T @ U - np.eye(2)).max() <= tol:
+        if not np.abs(U.conj().T @ U - np.eye(2)).max() <= 1e-12:
             return "matrix is not unitary"
-        if not abs(np.linalg.det(U) - 1.0) <= tol:
+        if not abs(np.linalg.det(U) - 1.0) <= 1e-12:
             return "matrix does not have unit determinant"
     return None
 
 
-def iwasawa_numpy(M, scale=1.0):
+def iwasawa_numpy(M):
     """``(U, (a, b, c))`` with ``M = U @ k_to_matrix(a, b, c)``, or the message of
     the error it raises, as ``("input", msg)`` or ``("validation", msg)``: numpy's
     determinant, ``P = M^dagger M``, ``P21 / P22`` and ``M`` times the inverse
@@ -300,7 +299,7 @@ def iwasawa_numpy(M, scale=1.0):
         return "input", "non-finite entries in matrix"
     with np.errstate(over="ignore", invalid="ignore"):
         det = np.linalg.det(M)
-        if not abs(det - 1.0) <= 1e-10 * scale:
+        if not abs(det - 1.0) <= 1e-10:
             return "input", f"matrix determinant {det} is not 1"
         P = M.conj().T @ M
         p22 = float(P[1, 1].real)
@@ -312,7 +311,7 @@ def iwasawa_numpy(M, scale=1.0):
         return "input", f"K element needs finite a, b and c > -1, got ({a}, {b}, {c})"
     s = 1.0 / np.sqrt(1.0 + c)
     U = M @ np.array([[s, 0.0], [-s * (a + 1j * b), s * (1.0 + c)]])
-    failure = su2_check_numpy(U, scale)
+    failure = su2_check_numpy(U)
     return ("validation", failure) if failure else (U, (a, b, c))
 
 

@@ -39,6 +39,16 @@ class TestGradient:
         grad = gradient(spec, np.array([0.3]))
         assert abs(grad[0] - np.cos(0.3)) <= 1e-8
 
+    @pytest.mark.parametrize("dim", [6.7, 6.0, "6", "abc", True, np.True_, 0, -1, None])
+    def test_blackbox_dimension_must_be_a_positive_integer(self, dim):
+        with pytest.raises(InputError, match=f"^a black-box dimension must be an integer of "
+                                             f"at least 1, got {re.escape(repr(dim))}$"):
+            HamiltonianSpec.blackbox(lambda z: 0.0, dim)
+
+    def test_blackbox_dimension_may_be_a_numpy_integer(self):
+        spec = HamiltonianSpec.blackbox(lambda z: 0.0, np.int64(6))
+        assert spec.dim == 6 and type(spec.dim) is int
+
     def test_dimension_mismatch(self):
         spec = HamiltonianSpec.quadratic(np.eye(2))
         with pytest.raises(DimensionMismatch):
@@ -161,7 +171,8 @@ class TestIntegrate:
         ({"H": lambda mu, nu: 0.0}, InputError, "invariant name 'H' is reserved for the Hamiltonian"),
         ({"I": HamiltonianSpec.quadratic(np.eye(5))}, DimensionMismatch,
          "invariant 'I' has dimension 5, not 6"),
-    ], ids=["reserved_name", "wrong_dimension"])
+        ({"x": 5}, InputError, "invariant 'x' is neither a HamiltonianSpec nor callable: int"),
+    ], ids=["reserved_name", "wrong_dimension", "not_callable"])
     def test_invariants_are_checked_before_the_run(self, monkeypatch, sl2c_derived, mode,
                                                    invariants, error, message):
         def no_run(*args):

@@ -18,7 +18,6 @@ import pytest
 from mpmech import formats, sl2c
 from mpmech.cli import main
 from mpmech.errors import InputError, ValidationError
-from mpmech.lie_core import tolerance_scale
 from mpmech.sl2c import group_act, iwasawa_factor
 
 from group_elements import k_to_matrix, random_k_element, random_sl2c, random_su2
@@ -47,7 +46,7 @@ def expected_stdout(M):
 
 def su2_check(V):
     """The SU(2) check ``iwasawa_factor`` runs on its unitary factor, run on ``V``."""
-    sl2c._require_su2(*np.asarray(V, dtype=complex).ravel().tolist(), 1e-12 * tolerance_scale())
+    sl2c._require_su2(*np.asarray(V, dtype=complex).ravel().tolist(), 1e-12)
 
 
 def same_bits(a, b):
@@ -202,35 +201,21 @@ class TestSU2Verdicts:
         assert verdict(lambda: su2_check(V)) == ("validation", su2_check_numpy(V))
 
 
-class TestToleranceScale:
-    def test_scale_widens_the_unitarity_check(self, monkeypatch):
+class TestBounds:
+    def test_unitarity_bound_rejects_2e_12(self):
         V = np.eye(2) + np.array([[2e-12, 0.0], [0.0, 0.0]])
         with pytest.raises(ValidationError, match="not unitary"):
             group_act(np.zeros(3), V)
-        monkeypatch.setenv("MPM_TOLERANCE_SCALE", "100")
-        group_act(np.zeros(3), V)
 
-    def test_scale_widens_the_unit_determinant_check(self, monkeypatch):
+    def test_unit_determinant_bound_rejects_2e_12(self):
         V = np.diag([1.0, np.exp(2e-12j)])  # unitary to rounding, determinant off by 2e-12
         with pytest.raises(ValidationError, match="unit determinant"):
             group_act(np.zeros(3), V)
-        monkeypatch.setenv("MPM_TOLERANCE_SCALE", "100")
-        group_act(np.zeros(3), V)
 
-    def test_scale_widens_the_determinant_check(self, monkeypatch):
+    def test_determinant_bound_rejects_5e_10(self):
         M = np.diag([1.0 + 5e-10, 1.0]).astype(complex)
         with pytest.raises(InputError, match="determinant"):
             iwasawa_factor(M)
-        monkeypatch.setenv("MPM_TOLERANCE_SCALE", "1e4")  # the unitary factor keeps the 5e-10
-        U, k = iwasawa_factor(M)
-        assert same_bits(U, iwasawa_numpy(M, 1e4)[0])
-
-    def test_bad_scale_is_an_input_error(self, monkeypatch):
-        monkeypatch.setenv("MPM_TOLERANCE_SCALE", "nan")
-        with pytest.raises(InputError, match="MPM_TOLERANCE_SCALE"):
-            iwasawa_factor(np.eye(2))
-        with pytest.raises(InputError, match="MPM_TOLERANCE_SCALE"):
-            group_act(np.zeros(3), np.eye(2))
 
 
 class TestArrayFactors:
@@ -242,12 +227,11 @@ class TestArrayFactors:
             with pytest.raises(ValueError):
                 factor[0] = 0.0
 
-    def test_one_scale_read_and_one_conversion(self, monkeypatch):
+    def test_one_conversion(self, monkeypatch):
         M = random_sl2c(np.random.default_rng(1507))
-        reads = count_calls(monkeypatch, sl2c, "tolerance_scale")
         conversions = count_calls(monkeypatch, sl2c, "float_array")
         iwasawa_factor(M)
-        assert (len(reads), len(conversions)) == (1, 1)
+        assert len(conversions) == 1
 
     def test_group_act_refactors_the_product(self):
         rng = np.random.default_rng(1508)

@@ -18,9 +18,8 @@ from mpmech.dynamics import (
     legendre,
 )
 from mpmech.errors import InputError
-from mpmech.lie_core import LieAlgebra
 
-from helpers import corrupted_su2, simulate_args
+from helpers import simulate_args
 from oracles import csv_reference, euler_poincare_five_term, monitor_per_spec
 
 P0 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
@@ -148,17 +147,6 @@ class TestGrid:
         double = sl2c_derived
         rec = integrate(double, HamiltonianSpec.quadratic(np.eye(6)), P0, 0.1, 0.3)
         assert len(rec.times) == 4
-
-
-class TestToleranceScale:
-    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
-    def test_bad_scale_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("MPM_TOLERANCE_SCALE", value)
-        with pytest.raises(InputError):
-            LieAlgebra(corrupted_su2())
-        with pytest.raises(InputError):
-            LieAlgebra(corrupted_su2(), validate=False).validate()
-        assert main(["check", "sl2c_derived"]) == 2
 
 
 def _write(tmp_path, name, doc):

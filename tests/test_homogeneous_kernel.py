@@ -186,11 +186,3 @@ class TestBuiltinPairsOncePerProcess:
         assert all(first[name] is second[name] for name in sl2c.BUILTIN_PAIRS)
         first.clear()
         assert list(sl2c.builtin_pairs()) == list(sl2c.BUILTIN_PAIRS)
-
-    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf", "abc"])
-    def test_bad_scale_after_good_call(self, tmp_path, monkeypatch, value):
-        assert main(["check", "sl2c_derived"]) == 0
-        assert main(simulate_args(str(tmp_path / "ok"), **{"--t-end": "0.01"})) == 0
-        monkeypatch.setenv("MPM_TOLERANCE_SCALE", value)
-        assert main(["check", "sl2c_derived"]) == 2
-        assert main(simulate_args(str(tmp_path / "r"), **{"--t-end": "0.01"})) == 2

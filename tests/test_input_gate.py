@@ -229,30 +229,26 @@ def structure_tensor(defect):
     return build
 
 
-class TestToleranceScale:
-    """Mirrored entries of magnitude 1 may differ by the unscaled bound
+class TestSymmetryBounds:
+    """Mirrored entries of magnitude 1 may differ by the bound
     1e-12 (1 + max |entry|) = 2e-12 in the symmetric and the antisymmetric
-    test alike; MPM_TOLERANCE_SCALE=1e6 widens both."""
+    test alike."""
 
     @pytest.mark.parametrize("build", [quadratic_form(2.2e-12), structure_tensor(2.2e-12)],
                              ids=["quadratic form", "structure tensor"])
-    def test_just_above_the_unscaled_bound(self, build, monkeypatch):
+    def test_just_above_the_bound(self, build):
         with pytest.raises(InputError, match="symmetric"):
             build()
-        monkeypatch.setenv("MPM_TOLERANCE_SCALE", "1e6")
-        build()
 
     @pytest.mark.parametrize("build", [quadratic_form(1.8e-12), structure_tensor(1.8e-12)],
                              ids=["quadratic form", "structure tensor"])
-    def test_just_below_the_unscaled_bound(self, build):
+    def test_just_below_the_bound(self, build):
         build()
 
-    def test_scale_reaches_the_lagrangian_metric(self, monkeypatch):
+    def test_bound_reaches_the_lagrangian_metric(self):
         M = [[1.0, 1.0], [1.0 + 3.3e-12, 2.0]]  # bound 3e-12
         with pytest.raises(DegenerateMetricError, match="g metric is not symmetric"):
             legendre(M, [[1.0]])
-        monkeypatch.setenv("MPM_TOLERANCE_SCALE", "1e6")
-        legendre(M, [[1.0]])
 
 
 # -- derive --basis documents, mutated -------------------------------------------

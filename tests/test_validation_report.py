@@ -42,7 +42,8 @@ SRC = TESTS.parent / "src" / "mpmech"
 REMOVED_NAMES = ("compat_defect", "CompatDefect", "jacobi_defect", "kks_eval",
                  "matched_ad_star", "euler_poincare_rhs",
                  "DualPoint", "as_dual_point", "cobracket_eval", "matched_bracket_eval",
-                 "DoubleAlgebra", "_as_pair", "EmbeddedBasis", "LagrangianSpec", "_AuditPlan")
+                 "DoubleAlgebra", "_as_pair", "EmbeddedBasis", "LagrangianSpec", "_AuditPlan",
+                 "tolerance_scale")
 REPORT_NAMES = [
     "jacobi defect (g)",
     "jacobi defect (h)",
@@ -63,6 +64,16 @@ def four_index_readers(source):
     return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and any(
         isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
         and len(node.slice.elts) == 4 and id(node) not in skip for node in ast.walk(fn))}
+
+
+def environment_reads(source):
+    """The lines of ``source`` that name ``environ``, ``environb``, ``getenv`` or
+    ``getenvb``, as an attribute (``os.environ``), a name or an import."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr in names
+                   or isinstance(node, ast.Name) and node.id in names
+                   or isinstance(node, ast.alias) and node.name in names})
 
 
 def scaled_document(mp, factor):
@@ -134,6 +145,14 @@ class TestReport:
         conditions = count_calls(monkeypatch, matched_pair, "_compatibility_checks")
         validation_report(pairs["sl2c_printed"])
         assert len(conditions) == 1
+
+    def test_no_module_reads_the_environment(self):
+        reads = {path.name: environment_reads(path.read_text())
+                 for path in sorted(SRC.glob("*.py"))}
+        assert len(reads) == 8 and not any(reads.values()), reads
+        source = ("import os\nfrom os import getenv\n"
+                  "def f():\n    return os.environ.get('X'), getenv('Y'), os.path.sep\n")
+        assert environment_reads(source) == [2, 4]
 
     def test_annotations_are_not_block_reads(self):
         source = (
@@ -219,7 +238,7 @@ class TestReport:
     def test_bound_is_the_largest_of_the_per_tensor_bounds(self, pairs, rng):
         def per_tensor(*tensors):
             s = 1.0 + max(float(np.abs(t).max()) for t in tensors)
-            return lie_core.DEFECT_TOLERANCE * s * s * lie_core.tolerance_scale()
+            return lie_core.DEFECT_TOLERANCE * s * s
         sets = [(mp.g.C, mp.h.C, mp.rho, mp.sigma) for mp in pairs.values()]
         sets += [(mp.g.C,) for mp in pairs.values()]
         sets += [tuple(rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
@@ -315,6 +334,16 @@ class TestInputContract:
         de = pairs["sl2c_derived"]
         with pytest.raises(InputError, match=f"^the audit {what} must be an integer, got "):
             audit_formulas(de, de, sl2c_closed_forms(), samples, seed)
+
+    @pytest.mark.parametrize("args,kind", [((1000, 7), "int"), ((None,), "NoneType"),
+                                           ((sl2c_closed_forms,), "function")])
+    def test_audit_closed_forms_are_checked_before_the_draws(self, monkeypatch, pairs, args,
+                                                             kind):
+        draws = count_calls(monkeypatch, np.random, "default_rng")
+        with pytest.raises(InputError, match=f"^the audit closed forms must be a "
+                                             f"ClosedFormActions, got {kind}$"):
+            audit_formulas(pairs["sl2c_derived"], pairs["sl2c_printed"], *args)
+        assert draws == []
 
     def test_audit_report_stores_plain_ints(self, pairs):
         de, pr, cf = pairs["sl2c_derived"], pairs["sl2c_printed"], sl2c_closed_forms()
