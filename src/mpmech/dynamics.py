@@ -52,7 +52,10 @@ class HamiltonianSpec:
 
     @classmethod
     def blackbox(cls, f: Callable[[np.ndarray], float], dim: int) -> "HamiltonianSpec":
-        """``f`` on vectors of ``dim`` entries, an integer of at least 1 (not a bool)."""
+        """``f``, a callable, on vectors of ``dim`` entries, an integer of at least 1 (not a
+        bool).  A result of ``f`` that ``float`` rejects is an InputError where it is read."""
+        if not callable(f):
+            raise InputError(f"a black box must be callable, got {type(f).__name__}")
         if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
             raise InputError(f"a black-box dimension must be an integer of at least 1, got {dim!r}")
         return cls(int(dim), None, None, f)
@@ -65,7 +68,14 @@ class HamiltonianSpec:
         z = _as_vector(z, self.dim, "state")
         if self.is_quadratic:
             return float(0.5 * z @ self.Q @ z + self.b @ z)
-        return float(self.f(z))
+        return self._call(z)
+
+    def _call(self, z: np.ndarray) -> float:  # f(z) as a float, or an InputError
+        y = self.f(z)
+        try:
+            return float(y)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"a black box returned {type(y).__name__}, not a number") from exc
 
 
 def gradient(spec: HamiltonianSpec, z) -> np.ndarray:
@@ -81,7 +91,7 @@ def gradient(spec: HamiltonianSpec, z) -> np.ndarray:
         zm = z.copy()
         zp[i] += h
         zm[i] -= h
-        fp, fm = float(spec.f(zp)), float(spec.f(zm))
+        fp, fm = spec._call(zp), spec._call(zm)
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise InputError(f"Hamiltonian is non-finite near component {i}")
         grad[i] = (fp - fm) / (2.0 * h)
@@ -247,8 +257,8 @@ def _monitor(states: np.ndarray, specs: dict[str, HamiltonianSpec]):
     return dict(zip(specs, V)), dict(zip(specs, drift.tolist()))
 
 
-def integrate(mp: MatchedPair, spec: HamiltonianSpec, p0, dt: float,
-              t_end: float, convention: str = "right",
+def integrate(mp: MatchedPair, spec: HamiltonianSpec | Callable[[np.ndarray, np.ndarray], float],
+              p0, dt: float, t_end: float, convention: str = "right",
               invariants: InvariantMap | None = None) -> TrajectoryRecord:
     """Integrate the Lie-Poisson flow of ``spec`` on the dual of ``mp.algebra``, the double.
 
@@ -257,18 +267,18 @@ def integrate(mp: MatchedPair, spec: HamiltonianSpec, p0, dt: float,
     is folded once per run into ``G`` (D, D, D) on ``y = (z, 1)``, ``D = d + 1``:
     ``G[k, i, :d] = sign (C Q)[k, i]``, ``G[k, i, d] = sign (C b)[k, i]``, 0
     elsewhere, and the field is ``(y @ G).reshape(D, D) @ y``, last component 0.
-    A black box runs ``(z @ sign C).reshape(d, d) @ gradient(spec, z)``.  "H" is
-    the Hamiltonian; see :data:`InvariantMap`.  It validates ``mp`` (ValidationError
-    naming the failed checks), reads ``p0`` as one flat (n + m,) vector and checks ``spec.dim``.
+    A black box runs ``(z @ sign C).reshape(d, d) @ gradient(spec, z)``.  ``spec`` is
+    "H", the first invariant, and passes the invariants' gate (see :data:`InvariantMap`),
+    so a callable of (mu, nu) runs as a black box.  It validates ``mp`` (ValidationError
+    naming the failed checks) and reads ``p0`` as one flat (n + m,) vector.
     """
     mp.validate()
     sign = convention_sign(convention)
     d = mp.algebra.dim
     z0 = _as_vector(p0, d, "dual point")
-    if spec.dim != d:
-        raise DimensionMismatch(f"Hamiltonian dimension {spec.dim} does not match the double ({d})")
-    steps, times = _grid(dt, t_end)
     specs = _invariant_specs(mp.split, spec, invariants)
+    spec = specs["H"]
+    steps, times = _grid(dt, t_end)
     C = sign * mp.algebra.C
     if spec.is_quadratic:
         G = np.zeros((d + 1,) * 3)
@@ -298,6 +308,8 @@ def integrate_ep(mp: MatchedPair, energy: HamiltonianSpec, velocities0, dt: floa
     v0 = _as_vector(velocities0, mp.algebra.dim, "initial velocities")
     mp.validate()
     n, d = mp.g.dim, v0.size
+    if not isinstance(energy, HamiltonianSpec):
+        raise InputError(f"the energy must be a HamiltonianSpec, got {type(energy).__name__}")
     if energy.dim != d:
         raise DimensionMismatch(f"Hamiltonian dimension {energy.dim} does not match the pair ({d})")
     if not energy.is_quadratic or np.any(energy.b) or np.any(energy.Q[:n, n:]):

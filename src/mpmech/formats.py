@@ -110,9 +110,8 @@ def pair_from_dict(doc: dict) -> MatchedPair:
         raise InputError("tensor document must be a JSON object")
     g = algebra_from_dict(_require(doc, "g", dict, "document"), "g")
     h = algebra_from_dict(_require(doc, "h", dict, "document"), "h")
-    rho = float_array(_require(doc, "rho", list, "document"), "rho")
-    sigma = float_array(_require(doc, "sigma", list, "document"), "sigma")
-    return MatchedPair(g, h, rho, sigma, validate=False)
+    return MatchedPair(g, h, _require(doc, "rho", list, "document"),
+                       _require(doc, "sigma", list, "document"), validate=False)
 
 
 def pair_to_dict(mp: MatchedPair) -> dict:

@@ -37,7 +37,6 @@ from .errors import DimensionMismatch, EmbeddingError, InputError
 from .lie_core import (
     Check,
     LieAlgebra,
-    _as_vector,
     _largest_entry,
     _read_only,
     _require_finite,
@@ -127,50 +126,38 @@ class MatchedPair:
 
 
 # -- mutual actions and their duals -----------------------------------------
-# Every argument is one vector or a stack of rows; a wrong last dimension, or leading axes
-# that do not broadcast, is DimensionMismatch.  Each is lie_core.coadjoint(T, z, x) =
-# sum_kj T[k, i, j] z_k x_j, T = mp.map_tensors[its name], a transpose of rho or sigma.
-
-def _as_rows(v, dim: int, what: str) -> np.ndarray:
-    arr = float_array(v, what)
-    if arr.shape[-1:] != (dim,):
-        raise DimensionMismatch(f"{what} has shape {arr.shape}, expected (..., {dim})")
-    return arr
-
+# Every argument is one vector or a stack of rows.  Each map is one lie_core.coadjoint(T, z, x)
+# = sum_kj T[k, i, j] z_k x_j, T = mp.map_tensors[its name], a transpose of rho or sigma, which
+# reads both as float arrays (InputError) and rejects a wrong last dimension or leading axes
+# that do not broadcast (DimensionMismatch).
 
 def left_act(mp: MatchedPair, eta, xi) -> np.ndarray:
     """Left action of h on g: eta |> xi."""
-    eta, xi = _as_rows(eta, mp.h.dim, "h vector"), _as_rows(xi, mp.g.dim, "g vector")
     return coadjoint(mp.map_tensors["left_act"], eta, xi)
 
 
 def right_act(mp: MatchedPair, eta, xi) -> np.ndarray:
     """Right action of g on h: eta <| xi."""
-    eta, xi = _as_rows(eta, mp.h.dim, "h vector"), _as_rows(xi, mp.g.dim, "g vector")
     return coadjoint(mp.map_tensors["right_act"], eta, xi)
 
 
 def co_left_act(mp: MatchedPair, mu, eta) -> np.ndarray:
     """Right action of h on g*, transpose of |>: <mu *<| eta, xi> = <mu, eta |> xi>."""
-    mu, eta = _as_rows(mu, mp.g.dim, "g* vector"), _as_rows(eta, mp.h.dim, "h vector")
     return coadjoint(mp.map_tensors["co_left_act"], mu, eta)
 
 
 def a_star(mp: MatchedPair, eta, nu) -> np.ndarray:
     """Dual of xi -> eta <| xi, valued in g*: <a*_eta nu, xi> = <nu, eta <| xi>."""
-    eta, nu = _as_rows(eta, mp.h.dim, "h vector"), _as_rows(nu, mp.h.dim, "h* vector")
     return coadjoint(mp.map_tensors["a_star"], nu, eta)
 
 
 def co_right_act(mp: MatchedPair, xi, nu) -> np.ndarray:
     """Left action of g on h*, transpose of <|: <xi *|> nu, eta> = <nu, eta <| xi>."""
-    xi, nu = _as_rows(xi, mp.g.dim, "g vector"), _as_rows(nu, mp.h.dim, "h* vector")
     return coadjoint(mp.map_tensors["co_right_act"], nu, xi)
 
 
 def b_star(mp: MatchedPair, xi, mu) -> np.ndarray:
     """Dual of eta -> eta |> xi, valued in h*: <b*_xi mu, eta> = <mu, eta |> xi>."""
-    xi, mu = _as_rows(xi, mp.g.dim, "g vector"), _as_rows(mu, mp.g.dim, "g* vector")
     return coadjoint(mp.map_tensors["b_star"], mu, xi)
 
 
@@ -249,12 +236,10 @@ def matched_lp_rhs(mp: MatchedPair, p, grad_h, convention: str = "right") -> np.
         nu_dot = ad*_Y nu + X *|> nu + b*_X mu
 
     "left" is the pointwise negation.  It validates ``mp`` first
-    (ValidationError naming the failed checks).
+    (ValidationError naming the failed checks); ``lie_poisson_rhs`` then checks
+    the convention and, through ``ad_star``, both vectors' shapes.
     """
-    mp.validate()
-    d = mp.algebra.dim
-    z, grad = _as_vector(p, d, "dual point"), _as_vector(grad_h, d, "grad H")
-    return lie_poisson_rhs(mp.algebra, z, grad, convention)
+    return lie_poisson_rhs(mp.validate().algebra, p, grad_h, convention)
 
 
 # -- formula audit ------------------------------------------------------------

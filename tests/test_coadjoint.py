@@ -150,6 +150,25 @@ class TestStackedMaps:
         assert fn(mp, rng.standard_normal(k), rng.standard_normal((4, l))).shape[0] == 4
         assert fn(mp, rng.standard_normal((4, 1, k)), rng.standard_normal((3, l))).shape[:2] == (4, 3)
 
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("fn,sides", MAPS, ids=[f.__name__ for f, _ in MAPS])
+    def test_rejects_a_non_numeric_argument(self, fn, sides, side, rng):
+        mp = random_pair(36, 2, 4)
+        args = [rng.standard_normal((5, k)) for k in dims(mp, sides)]
+        args[side] = [["a"] * args[side].shape[1]] * 5
+        with pytest.raises(InputError, match="^coadjoint (point z|vector x) is not a numeric array: "):
+            fn(mp, *args)
+
+    @pytest.mark.parametrize("z,x,what", [("abc", np.ones(6), "point z"),
+                                          (np.ones(6), [["a"]], "vector x")], ids=["z", "x"])
+    def test_coadjoint_reads_both_arguments_as_floats(self, sl2c_derived, z, x, what):
+        with pytest.raises(InputError, match=f"^coadjoint {what} is not a numeric array: "):
+            coadjoint(sl2c_derived.algebra.C, z, x)
+
+    def test_matched_lp_rhs_rejects_a_point_of_length_5(self, sl2c_derived):
+        with pytest.raises(DimensionMismatch, match=r"^dual vector has shape \(5,\), expected \(6,\)$"):
+            matched_lp_rhs(sl2c_derived, np.ones(5), np.ones(6))
+
     def test_coadjoint_rejects_a_length_one_x(self):
         # einsum would broadcast a length-1 last axis of x against the constants' last axis
         C = np.zeros((3, 3, 3))

@@ -49,6 +49,29 @@ class TestGradient:
         spec = HamiltonianSpec.blackbox(lambda z: 0.0, np.int64(6))
         assert spec.dim == 6 and type(spec.dim) is int
 
+    @pytest.mark.parametrize("f", [5, None, "f"], ids=["int", "None", "str"])
+    def test_blackbox_must_be_callable(self, f):
+        with pytest.raises(InputError, match=f"^a black box must be callable, got {type(f).__name__}$"):
+            HamiltonianSpec.blackbox(f, 6)
+
+    @pytest.mark.parametrize("result", ["x", [1.0, 2.0], None, 1j])
+    def test_blackbox_result_must_be_a_number(self, result):
+        spec = HamiltonianSpec.blackbox(lambda z: result, 2)
+        message = f"^a black box returned {type(result).__name__}, not a number$"
+        with pytest.raises(InputError, match=message):
+            gradient(spec, [1.0, 2.0])
+        with pytest.raises(InputError, match=message):
+            spec.value([1.0, 2.0])
+
+    def test_blackbox_own_errors_escape_unchanged(self):
+        def f(z):
+            raise ValueError("inside the black box")
+        spec = HamiltonianSpec.blackbox(f, 2)
+        for call in (lambda: gradient(spec, [1.0, 2.0]), lambda: spec.value([1.0, 2.0])):
+            with pytest.raises(ValueError, match="^inside the black box$") as err:
+                call()
+            assert type(err.value) is ValueError
+
     def test_dimension_mismatch(self):
         spec = HamiltonianSpec.quadratic(np.eye(2))
         with pytest.raises(DimensionMismatch):
@@ -186,6 +209,34 @@ class TestIntegrate:
                 integrate_ep(sl2c_derived, legendre(np.eye(3), np.eye(3)), P0,
                              1e-3, 200.0, invariants)
 
+    @pytest.mark.parametrize("spec,error,message", [
+        (5, InputError, "invariant 'H' is neither a HamiltonianSpec nor callable: int"),
+        (HamiltonianSpec.quadratic(np.eye(5)), DimensionMismatch,
+         "invariant 'H' has dimension 5, not 6"),
+    ], ids=["int", "wrong_dimension"])
+    def test_hamiltonian_is_checked_by_the_invariant_gate(self, monkeypatch, sl2c_derived,
+                                                          spec, error, message):
+        def no_run(*args):
+            raise AssertionError("the RK4 loop was entered")
+        monkeypatch.setattr(dynamics, "_run_rk4", no_run)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            integrate(sl2c_derived, spec, P0, 1e-3, 1.0)
+
+    def test_callable_hamiltonian_runs_as_a_black_box(self, sl2c_derived):
+        def H(mu, nu):
+            return 0.5 * float(mu @ mu) + 0.25 * float(nu @ nu) ** 2 + float(mu @ nu)
+        rec = integrate(sl2c_derived, H, P0, 0.01, 0.5)
+        ref = integrate(sl2c_derived, HamiltonianSpec.blackbox(lambda z: H(z[:3], z[3:]), 6),
+                        P0, 0.01, 0.5)
+        assert np.array_equal(rec.states, ref.states)
+        assert np.array_equal(rec.invariants["H"], ref.invariants["H"])
+        assert rec.drift == ref.drift and len(rec.states) == 51
+
+    def test_callable_invariant_returning_text_is_an_input_error(self, sl2c_derived):
+        with pytest.raises(InputError, match="^a black box returned str, not a number$"):
+            integrate(sl2c_derived, HamiltonianSpec.quadratic(np.eye(6)), P0, 0.1, 0.2,
+                      invariants={"I": lambda mu, nu: "x"})
+
     def test_blow_up_reports_last_good_time(self, sl2c_derived):
         double = sl2c_derived
         huge = np.zeros(6)
@@ -223,6 +274,12 @@ class TestIntegrateEp:
         recovered = rec.velocities[0]
         assert np.allclose(recovered[:3], state0[:3], atol=1e-12)
         assert np.allclose(rec.states[0][:3], Mg @ state0[:3], atol=1e-12)
+
+    @pytest.mark.parametrize("energy", [5, lambda mu, nu: 0.0], ids=["int", "callable"])
+    def test_energy_must_be_a_hamiltonian_spec(self, sl2c_derived, energy):
+        with pytest.raises(InputError, match=f"^the energy must be a HamiltonianSpec, "
+                                             f"got {type(energy).__name__}$"):
+            integrate_ep(sl2c_derived, energy, P0, 0.1, 1.0)
 
 
 class TestTrajectoryRecord:
