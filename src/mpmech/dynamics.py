@@ -28,37 +28,41 @@ MAX_STEPS = 2 ** 23  # longest grid: 64 MiB of float64 states per column, 448 Mi
 
 
 class HamiltonianSpec:
-    """A Hamiltonian on dual coordinates: quadratic form or black box.
+    """A Hamiltonian on dual coordinates: quadratic form or black box, checked here.
 
-    Quadratic: H(z) = 0.5 z^T Q z + b^T z with Q symmetric.  Black box: any
-    scalar callable of the coordinate vector; its gradient is taken by
-    central differences.
+    Quadratic, if ``Q`` is given or ``f`` and ``dim`` are None: H(z) = 0.5 z^T Q z +
+    b^T z, with ``Q`` square, finite and symmetric (its read-only symmetric part is
+    kept), ``b`` finite or None (zeros) and ``dim`` None or Q's size.  Otherwise a black
+    box: ``f``, any scalar callable of the coordinate vector, with ``Q`` and ``b`` None
+    and ``dim`` an integer of at least 1 (not a bool); its gradient is taken by central
+    differences, and a result of ``f`` that ``float`` rejects is an InputError where it
+    is read.  Any other input is an InputError.  :meth:`quadratic` and :meth:`blackbox`
+    spell the two forms.
     """
 
-    def __init__(self, dim: int, Q: np.ndarray | None, b: np.ndarray | None,
-                 f: Callable[[np.ndarray], float] | None):
-        self.dim = dim
-        self.Q = Q
-        self.b = b
-        self.f = f
+    def __init__(self, dim: int | None, Q, b, f: Callable[[np.ndarray], float] | None):
+        if f is None and (Q is not None or dim is None):
+            Q = _symmetric_part(Q, "quadratic form")
+            if dim is not None and Q.shape != (dim, dim):
+                raise DimensionMismatch(f"quadratic form has shape {Q.shape}, expected ({dim}, {dim})")
+            dim = len(Q)
+            b = np.array(_as_vector(np.zeros(dim) if b is None else b, dim, "linear term"))
+            _read_only(_require_finite(b, "linear term"))
+        elif Q is not None or b is not None:
+            raise InputError("a Hamiltonian is a quadratic form or a black box, not both")
+        elif not callable(f):
+            raise InputError(f"a black box must be callable, got {type(f).__name__}")
+        elif isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise InputError(f"a black-box dimension must be an integer of at least 1, got {dim!r}")
+        self.dim, self.Q, self.b, self.f = int(dim), Q, b, f
 
     @classmethod
     def quadratic(cls, Q, b=None) -> "HamiltonianSpec":
-        Q = _symmetric_part(Q, "quadratic form")
-        dim = Q.shape[0]
-        b = np.array(_as_vector(np.zeros(dim) if b is None else b, dim, "linear term"))
-        _read_only(_require_finite(b, "linear term"))
-        return cls(dim, Q, b, None)
+        return cls(None, Q, b, None)
 
     @classmethod
     def blackbox(cls, f: Callable[[np.ndarray], float], dim: int) -> "HamiltonianSpec":
-        """``f``, a callable, on vectors of ``dim`` entries, an integer of at least 1 (not a
-        bool).  A result of ``f`` that ``float`` rejects is an InputError where it is read."""
-        if not callable(f):
-            raise InputError(f"a black box must be callable, got {type(f).__name__}")
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-            raise InputError(f"a black-box dimension must be an integer of at least 1, got {dim!r}")
-        return cls(int(dim), None, None, f)
+        return cls(dim, None, None, f)
 
     @property
     def is_quadratic(self) -> bool:
@@ -80,8 +84,9 @@ class HamiltonianSpec:
 
 def gradient(spec: HamiltonianSpec, z) -> np.ndarray:
     """Gradient of the Hamiltonian: exact for quadratic specs, central
-    differences (step 1e-6 * (1 + |z_i|)) for black boxes."""
-    z = _as_vector(z, spec.dim, "state")
+    differences (step 1e-6 * (1 + |z_i|)) for black boxes, at a finite ``z`` only
+    (InputError)."""
+    z = _require_finite(_as_vector(z, spec.dim, "state"), "state")
     if spec.is_quadratic:
         return spec.Q @ z + spec.b
     grad = np.empty(spec.dim)
@@ -252,7 +257,7 @@ def _monitor(states: np.ndarray, specs: dict[str, HamiltonianSpec]):
         V[quadratic] = 0.5 * np.einsum("kij,ij->ki", states @ Q, states) + (states @ b)[..., 0]
     for i, s in enumerate(specs.values()):
         if not s.is_quadratic:
-            V[i] = [s.value(z) for z in states]
+            V[i] = [s._call(z) for z in states]
     drift = np.abs(V - V[:, :1]).max(axis=1) / (1.0 + np.abs(V[:, 0]))
     return dict(zip(specs, V)), dict(zip(specs, drift.tolist()))
 
@@ -270,12 +275,13 @@ def integrate(mp: MatchedPair, spec: HamiltonianSpec | Callable[[np.ndarray, np.
     A black box runs ``(z @ sign C).reshape(d, d) @ gradient(spec, z)``.  ``spec`` is
     "H", the first invariant, and passes the invariants' gate (see :data:`InvariantMap`),
     so a callable of (mu, nu) runs as a black box.  It validates ``mp`` (ValidationError
-    naming the failed checks) and reads ``p0`` as one flat (n + m,) vector.
+    naming the failed checks) and reads ``p0`` as one flat (n + m,) vector of finite
+    entries (InputError before any step).
     """
     mp.validate()
     sign = convention_sign(convention)
     d = mp.algebra.dim
-    z0 = _as_vector(p0, d, "dual point")
+    z0 = _require_finite(_as_vector(p0, d, "dual point"), "dual point")
     specs = _invariant_specs(mp.split, spec, invariants)
     spec = specs["H"]
     steps, times = _grid(dt, t_end)
@@ -299,13 +305,15 @@ def integrate_ep(mp: MatchedPair, energy: HamiltonianSpec, velocities0, dt: floa
     The Euler-Poincare equations are the left Lie-Poisson equations of the
     Legendre Hamiltonian, so this runs :func:`integrate` in the left convention
     on the double of ``mp``, from the momenta ``solve(Q, velocities0)``, with
-    ``velocities0`` one flat (n + m,) vector.  The velocities ``states @ Q`` are stored
-    alongside the momenta; "H" holds the kinetic energy.  It validates ``mp`` and checks
-    ``energy``: dimension n + m (DimensionMismatch), no linear term and no coupling
-    block ``Q[:n, n:]`` (InputError), ``Q`` positive definite (DegenerateMetricError),
-    and finite momenta (InputError).
+    ``velocities0`` one flat (n + m,) vector of finite entries (InputError).  The
+    velocities ``states @ Q`` are stored alongside the momenta; "H" holds the kinetic
+    energy.  It validates ``mp`` and checks ``energy``: dimension n + m
+    (DimensionMismatch), no linear term and no coupling block ``Q[:n, n:]``
+    (InputError), ``Q`` positive definite (DegenerateMetricError), and finite momenta
+    (InputError).
     """
-    v0 = _as_vector(velocities0, mp.algebra.dim, "initial velocities")
+    v0 = _require_finite(_as_vector(velocities0, mp.algebra.dim, "initial velocities"),
+                         "initial velocities")
     mp.validate()
     n, d = mp.g.dim, v0.size
     if not isinstance(energy, HamiltonianSpec):

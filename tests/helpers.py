@@ -1,13 +1,15 @@
 """Helpers shared by the test modules, which import them from here and never
 from one another: call counting, ``simulate`` argv, seeded pairs (unvalidated
-tensors, or valid pairs with dim g != dim h), a corrupted su(2) and a document
-of a pair with dim g != dim h."""
+tensors, or valid pairs with dim g != dim h), a corrupted su(2), a document
+of a pair with dim g != dim h, and the 2x2 exponential and su(2) coordinates."""
+
+import cmath
 
 import numpy as np
 
 from mpmech.lie_core import LieAlgebra
 from mpmech.matched_pair import ClosedFormActions, MatchedPair, pair_from_double
-from mpmech.sl2c import su2_algebra
+from mpmech.sl2c import su2_algebra, su2_basis
 
 
 def count_calls(monkeypatch, module, name):
@@ -109,3 +111,20 @@ UNEQUAL_DOC = {"g": {"dim": 1, "C": [[[0.0]]]},
                "h": {"dim": 2, "C": np.zeros((2, 2, 2)).tolist()},
                "rho": np.zeros((1, 2, 1)).tolist(),
                "sigma": np.zeros((2, 2, 1)).tolist()}
+
+
+def traceless_exp(A):
+    """exp(A) of a traceless 2x2 matrix in closed form: A @ A = w^2 I with
+    w^2 = -det A, so exp(A) = cosh(w) I + (sinh(w) / w) A, the ratio 1 at w = 0."""
+    A = np.asarray(A, complex)
+    w = cmath.sqrt(A[0, 1] * A[1, 0] - A[0, 0] * A[1, 1])
+    return cmath.cosh(w) * np.eye(2) + (cmath.sinh(w) / w if w else 1.0) * A
+
+
+def su2_coordinates(U):
+    """The least-squares coordinates of U - I over ``su2_basis()``, real and
+    imaginary parts alike: to first order at the identity, the su(2) vector of U."""
+    def flat(M):
+        return np.concatenate([M.real.ravel(), M.imag.ravel()])
+    B = np.array([flat(X) for X in su2_basis()]).T
+    return np.linalg.lstsq(B, flat(np.asarray(U) - np.eye(2)), rcond=None)[0]

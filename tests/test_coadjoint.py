@@ -234,15 +234,17 @@ class TestBuiltinTensorsAgainstLoops:
         Q[:n, :n] = np.eye(n)
         b = np.zeros(6)
         b[n + 2] = 1.0
-        top = cli.builtin_hamiltonian("heavy_top", n, m)
+        top = cli.BUILTIN_HAMILTONIANS["heavy_top"](n, m)
+        assert cli.load_hamiltonian("heavy_top", n, m) is top
         assert same_bits(top.Q, Q) and same_bits(top.b, b)
         Q[:n, :n] = np.diag([1.0, 0.5, 1.0 / 3.0])
         body = cli.load_hamiltonian("rigid_body_123", n, m)
         assert same_bits(body.Q, Q) and same_bits(body.b, np.zeros(6))
         assert same_bits(cli.load_hamiltonian("quadratic_identity", n, m).Q, np.eye(6))
-        with pytest.raises(InputError, match="built-ins are quadratic_identity, heavy_top, "
-                                              "rigid_body_123"):
-            cli.builtin_hamiltonian("spinning_top", n, m)
+        assert list(cli.BUILTIN_HAMILTONIANS) == ["quadratic_identity", "heavy_top",
+                                                  "rigid_body_123"]
+        with pytest.raises(InputError, match="^cannot read Hamiltonian spinning_top: "):
+            cli.load_hamiltonian("spinning_top", n, m)  # not a built-in, so a path
 
 
 class TestLegendre:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mpmech import formats
-from mpmech.cli import BUILTIN_INVARIANTS, builtin_hamiltonian, main
+from mpmech.cli import BUILTIN_HAMILTONIANS, BUILTIN_INVARIANTS, main
 from mpmech.dynamics import (
     HamiltonianSpec,
     TrajectoryRecord,
@@ -102,7 +102,7 @@ class TestVectorizedMonitor:
                       "form": HamiltonianSpec.quadratic(A + A.T, rng.standard_normal(6)),
                       "call": lambda mu, nu: float(mu @ nu) ** 2,
                       "mu_dot_nu": BUILTIN_INVARIANTS["mu_dot_nu"](3, 3)}
-        double, spec = pairs[pair], builtin_hamiltonian("heavy_top", 3, 3)
+        double, spec = pairs[pair], BUILTIN_HAMILTONIANS["heavy_top"](3, 3)
         rec = integrate(double, spec, [0.3, -0.5, 0.8, 0.1, 0.2, 0.9], 0.05,
                         0.05 * max(rows - 1, 1), invariants=invariants)
         states = rec.states[:rows]  # integrate's own rows: a strided view
@@ -116,7 +116,7 @@ class TestVectorizedMonitor:
         assert all(type(value) is float for value in drift.values())
 
     def test_linear_term_along_trajectory(self, e3_heavytop):
-        spec = builtin_hamiltonian("heavy_top", 3, 3)
+        spec = BUILTIN_HAMILTONIANS["heavy_top"](3, 3)
         rec = integrate(e3_heavytop, spec,
                         [0.3, 1.0, 0.2, 0.1, 0.5, 0.8], 1e-3, 2.0)
         ref = np.array([spec.value(z) for z in rec.states])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mpmech import cli, sl2c
-from mpmech.cli import BUILTIN_INVARIANTS, builtin_hamiltonian, main
+from mpmech.cli import BUILTIN_HAMILTONIANS, BUILTIN_INVARIANTS, main
 from mpmech.dynamics import HamiltonianSpec, gradient, integrate
 from mpmech.errors import DimensionMismatch, InputError
 from mpmech.lie_core import LieAlgebra
@@ -72,7 +72,7 @@ class TestCsvRowsAreRk4Steps:
             ham, sign, Q = _write(tmp_path, "h.json", {"Q": EP_Q.tolist()}), -1.0, EP_Q
         elif case == "heavy_top":
             pair, ham = "e3_heavytop", "heavy_top"
-            spec = builtin_hamiltonian("heavy_top", 3, 3)
+            spec = BUILTIN_HAMILTONIANS["heavy_top"](3, 3)
             Q, b = spec.Q, spec.b
             flags["--initial"] = "0.3,-0.5,0.8,0.1,0.2,0.9"
         prefix = str(tmp_path / "run")

@@ -8,7 +8,7 @@ import pytest
 from mpmech.dynamics import HamiltonianSpec, _grid, gradient
 from mpmech.errors import EmbeddingError, InputError, ValidationError
 from mpmech.matched_pair import pair_from_double
-from mpmech.sl2c import derive_actions_from_embedding, group_act, standard_basis
+from mpmech.sl2c import derive_actions_from_embedding, group_act, iwasawa_factor, standard_basis
 
 
 class TestUnitarityOfGroupAct:
@@ -24,6 +24,18 @@ class TestUnitarityOfGroupAct:
     def test_accepts_1e_13(self):
         acted, rest = group_act(np.zeros(3), self.factor(1e-13))
         assert np.isfinite(acted).all() and np.isfinite(rest).all()
+
+
+class TestUnitarityOfIwasawaFactor:
+    # a determinant off 1 by 5e-11 passes the determinant check (1e-10), so only the SU(2)
+    # check of the factor U (1e-12) can reject it: U^dagger U - I has |det M|^2 - 1 at (1, 1)
+    def test_rejects_a_determinant_off_by_5e_11(self):
+        with pytest.raises(ValidationError, match="^matrix is not unitary$"):
+            iwasawa_factor(np.diag([1.0 + 5e-11, 1.0]))
+
+    def test_accepts_a_determinant_off_by_1e_13(self):
+        U, k = iwasawa_factor(np.diag([1.0 + 1e-13, 1.0]))
+        assert np.abs(U - np.eye(2)).max() <= 1e-12 and np.abs(k).max() <= 1e-12
 
 
 class TestClosureOfADouble:
