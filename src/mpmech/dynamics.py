@@ -30,10 +30,10 @@ MAX_STEPS = 2 ** 23  # longest grid: 64 MiB of float64 states per column, 448 Mi
 class HamiltonianSpec:
     """A Hamiltonian on dual coordinates: quadratic form or black box, checked here.
 
-    Quadratic, if ``Q`` is given or ``f`` and ``dim`` are None: H(z) = 0.5 z^T Q z +
-    b^T z, with ``Q`` square, finite and symmetric (its read-only symmetric part is
-    kept), ``b`` finite or None (zeros) and ``dim`` None or Q's size.  Otherwise a black
-    box: ``f``, any scalar callable of the coordinate vector, with ``Q`` and ``b`` None
+    Quadratic, if ``f`` is None and ``Q`` or ``b`` is given or ``dim`` is None: H(z) =
+    0.5 z^T Q z + b^T z, with ``Q`` square, finite and symmetric (its read-only symmetric
+    part is kept), ``b`` finite or None (zeros) and ``dim`` None or Q's size.  Otherwise a
+    black box: ``f``, any scalar callable of the coordinate vector, with ``Q`` and ``b`` None
     and ``dim`` an integer of at least 1 (not a bool); its gradient is taken by central
     differences, and a result of ``f`` that ``float`` rejects is an InputError where it
     is read.  Any other input is an InputError.  :meth:`quadratic` and :meth:`blackbox`
@@ -41,7 +41,7 @@ class HamiltonianSpec:
     """
 
     def __init__(self, dim: int | None, Q, b, f: Callable[[np.ndarray], float] | None):
-        if f is None and (Q is not None or dim is None):
+        if f is None and (Q is not None or b is not None or dim is None):
             Q = _symmetric_part(Q, "quadratic form")
             if dim is not None and Q.shape != (dim, dim):
                 raise DimensionMismatch(f"quadratic form has shape {Q.shape}, expected ({dim}, {dim})")

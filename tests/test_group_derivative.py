@@ -42,4 +42,3 @@ def test_printed_right_action_has_the_opposite_orientation(group_actions, sl2c_p
     assert np.abs(rho - sl2c_printed.rho).max() <= 1e-8
     assert np.abs(sigma - sl2c_printed.sigma).max() > 1.0
     assert np.abs(sigma + sl2c_printed.sigma).max() <= 1e-8
-

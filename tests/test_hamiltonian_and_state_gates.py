@@ -25,6 +25,10 @@ class TestConstructor:
                            match=r"^quadratic form has shape \(5, 5\), expected \(6, 6\)$"):
             HamiltonianSpec(6, np.eye(5), None, None)
 
+    def test_a_linear_term_alone_is_a_missing_quadratic_form(self):
+        with pytest.raises(InputError, match=r"^quadratic form must be square, got shape \(\)$"):
+            HamiltonianSpec(6, None, np.zeros(6), None)
+
     @pytest.mark.parametrize("Q, b", [(np.eye(6), None), (None, np.zeros(6)),
                                       (np.eye(6), np.zeros(6))], ids=["Q", "b", "Q and b"])
     def test_a_quadratic_form_and_a_black_box_do_not_mix(self, Q, b):
