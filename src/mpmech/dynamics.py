@@ -217,10 +217,13 @@ def _run_rk4(T: np.ndarray, y0: np.ndarray, dt: float, steps: int,
                     Mdot(U if spec is None else gradient(spec, U), k3)
                     add(y, w.dot(K, dy), row)
                     y = row
-            except InputError:  # a black box may reject a state that has blown up:
+            except InputError as exc:  # a black box may reject a state, blown up or not:
                 add(y, w.dot(K, dy), row)  # non-finite if a stage of step s did
                 scan(a, s + 1)
-                raise
+                if s == 1:
+                    gradient(spec, y0)  # the InputError of a Hamiltonian that fails at p0
+                raise IntegrationError(f"{exc} at t={s * dt:g}",
+                                       last_good_time=float((s - 1) * dt)) from exc
             scan(a, a + FINITE_BLOCK)
     return states
 
@@ -276,7 +279,8 @@ def integrate(mp: MatchedPair, spec: HamiltonianSpec | Callable[[np.ndarray, np.
     "H", the first invariant, and passes the invariants' gate (see :data:`InvariantMap`),
     so a callable of (mu, nu) runs as a black box.  It validates ``mp`` (ValidationError
     naming the failed checks) and reads ``p0`` as one flat (n + m,) vector of finite
-    entries (InputError before any step).
+    entries (InputError before any step).  A black box's InputError at ``p0`` is raised as
+    is; at any later stage it ends the run as an IntegrationError at that step.
     """
     mp.validate()
     sign = convention_sign(convention)

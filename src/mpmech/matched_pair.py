@@ -6,23 +6,25 @@ on g (tensor ``rho``) and a right action of g on h (tensor ``sigma``):
 * ``rho[k, a, i]``:  f_a |> e_i = sum_k rho[k, a, i] e_k,
 * ``sigma[b, a, i]``: f_a <| e_i = sum_b sigma[b, a, i] f_b.
 
-When the two compatibility conditions hold, g (+) h carries the double
-bracket
+The pair is matched exactly when g (+) h carries the double bracket
 
     [(x1, y1), (x2, y2)] = ([x1, x2] + y1|>x2 - y2|>x1,
                             [y1, y2] + y1<|x2 - y2<|x1)
 
-and the dual space inherits a linear Poisson structure.  Conversely, the
-bracket is a Lie bracket only if they hold: the conditions are the blocks
-``J[:n, n:, :n, :n]`` and ``-J[n:, n:, n:, :n]`` (n = dim g) of the
-double's Jacobiator.  Only this module knows the double's block layout:
-:attr:`MatchedPair.algebra` builds it and :func:`pair_from_double` reads it
-back.  A point, gradient or velocity on g (+) h or its dual is one flat
-vector, its first n = dim g entries on g.  All dual-action maps here are
-exact transposes of ``rho``/``sigma``, and all dynamics are assembled from
-the double's structure constants via the coadjoint action; closed-form
-variants of these maps found in the literature can be checked against that
-canonical assembly with :func:`audit_formulas`.
+as a Lie bracket, and the dual space then inherits a linear Poisson
+structure.  So validity is the double's Jacobi identity: with n = dim g, the
+blocks ``J[:n, :n, :n, :n]`` and ``J[n:, n:, n:, n:]`` of its Jacobiator
+``J[k, I, J, L]`` (the E_k part of Jac(E_I, E_J, E_L)) are g's and h's, and
+``J[:n, n:, :n, :n]`` [value in g, a, i, j] and ``-J[n:, n:, n:, :n]`` [value
+in h, a, b, i] are the two compatibility conditions.  Only this module knows
+the double's block layout: :attr:`MatchedPair.algebra` builds it and
+:func:`pair_from_double` reads it back.  A point, gradient or velocity on
+g (+) h or its dual is one flat vector, its first n = dim g entries on g.
+All dual-action maps here are exact transposes of ``rho``/``sigma``, and
+all dynamics are assembled from the double's structure constants via the
+coadjoint action; closed-form variants of these maps found in the
+literature can be checked against that canonical assembly with
+:func:`audit_formulas`.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ AUDIT_BLOCK_SAMPLES = 2 ** 16  # samples per block of audit rows; bounds the mem
 class MatchedPair:
     """Two Lie algebras with mutual action tensors.
 
-    ``validate=True`` (the default) runs the checks of
-    :func:`validation_report`; pass ``validate=False`` to carry intentionally
-    incompatible tensors (e.g. for audits).
+    ``validate=True`` (the default) runs the checks of :func:`validation_report`,
+    which cover g's and h's Jacobi identities too; pass ``validate=False`` to
+    carry intentionally incompatible tensors (e.g. for audits).
     """
 
     def __init__(self, g: LieAlgebra, h: LieAlgebra, rho, sigma, *,
@@ -161,38 +163,25 @@ def b_star(mp: MatchedPair, xi, mu) -> np.ndarray:
     return coadjoint(mp.map_tensors["b_star"], mu, xi)
 
 
-# -- compatibility -----------------------------------------------------------
-
-def _compatibility_checks(mp: MatchedPair) -> tuple[Check, Check]:
-    """The two compatibility conditions against :func:`~mpmech.lie_core.defect_bound`,
-    witnessed by the basis triple of their largest entry.
-
-    Both are blocks of the double's Jacobiator ``J[k, I, J, L]``, the E_k part
-    of Jac(E_I, E_J, E_L): with n = dim g, condition 1 is ``J[:n, n:, :n, :n]``
-    indexed [value in g, a, i, j], and condition 2 is ``-J[n:, n:, n:, :n]``
-    indexed [value in h, a, b, i]."""
-    n = mp.g.dim
-    J = mp.algebra.jacobiator
-    bound = defect_bound(mp.g.C, mp.h.C, mp.rho, mp.sigma)
-    d1, (_, a1, i1, j1) = _largest_entry(J[:n, n:, :n, :n])
-    d2, (_, a2, b2, i2) = _largest_entry(J[n:, n:, n:, :n])
-    g, h = mp.g.name_of, mp.h.name_of
-    return (Check("compatibility condition 1", d1, bound, f"({h(a1)}, {g(i1)}, {g(j1)})"),
-            Check("compatibility condition 2", d2, bound, f"({h(a2)}, {h(b2)}, {g(i2)})"))
-
+# -- validity -----------------------------------------------------------------
 
 def validation_report(mp: MatchedPair) -> tuple[Check, ...]:
-    """The five checks that make ``mp`` a matched pair, each defect against
-    :func:`~mpmech.lie_core.defect_bound`: the Jacobi identity of g and of h,
-    the two compatibility conditions and max |J| of the double's Jacobiator
-    ``J``.  Its helper ``_compatibility_checks`` is the only reader of the
-    conditions' blocks ``J[:n, n:, :n, :n]`` and ``-J[n:, n:, n:, :n]``."""
-    return (
-        mp.g.jacobi_check("jacobi defect (g)"),
-        mp.h.jacobi_check("jacobi defect (h)"),
-        *_compatibility_checks(mp),
-        mp.algebra.jacobi_check("jacobi defect (double)"),
-    )
+    """The five checks that make ``mp`` a matched pair, read off the blocks of the double's
+    Jacobiator ``J`` named in the module docstring, and ``J`` itself: each largest entry,
+    witnessed by its basis triple, against :func:`~mpmech.lie_core.defect_bound` of g's,
+    h's, the pair's and the double's constants.  The only reader of a Jacobiator's blocks."""
+    n, J = mp.g.dim, mp.algebra.jacobiator
+    pair = defect_bound(mp.g.C, mp.h.C, mp.rho, mp.sigma)
+    g, h, d = mp.g.name_of, mp.h.name_of, mp.algebra.name_of
+
+    def check(name, block, bound, *names):
+        value, (_, *triple) = _largest_entry(block)
+        return Check(name, value, bound, f"({', '.join(at(k) for at, k in zip(names, triple))})")
+    return (check("jacobi defect (g)", J[:n, :n, :n, :n], defect_bound(mp.g.C), g, g, g),
+            check("jacobi defect (h)", J[n:, n:, n:, n:], defect_bound(mp.h.C), h, h, h),
+            check("compatibility condition 1", J[:n, n:, :n, :n], pair, h, g, g),
+            check("compatibility condition 2", J[n:, n:, n:, :n], pair, h, h, g),
+            check("jacobi defect (double)", J, defect_bound(mp.algebra.C), d, d, d))
 
 
 # -- the double algebra and its Poisson structure ----------------------------
@@ -206,7 +195,8 @@ def pair_from_double(C, n: int, g_names: Sequence[str] | None,
                      h_names: Sequence[str] | None) -> MatchedPair:
     """The inverse of :attr:`MatchedPair.algebra`: the validated pair of a double with
     constants ``C`` and g on the first ``n`` indices.  EmbeddingError unless each
-    [e_i, e_j] is in g and each [f_a, f_b] in h, to 1e-10 (1 + its max coefficient)."""
+    [e_i, e_j] is in g and each [f_a, f_b] in h, to 1e-10 (1 + its max coefficient).  g
+    and h are built unvalidated: ``jacobi defect (g)`` and ``(h)`` of the pair check them."""
     C = float_array(C, "double constants")
     if C.ndim != 3 or C.shape.count(C.shape[0]) != 3:
         raise DimensionMismatch(f"double constants must be a cubic rank-3 tensor, got {C.shape}")
@@ -217,7 +207,8 @@ def pair_from_double(C, n: int, g_names: Sequence[str] | None,
         if np.any(np.abs(block[other]).max(axis=0, initial=0.0)
                   > 1e-10 * (1.0 + np.abs(block).max(axis=0, initial=0.0))):
             raise EmbeddingError(f"{name} basis is not closed under commutators")
-    return MatchedPair(LieAlgebra(C[:n, :n, :n], g_names), LieAlgebra(C[n:, n:, n:], h_names),
+    return MatchedPair(LieAlgebra(C[:n, :n, :n], g_names, validate=False),
+                       LieAlgebra(C[n:, n:, n:], h_names, validate=False),
                        C[:n, n:, :n], C[n:, n:, :n])
 
 
@@ -322,7 +313,7 @@ def _audit_plan(de: MatchedPair, pr: MatchedPair) -> tuple[np.ndarray, np.ndarra
     witnesses = {name: f"({pr.h.name_of(a)}, {pr.g.name_of(i)})" for name, (_, (_, a, i))
                  in (("action |>", _largest_entry(pr.rho - de.rho)),
                      ("action <|", _largest_entry(pr.sigma - de.sigma)))}
-    condition = _compatibility_checks(pr)[0]
+    condition = validation_report(pr)[2]
     detail = f"compatibility condition 1 defect {condition.value:g} at {condition.witness}"
     return actions, _read_only(C_plus), witnesses, detail
 

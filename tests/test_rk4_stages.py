@@ -1,7 +1,8 @@
 """The RK4 loop behind ``integrate``: four field stages per step, rows that
 are textbook RK4 steps across the finiteness-scan blocks, rows bitwise equal
 to the dispatched ``np.dot`` stages, buffers that belong to one run, and
-blow-ups reported at the step where the state first became non-finite."""
+blow-ups reported at the step where the state first became non-finite or
+a black box first failed near it."""
 
 import numpy as np
 import pytest
@@ -131,6 +132,22 @@ class TestBlowUpTimes:
         with pytest.raises(IntegrationError, match=r"^state became non-finite at t=365$") as err:
             integrate(sl2c_derived, spec, P0, 1.0, 1000.0, convention)
         assert err.value.last_good_time == 364.0
+
+    def test_blackbox_overflowing_at_a_finite_state(self, sl2c_derived):
+        # every row stays finite; H overflows near a stage input of step 565
+        spec = HamiltonianSpec.blackbox(lambda z: z[3] ** 3 + z[0] * z[4] ** 2, 6)
+        with pytest.raises(IntegrationError, match=r"^Hamiltonian is non-finite near "
+                                                   r"component 0 at t=5\.65$") as err:
+            integrate(sl2c_derived, spec, [1, 0.2, 0, 0.3, 1, 0.1], 0.01, 20)
+        assert err.value.last_good_time == 5.64
+
+    def test_blackbox_non_finite_past_the_first_stage(self, sl2c_derived):
+        # H is finite near p0, whose z_6 is 0.1, but not near the second stage's input
+        spec = HamiltonianSpec.blackbox(lambda z: float("inf") if z[5] > 0.2 else float(z @ z), 6)
+        with pytest.raises(IntegrationError, match=r"^Hamiltonian is non-finite near "
+                                                   r"component 0 at t=0\.5$") as err:
+            integrate(sl2c_derived, spec, [1, 0.2, 0, 0.3, 1, 0.1], 0.5, 5)
+        assert err.value.last_good_time == 0.0
 
     @pytest.mark.parametrize("convention", ["right", "left"])
     def test_blackbox_non_finite_at_the_initial_state(self, sl2c_derived, convention):

@@ -35,7 +35,8 @@ from mpmech.matched_pair import (
 )
 from mpmech.sl2c import builtin_pairs, group_act, iwasawa_factor, sl2c_closed_forms
 
-from helpers import UNEQUAL_DOC, corrupted_su2, count_calls, exact_closed_forms, simulate_args
+from helpers import (UNEQUAL_DOC, corrupted_su2, count_calls, exact_closed_forms, random_pair,
+                     random_valid_pair, simulate_args)
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "mpmech"
@@ -43,7 +44,7 @@ REMOVED_NAMES = ("compat_defect", "CompatDefect", "jacobi_defect", "kks_eval",
                  "matched_ad_star", "euler_poincare_rhs",
                  "DualPoint", "as_dual_point", "cobracket_eval", "matched_bracket_eval",
                  "DoubleAlgebra", "_as_pair", "EmbeddedBasis", "LagrangianSpec", "_AuditPlan",
-                 "tolerance_scale")
+                 "tolerance_scale", "_compatibility_checks")
 REPORT_NAMES = [
     "jacobi defect (g)",
     "jacobi defect (h)",
@@ -92,6 +93,60 @@ def write_json(tmp_path, name, doc):
     return str(path)
 
 
+CHECK_GOLDEN = json.loads((TESTS / "check_golden.json").read_text())
+
+
+class TestOneJacobiator:
+    """All five checks read the double's Jacobiator, computed once per pair."""
+
+    def test_factor_jacobiators_are_blocks_of_the_double(self, pairs):
+        built = [*pairs.values(), *(random_valid_pair(seed, n) for seed in (0, 1) for n in (2, 3, 4)),
+                 *(random_pair(seed, 3, 3) for seed in range(5))]
+        for mp in built:
+            n, J = mp.g.dim, mp.algebra.jacobiator
+            assert J[:n, :n, :n, :n].tobytes() == lie_core._jacobiator(mp.g.C).tobytes()
+            assert J[n:, n:, n:, n:].tobytes() == lie_core._jacobiator(mp.h.C).tobytes()
+
+    @pytest.mark.parametrize("validated", [True, False])
+    def test_a_pair_runs_one_jacobiator(self, monkeypatch, sl2c_derived, validated):
+        g, h = (LieAlgebra(alg.C, alg.names, validate=validated)
+                for alg in (sl2c_derived.g, sl2c_derived.h))
+        jacobi = count_calls(monkeypatch, lie_core, "_jacobiator")
+        assert MatchedPair(g, h, sl2c_derived.rho, sl2c_derived.sigma).validated
+        assert len(jacobi) == 1
+
+    def test_derive_runs_one_jacobiator(self, monkeypatch):
+        jacobi = count_calls(monkeypatch, lie_core, "_jacobiator")
+        assert sl2c.derive_actions_from_embedding(*sl2c.standard_basis()).validated
+        assert len(jacobi) == 1
+
+    @pytest.mark.parametrize("factor,block", [("g", slice(0, 3)), ("h", slice(3, 6))])
+    def test_pair_from_double_names_the_factor_failing_jacobi(self, factor, block):
+        C = np.zeros((6, 6, 6))
+        C[block, block, block] = corrupted_su2()
+        with pytest.raises(ValidationError, match=rf"^jacobi defect \({factor}\) 1\.000e\+00 "
+                                                  r"exceeds 2\.000e-10 at \(x1, x2, x3\); "
+                                                  r"jacobi defect \(double\) 1\.000e\+00"):
+            matched_pair.pair_from_double(C, 3, None, None)
+
+    @pytest.mark.parametrize("key", CHECK_GOLDEN)
+    def test_check_output_is_golden(self, tmp_path, capsys, key):
+        """``mpmech check`` stdout, byte for byte, of the built-ins, the document of
+        ``derive --builtin sl2c`` and those of ``random_valid_pair(seed, n)``."""
+        pair = str(tmp_path / "pair.json")
+        if key.startswith("random_valid_pair"):
+            formats.dump_pair_document(random_valid_pair(*map(int, key.split()[1:])), pair)
+        elif key == "derive --builtin sl2c":
+            assert main(["derive", "--builtin", "sl2c", "--out", pair]) == 0
+            capsys.readouterr()
+        else:
+            pair = key
+        code = main(["check", pair])
+        out = capsys.readouterr().out
+        assert out == CHECK_GOLDEN[key]
+        assert code == (0 if out.endswith("pair is a valid matched pair\n") else 1)
+
+
 class TestReport:
     @pytest.mark.parametrize("name", ["sl2c_derived", "sl2c_printed", "e3_heavytop"])
     def test_five_named_checks(self, pairs, name):
@@ -124,11 +179,10 @@ class TestReport:
         path = write_json(tmp_path, "pair.json", formats.pair_to_dict(pairs["sl2c_derived"]))
         jacobi = count_calls(monkeypatch, lie_core, "_jacobiator")
         assert main(["check", path]) == 0
-        assert len(jacobi) == 3   # g, h and the double, whose blocks are the conditions
+        assert len(jacobi) == 1   # the double, whose blocks are all five checks
 
     def test_validate_reuses_validated_algebras(self, monkeypatch, sl2c_derived):
         g, h = sl2c_derived.g, sl2c_derived.h
-        assert g.validated and h.validated
         jacobi = count_calls(monkeypatch, lie_core, "_jacobiator")
         MatchedPair(g, h, sl2c_derived.rho, sl2c_derived.sigma)
         assert len(jacobi) == 1   # the new double only
@@ -141,10 +195,11 @@ class TestReport:
         # a 4-index subscript is a read of a block of a Jacobiator, the one rank-4 tensor
         readers = {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
                    for name in four_index_readers(path.read_text())}
-        assert readers == {"matched_pair._compatibility_checks"}
-        conditions = count_calls(monkeypatch, matched_pair, "_compatibility_checks")
-        validation_report(pairs["sl2c_printed"])
-        assert len(conditions) == 1
+        assert readers == {"matched_pair.validation_report"}
+        mp = random_pair(0, 3, 3)
+        jacobi = count_calls(monkeypatch, lie_core, "_jacobiator")
+        validation_report(mp)
+        assert len(jacobi) == 1 and "jacobiator" not in vars(mp.g) | vars(mp.h)
 
     def test_no_module_reads_the_environment(self):
         reads = {path.name: environment_reads(path.read_text())
@@ -210,22 +265,21 @@ class TestReport:
             with pytest.raises(InputError):
                 flow(mp, bad)
 
-    def test_audit_detail_reads_condition_one_without_the_report(self, monkeypatch, pairs):
-        """``_audit_plan`` reads condition 1 once per pair of pairs, never through the report."""
+    def test_audit_detail_reads_the_report_once_per_pair_of_pairs(self, monkeypatch, pairs):
+        """``_audit_plan`` reads condition 1 off the report, once per pair of pairs."""
         printed = pairs["sl2c_printed"]
         fresh = MatchedPair(printed.g, printed.h, printed.rho, printed.sigma, validate=False)
         condition = validation_report(fresh)[2]
         reports = count_calls(monkeypatch, matched_pair, "validation_report")
-        conditions = count_calls(monkeypatch, matched_pair, "_compatibility_checks")
         first = audit_formulas(pairs["sl2c_derived"], fresh, samples=10,
                                closed_forms=sl2c_closed_forms())
-        assert len(conditions) == 1
+        assert len(reports) == 1
         second = audit_formulas(pairs["sl2c_derived"], fresh, samples=10, seed=3,
                                 closed_forms=sl2c_closed_forms())
-        assert len(conditions) == 1 and reports == []
+        assert len(reports) == 1
         assert matched_pair._audit_plan(pairs["sl2c_derived"], fresh)[3] == \
             first.line("action <|").detail
-        assert len(conditions) == 1
+        assert len(reports) == 1
         for report in (first, second):
             assert report.line("action <|").detail == (
                 f"compatibility condition 1 defect {condition.value:g} at {condition.witness}")
