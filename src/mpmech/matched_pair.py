@@ -115,11 +115,11 @@ class MatchedPair:
             ("co_right_act", sigma), ("b_star", rho))}
 
     def validate(self) -> "MatchedPair":
-        """Raise ValidationError unless every check of :func:`validation_report`
-        passes; cache on success."""
+        """Raise ValidationError unless every check of :func:`validation_report` passes;
+        cache on success, on g, h and the double too: the report holds their Jacobi checks."""
         if not self._validated:
             require(validation_report(self))
-            self._validated = True
+            self._validated = self.g._validated = self.h._validated = self.algebra._validated = True
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

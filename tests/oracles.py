@@ -182,12 +182,11 @@ def rk4_step(field, z, dt):
     return z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def dispatched_rk4(T, y0, dt, steps, vector=lambda y: y):
+def dispatched_rk4(T, y0, dt, steps, vector):
     """RK4 rows of ``y_dot = (y @ T.reshape(D, D*D)).reshape(D, D) @ vector(y)``
-    with the stage and sum formulas that ``integrate`` used before its
-    buffered ``ndarray.dot`` stages: ``np.dot`` through numpy's dispatcher, a
-    reshape per stage, stage tensors prescaled by the step, and
-    ``y + np.dot(w, K)`` with ``w = (1, 2, 1, 1) / 3``."""
+    with the stage and sum formulas of ``integrate``'s black-box stages, but
+    ``np.dot`` through numpy's dispatcher: a reshape per stage, stage tensors
+    prescaled by the step, and ``y + np.dot(w, K)`` with ``w = (1, 2, 1, 1) / 3``."""
     D = y0.size
     states = np.empty((steps + 1, D))
     states[0] = y = y0
@@ -367,3 +366,43 @@ def per_row_audit(de, pr, samples, seed, closed_forms, tol=1e-10, block=2 ** 16)
             detail = f"compatibility condition 1 defect {condition.value:g} at {condition.witness}"
         lines.append((name, float(dev), status, witnesses.get(name), detail))
     return lines
+
+
+def fused_rk4(G, y0, dt, steps, windows=None):
+    """RK4 rows of ``y_dot = (y @ G.reshape(D, D*D)).reshape(D, D) @ y``, ``y[-1]`` 1
+    and ``G``'s last output row 0, as four fused stages on ``Z = [u3, k2, k1, y, k0]``:
+    each stage is ``np.dot`` of a window into its stacked tensor, reshaped, then
+    ``np.dot`` of that matrix into a window, with ``Ah``, ``Af`` = ``(dt/2) A``, ``dt A``:
+
+    ``[y, k0] = [[I], [Ah(y)]] y``, ``k1 = [Ah(u) | Ah(u)] [y, k0]``,
+    ``[u3, k2] = [[Af(u) | Af(u) + I], [Af(u) | Af(u)]] [k1, y]`` and the next row
+    ``[Ah(u3) / 3 | I / 3 | 2I / 3 | I | I / 3] Z``.  The identity blocks sit in the
+    tensor slice of each window's homogeneous entry; each tensor here is stacked
+    block by block, one window entry at a time.  ``windows``, a list, collects
+    every stage's input window."""
+    D = y0.size
+    G = G.reshape(D, D, D)
+    I, e = np.eye(D), np.eye(D)[-1]
+    h, f = 0.5 * dt * G, dt * G
+    S1 = np.array([np.vstack([e[k] * I, h[k]]) for k in range(D)])
+    S2 = np.array([np.hstack([h[k % D], h[k % D]]) for k in range(2 * D)])
+    S3 = np.array([np.block([[f[k % D], f[k % D] + (k == 2 * D - 1) * I], [f[k % D], f[k % D]]])
+                   for k in range(2 * D)])
+    S4 = np.array([np.hstack([h[k] / 3.0, e[k] * I / 3.0, e[k] * 2.0 * I / 3.0, e[k] * I,
+                              e[k] * I / 3.0]) for k in range(D)])
+
+    def stage(S, window, rows, into=None):
+        if windows is not None:
+            windows.append(window)
+        return np.dot(np.dot(window, S.reshape(len(S), -1)).reshape(rows, -1),
+                      window if into is None else into)
+
+    states = np.empty((steps + 1, D))
+    states[0] = y = y0
+    for s in range(1, steps + 1):
+        yk0 = stage(S1, y, 2 * D)
+        k1 = stage(S2, yk0, D)
+        k1y = np.concatenate([k1, yk0[:D]])
+        u3k2 = stage(S3, k1y, 2 * D)
+        y = states[s] = stage(S4, u3k2[:D], D, np.concatenate([u3k2, k1, yk0]))
+    return states

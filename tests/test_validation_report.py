@@ -187,6 +187,22 @@ class TestReport:
         MatchedPair(g, h, sl2c_derived.rho, sl2c_derived.sigma)
         assert len(jacobi) == 1   # the new double only
 
+    def test_a_valid_pair_validates_its_algebras(self, monkeypatch):
+        # g and h of a derived pair are built unvalidated; the pair's checks cover them
+        mp = sl2c.derive_actions_from_embedding(*sl2c.standard_basis())
+        jacobi = count_calls(monkeypatch, lie_core, "_jacobiator")
+        for alg in (mp.validate().g, mp.h, mp.algebra):
+            assert alg.validated and alg.validate() is alg
+        assert jacobi == []
+
+    def test_an_invalid_pair_validates_no_algebra(self, sl2c_printed):
+        g, h = (LieAlgebra(alg.C, alg.names, validate=False)
+                for alg in (sl2c_printed.g, sl2c_printed.h))
+        mp = MatchedPair(g, h, sl2c_printed.rho, sl2c_printed.sigma, validate=False)
+        with pytest.raises(ValidationError, match="compatibility condition 1"):
+            mp.validate()
+        assert not (g.validated or h.validated or mp.algebra.validated)
+
     def test_one_reader_of_the_compatibility_blocks(self, monkeypatch, pairs):
         # the deleted names stay deleted
         for module in (mpmech, lie_core, matched_pair, dynamics, sl2c):
